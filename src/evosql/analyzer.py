@@ -613,7 +613,8 @@ class ToolRunResult:
 
 
 def run_agent_tool(
-    pkg: AgentPackage, db_path: str | Path, timeout: float = DEFAULT_TOOL_TIMEOUT
+    pkg: AgentPackage, db_path: str | Path, timeout: float = DEFAULT_TOOL_TIMEOUT,
+    max_bytes: int = -1,
 ) -> ToolRunResult:
     """Run a package's analysis tool in an isolated working directory.
 
@@ -622,6 +623,9 @@ def run_agent_tool(
     exit code 0. Nonzero exit, timeout, or a missing output file falls back
     to the raw-DDL extractor with the result tagged as a fallback; if the
     fallback itself fails the (agent, database) pair is evaluation-blocked.
+    At most max_bytes (-1: all) of the output file are read, as UTF-8; a
+    caller that sets its limit one byte past its budget sees a longer file
+    as over it.
     """
     if pkg.execution_mode == "fallback_naive":
         return ToolRunResult(text=extract_naive_schema(db_path))
@@ -654,7 +658,8 @@ def run_agent_tool(
             elif not output_file.is_file():
                 reason = f"tool produced no {pkg.tool_output_file}"
             else:
-                return ToolRunResult(text=output_file.read_text())
+                with open(output_file, "rb") as out:
+                    return ToolRunResult(text=out.read(max_bytes).decode(errors="replace"))
         except subprocess.TimeoutExpired:
             reason = f"timeout after {timeout:g}s"
         except OSError as exc:

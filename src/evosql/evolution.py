@@ -66,14 +66,15 @@ def read_package_files(root_dir: str | Path) -> dict[str, str]:
 
 
 def build_context(
-    registry: AgentRegistry, history: list, strategy_path: str | Path
+    registry: AgentRegistry, history: list, strategy_path: str | Path, error_report: str = ""
 ) -> EvolutionContext:
     """Assemble the evolution context from the current run state.
 
     history is the list of completed iteration records (oldest first); the
     parent set is the most recent iteration's competitor roster, or the whole
-    population before any iteration has completed. The strategy file is
-    loaded verbatim.
+    population before any iteration has completed. error_report is the
+    latest iteration's error analysis text. The strategy file is loaded
+    verbatim.
     """
     strategy_file = Path(strategy_path)
     if not strategy_file.is_file():
@@ -93,11 +94,9 @@ def build_context(
 
     if history:
         parent_ids = list(history[-1].competitors)
-        error_report = history[-1].error_report or ""
         iteration = history[-1].iteration + 1
     else:
         parent_ids = registry.agent_ids()
-        error_report = ""
         iteration = 1
 
     parent_packages = {

@@ -3,9 +3,11 @@
 Predicted and gold SQL run against read-only SQLite connections with a
 wall-clock timeout; results are compared as sets of canonicalized row tuples
 (row order ignored, duplicates collapse, arity must match). Accuracy is kept
-as exact counts, never accumulated floats. Gold queries are executed once per
-iteration and shared across agents; questions whose gold SQL is itself broken
-are excluded from the denominator as dataset defects.
+as exact counts, never accumulated floats. Gold queries are executed and
+canonicalized once per iteration and shared across agents; questions whose
+gold SQL is itself broken are excluded from the denominator as dataset
+defects. Within one question, each distinct SQL text runs once: scoring reads
+the final SQL's result from the verification loop's executions.
 """
 
 import logging
@@ -16,7 +18,6 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from .errors import InvalidStateError, PipelineError, SqlError
@@ -109,10 +110,20 @@ def _canonical_rows(rows) -> set:
     return {tuple(_canonical_cell(cell) for cell in row) for row in rows}
 
 
-def compare_results(pred: ResultTable, gold: ResultTable) -> bool:
+@dataclass
+class GoldTable:
+    """What scoring reads of one gold result: its canonical row set (empty
+    exactly when the result is) and its report preview."""
+
+    row_set: set
+    preview: list[str]
+
+
+def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
     """Set-based equivalence: row order ignored, duplicates collapse, cells
     and arity must match exactly (integral reals equal integers)."""
-    return _canonical_rows(pred.rows) == _canonical_rows(gold.rows)
+    gold_rows = gold.row_set if isinstance(gold, GoldTable) else _canonical_rows(gold.rows)
+    return _canonical_rows(pred.rows) == gold_rows
 
 
 @dataclass
@@ -156,7 +167,7 @@ class QuestionOutcome:
 class GoldResults:
     """Gold executions for one iteration, shared across every agent."""
 
-    results: dict[tuple[str, int], ResultTable] = field(default_factory=dict)
+    results: dict[tuple[str, int], GoldTable] = field(default_factory=dict)
     defective: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
@@ -174,10 +185,12 @@ def execute_gold(
         for item in plan.questions[db_id]:
             key = (db_id, item.question_id)
             try:
-                gold.results[key] = execute_sql(db_file, item.gold_sql, timeout)
+                table = execute_sql(db_file, item.gold_sql, timeout)
             except SqlError as exc:
                 logger.warning("defective gold SQL for %s q%s: %s", db_id, item.question_id, exc)
                 gold.defective[key] = str(exc)
+                continue
+            gold.results[key] = GoldTable(_canonical_rows(table.rows), _preview_rows(table))
     return gold
 
 
@@ -224,7 +237,7 @@ def _evaluate_question(
     pkg: AgentPackage,
     item: QuestionItem,
     analysis: str | None,
-    gold_table: ResultTable,
+    gold_table: GoldTable,
     backend,
     db_file: Path,
     sql_timeout: float,
@@ -234,7 +247,19 @@ def _evaluate_question(
         return _blocked_outcome(pkg.id, item, "database analysis unavailable")
 
     prompt = assemble_prompt(analysis, pkg.eval_instructions, item.question, item.evidence)
-    executor = partial(execute_sql, timeout=sql_timeout)
+    runs: dict[str, ResultTable | SqlError] = {}
+
+    def executor(path, sql: str) -> ResultTable:
+        # Each SQL text runs once per question; scoring reuses the loop's run.
+        if sql not in runs:
+            try:
+                runs[sql] = execute_sql(path, sql, sql_timeout)
+            except SqlError as exc:
+                runs[sql] = exc
+        if isinstance(runs[sql], SqlError):
+            raise runs[sql]
+        return runs[sql]
+
     try:
         final_sql, transcript = generate_with_verification(
             backend, prompt, db_file, executor, max_rounds=max_rounds
@@ -248,7 +273,7 @@ def _evaluate_question(
     failure = FAILURE_NONE
     pred_preview: list[str] = []
     try:
-        pred_table = execute_sql(db_file, final_sql, sql_timeout)
+        pred_table = executor(db_file, final_sql)
     except SqlError as exc:
         failure = FAILURE_TIMEOUT if exc.kind == "timeout" else FAILURE_SQL_ERROR
         pred_preview = [str(exc)]
@@ -257,7 +282,7 @@ def _evaluate_question(
         match = compare_results(pred_table, gold_table)
         if not match:
             pred_empty = len(pred_table.rows) == 0
-            gold_empty = len(gold_table.rows) == 0
+            gold_empty = not gold_table.row_set
             failure = FAILURE_EMPTY_VS_NONEMPTY if pred_empty != gold_empty else FAILURE_WRONG_RESULT
 
     return QuestionOutcome(
@@ -271,9 +296,18 @@ def _evaluate_question(
         match=match,
         failure_kind=failure,
         pred_preview=pred_preview,
-        gold_preview=_preview_rows(gold_table),
+        gold_preview=gold_table.preview,
         transcript=transcript,
     )
+
+
+def pool_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of workers threads when
+    workers > 1; results keep the order of items."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def evaluate_agent(
@@ -314,11 +348,7 @@ def evaluate_agent(
             pkg, item, analysis, gold_table, backend, db_file, sql_timeout, max_rounds
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
+    outcomes = pool_map(run, tasks, workers)
     outcomes.sort(key=lambda o: (o.db_id, o.question_id))
 
     matches = sum(1 for o in outcomes if o.match)

@@ -36,7 +36,7 @@ from .defaults import DEFAULT_STRATEGY, write_naive_package
 from .elo import MatchRecord
 from .errors import AnalysisError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
-from .harness import evaluate_agent, execute_gold, write_error_analysis
+from .harness import GoldResults, evaluate_agent, execute_gold, pool_map, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import IterationPlan, QuestionItem, iteration_rng
 
@@ -111,7 +111,6 @@ class IterationRecord:
     excluded_questions: list[tuple[str, int]]
     tool_fallbacks: dict[str, dict[str, str]]
     tokens: dict[str, dict[str, int]]
-    error_report: str = ""
     report_path: str = ""
 
     def to_dict(self) -> dict:
@@ -301,6 +300,9 @@ class Orchestrator:
         self.strategy_path = self._materialize_strategy()
         self._analysis_cache: dict[tuple[str, str], str] = {}
         self._fallback_notes: dict[tuple[str, str], str] = {}
+        # Gold of the latest iterations Deep Focus replays, by iteration;
+        # empty after a resume, when Deep Focus runs gold again.
+        self._gold_by_iteration: dict[int, GoldResults] = {}
 
         existing = load_state(self.output_dir)
         if existing is not None:
@@ -345,35 +347,40 @@ class Orchestrator:
 
     # -- per-iteration pieces -------------------------------------------------
 
+    def _run_tool(self, pkg, db_id: str) -> tuple[str | None, str | None]:
+        """(analysis text, or None when the pair is evaluation-blocked; the
+        fallback note, or None)."""
+        db_file = scheduler.database_path(self.config.data_root, db_id)
+        budget = self.config.token_budget
+        try:
+            result = run_agent_tool(pkg, db_file, self.config.tool_timeout, budget * 4 + 1)
+        except AnalysisError as exc:
+            logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_id, exc)
+            return None, str(exc)
+        tokens = estimate_tokens(result.text)
+        if tokens > budget:
+            # Oversized analyses would overflow the generation context; the
+            # (agent, db) pair is evaluation-blocked instead.
+            logger.error("analysis for (%s, %s) is %d tokens, budget %d",
+                         pkg.id, db_id, tokens, budget)
+            return None, f"analysis over token budget ({tokens})"
+        return result.text, (result.reason or "fallback") if result.fallback else None
+
     def _analysis_for(self, agent_id: str, db_id: str) -> str | None:
         key = (agent_id, db_id)
         if key not in self._analysis_cache:
-            pkg = self.registry.package(agent_id)
-            db_file = scheduler.database_path(self.config.data_root, db_id)
-            try:
-                result = run_agent_tool(pkg, db_file, timeout=self.config.tool_timeout)
-            except AnalysisError as exc:
-                logger.error("analysis blocked for (%s, %s): %s", agent_id, db_id, exc)
-                self._analysis_cache[key] = None
-                self._fallback_notes[key] = str(exc)
-                return None
-            tokens = estimate_tokens(result.text)
-            if tokens > self.config.token_budget:
-                # Oversized analyses would overflow the generation context;
-                # the (agent, db) pair is evaluation-blocked instead.
-                logger.error("analysis for (%s, %s) is %d tokens, budget %d",
-                             agent_id, db_id, tokens, self.config.token_budget)
-                self._analysis_cache[key] = None
-                self._fallback_notes[key] = f"analysis over token budget ({tokens})"
-                return None
-            self._analysis_cache[key] = result.text
-            if result.fallback:
-                self._fallback_notes[key] = result.reason or "fallback"
+            text, note = self._run_tool(self.registry.package(agent_id), db_id)
+            self._analysis_cache[key] = text
+            if note is not None:
+                self._fallback_notes[key] = note
         return self._analysis_cache[key]
 
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
         """Evolve, deep-focus, and register a new agent; None on failure."""
-        context = build_context(self.registry, self.state.iterations, self.strategy_path)
+        history = self.state.iterations
+        # Read from disk, so a resumed run shows evolution the same report.
+        report = (self.output_dir / history[-1].report_path).read_text() if history else ""
+        context = build_context(self.registry, history, self.strategy_path, report)
         context.iteration = iteration
         try:
             pkg, _reasoning = evolve_agent(context, self.evo_backend, iter_dir)
@@ -384,7 +391,7 @@ class Orchestrator:
         pkg = deep_focus(
             pkg,
             self.evo_backend,
-            self.state.iterations,
+            history,
             k=self.config.deep_focus_k,
             eval_fn=self._deep_focus_eval,
         )
@@ -400,14 +407,11 @@ class Orchestrator:
             questions=record.questions,
             competitors=[pkg.id],
         )
-        analyses = {}
-        for db_id in plan.databases:
-            db_file = scheduler.database_path(self.config.data_root, db_id)
-            try:
-                analyses[db_id] = run_agent_tool(pkg, db_file, timeout=self.config.tool_timeout).text
-            except AnalysisError:
-                analyses[db_id] = None
-        gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
+        texts = pool_map(lambda db: self._run_tool(pkg, db)[0], plan.databases, self.config.workers)
+        analyses = dict(zip(plan.databases, texts))
+        gold = self._gold_by_iteration.get(record.iteration) or execute_gold(
+            plan, self.config.data_root, self.config.sql_timeout
+        )
         evaluation = evaluate_agent(
             pkg, plan, self.gen_backend, analyses, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,
@@ -454,11 +458,18 @@ class Orchestrator:
         logger.info("iteration %d: mode=%s databases=%s competitors=%s",
                     iteration, mode, databases, competitors)
 
+        pairs = [(agent_id, db) for agent_id in competitors for db in databases]
+        texts = dict(zip(pairs, pool_map(lambda pair: self._analysis_for(*pair), pairs,
+                                         self.config.workers)))
         analyses_by_agent = {
-            agent_id: {db: self._analysis_for(agent_id, db) for db in databases}
-            for agent_id in competitors
+            agent_id: {db: texts[(agent_id, db)] for db in databases} for agent_id in competitors
         }
+        # Deep Focus is done with the gold no later iteration replays: drop
+        # it before this iteration's gold is held beside it.
+        self._gold_by_iteration.pop(iteration - self.config.deep_focus_k, None)
         gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
+        if self.config.deep_focus_k:
+            self._gold_by_iteration[iteration] = gold
 
         evaluations = {}
         all_outcomes = []
@@ -541,7 +552,6 @@ class Orchestrator:
                 }
                 for a, ev in evaluations.items()
             },
-            error_report=report,
             report_path=str(report_path.relative_to(self.output_dir)),
         )
         return record

@@ -87,20 +87,6 @@ class IterationPlan:
             "new_agent_slot": self.new_agent_slot,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "IterationPlan":
-        return cls(
-            iteration=data["iteration"],
-            mode=data["mode"],
-            databases=list(data["databases"]),
-            questions={
-                db: [QuestionItem.from_dict(q) for q in items]
-                for db, items in data["questions"].items()
-            },
-            competitors=list(data["competitors"]),
-            new_agent_slot=data["new_agent_slot"],
-        )
-
 
 def iteration_rng(run_seed: int, iteration: int) -> random.Random:
     """Stable per-iteration RNG so resumed runs resample identically."""

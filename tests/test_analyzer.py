@@ -253,6 +253,40 @@ def test_run_agent_tool_matches_naive_extractor(naive_package_dir, school_db):
     assert result.text == extract_naive_schema(school_db)
 
 
+def _flooding_package(root, text: str, repeat: int):
+    write_package(
+        root,
+        name="flood",
+        tool_command="python tools/flood.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="x\n",
+        tools={"flood.py": (
+            "with open('tool_output/out.txt', 'w', encoding='utf-8') as f:\n"
+            f"    f.write({text!r} * {repeat})\n"
+        )},
+    )
+    return load_package(root)
+
+
+def test_run_agent_tool_reads_at_most_max_bytes(tmp_path, school_db):
+    # The tool writes 8 MB; only max_bytes of it are read, so a caller whose
+    # limit is one byte past its budget sees the output as over budget.
+    pkg = _flooding_package(tmp_path / "flood", "x", 8_000_000)
+    result = run_agent_tool(pkg, school_db, timeout=60, max_bytes=4_001)
+    assert result.fallback is False
+    assert result.text == "x" * 4_001
+    assert estimate_tokens(result.text) > 1_000
+
+
+def test_run_agent_tool_bounded_read_splitting_a_character(tmp_path, school_db):
+    # A limit that cuts a two-byte character in half still decodes, and the
+    # decoded text is no shorter in bytes than what was read.
+    pkg = _flooding_package(tmp_path / "flood", "\u00e9", 1_000)
+    result = run_agent_tool(pkg, school_db, timeout=60, max_bytes=11)
+    assert result.text.startswith("\u00e9" * 5)
+    assert len(result.text.encode("utf-8")) >= 11
+
+
 def test_run_agent_tool_nonzero_exit_falls_back(tmp_path, school_db):
     write_package(
         tmp_path / "bad",

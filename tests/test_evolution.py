@@ -66,7 +66,7 @@ class _Record:
     """Minimal stand-in for an orchestrator iteration record."""
 
     def __init__(self, iteration, competitors, accuracies, matches, questions,
-                 winners=(), mode="evolve", error_report=""):
+                 winners=(), mode="evolve"):
         self.iteration = iteration
         self.competitors = competitors
         self.accuracies = accuracies
@@ -74,7 +74,6 @@ class _Record:
         self.questions = questions
         self.winners = list(winners) or [competitors[0]]
         self.mode = mode
-        self.error_report = error_report
 
 
 def _question(db, qid):
@@ -121,9 +120,8 @@ def test_build_context_after_iteration(naive_package_dir, tmp_path):
         accuracies={"naive": (20, 30)},
         matches={"naive": {("school", 1): True}},
         questions={"school": [_question("school", 1)]},
-        error_report="report body",
     )
-    context = build_context(registry, [record], tmp_path_strategy(tmp_path))
+    context = build_context(registry, [record], tmp_path_strategy(tmp_path), "report body")
     assert context.iteration == 2
     assert context.error_report == "report body"
     assert context.history == [

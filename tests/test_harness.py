@@ -307,6 +307,53 @@ def test_gold_executed_once_regardless_of_agent_count(data_root, naive_package_d
     assert calls["gold"] == len(plan.questions["school"])
 
 
+def _count_sql(monkeypatch):
+    """Record the SQL text of every harness.execute_sql call from here on."""
+    import evosql.harness as harness_module
+
+    calls = []
+    real_execute = harness_module.execute_sql
+
+    def counting_execute(db_path, sql, timeout=30.0):
+        calls.append(sql)
+        return real_execute(db_path, sql, timeout)
+
+    monkeypatch.setattr(harness_module, "execute_sql", counting_execute)
+    return calls
+
+
+def test_accepted_question_executes_sql_once(data_root, naive_package_dir, monkeypatch):
+    # The verification loop runs the oracle's SQL and accepts it; scoring
+    # reads that execution instead of running the SQL again.
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root, limit=1)
+    gold = execute_gold(plan, data_root)
+    analyses = _analyses_for(pkg, plan, data_root)
+    calls = _count_sql(monkeypatch)
+    evaluation = evaluate_agent(pkg, plan, _oracle_backend(data_root), analyses, gold, data_root)
+    (outcome,) = evaluation.outcomes
+    assert outcome.match
+    assert outcome.transcript.attempts[-1].verdict == "accepted_correct"
+    assert calls == [plan.questions["school"][0].gold_sql]
+
+
+def test_failing_sql_executes_once_per_text(data_root, naive_package_dir, monkeypatch):
+    # A broken query that the model "revises" to the same text and then
+    # accepts: its error is remembered rather than re-run, and scoring runs
+    # only the text of the alerted retry.
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root, limit=1)
+    gold = execute_gold(plan, data_root)
+    analyses = _analyses_for(pkg, plan, data_root)
+    backend = ScriptedGenerationBackend(default=["SELEC 1", "SELEC 1", "CORRECT", "SELECT 999"])
+    calls = _count_sql(monkeypatch)
+    evaluation = evaluate_agent(pkg, plan, backend, analyses, gold, data_root)
+    (outcome,) = evaluation.outcomes
+    assert outcome.predicted_sql == "SELECT 999"
+    assert outcome.failure_kind == "wrong_result"
+    assert calls == ["SELEC 1", "SELECT 999"]
+
+
 def test_evaluate_agent_workers_match_sequential(data_root, naive_package_dir):
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root)

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from evosql.backends import ScriptedEvolutionBackend
+import evosql.harness as harness_module
+import evosql.orchestrator as orchestrator_module
+from evosql.backends import (
+    OracleGenerationBackend,
+    ScriptedEvolutionBackend,
+    render_evolution_request,
+)
 from evosql.errors import InvalidStateError
 from evosql.orchestrator import (
     RunConfig,
@@ -16,6 +22,7 @@ from evosql.orchestrator import (
     token_cost_accounting,
 )
 from evosql.pipeline import CORRECT_SENTINEL, extract_question
+from evosql.registry import write_package
 from evosql.scheduler import load_question_pool
 from tests.conftest import make_evolution_response
 
@@ -143,6 +150,36 @@ def test_resume_matches_uninterrupted_run(data_root, tmp_path):
     ).read_bytes()
 
 
+class RecordingEvolutionBackend(ScriptedEvolutionBackend):
+    """Scripted evolution that keeps each iteration's rendered request."""
+
+    def __init__(self, fixtures):
+        super().__init__(fixtures)
+        self.requests = {}
+
+    def propose(self, context):
+        self.requests[context.iteration] = render_evolution_request(context)
+        return super().propose(context)
+
+
+def test_resume_shows_evolution_the_same_request(data_root, tmp_path):
+    full_backend = RecordingEvolutionBackend(evolution_fixtures(4))
+    run(base_config(data_root, tmp_path / "full"), evo_backend=full_backend)
+
+    run(base_config(data_root, tmp_path / "halted", iterations=2),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+    resumed_backend = RecordingEvolutionBackend(evolution_fixtures(4))
+    resume(base_config(data_root, tmp_path / "halted"), evo_backend=resumed_backend)
+
+    # The first evolve after the resume sees the latest error analysis, as
+    # the uninterrupted run's does.
+    assert 3 in resumed_backend.requests
+    assert "## Latest Error Analysis" in resumed_backend.requests[3]
+    assert resumed_backend.requests == {
+        k: v for k, v in full_backend.requests.items() if k > 2
+    }
+
+
 def test_resume_requires_existing_state(data_root, tmp_path):
     with pytest.raises(InvalidStateError):
         resume(base_config(data_root, tmp_path / "fresh"))
@@ -184,6 +221,79 @@ def test_oversized_analysis_blocks_evaluation(data_root, tmp_path):
     record = state.iterations[0]
     assert record.accuracies["naive"][0] == 0
     assert all("token budget" in note for note in record.tool_fallbacks["naive"].values())
+
+
+def test_oversized_tool_output_blocks_evaluation(data_root, tmp_path):
+    # A tool that writes far more than the budget: the read stops one byte
+    # past it and the (agent, db) pairs are evaluation-blocked.
+    flood = write_package(
+        tmp_path / "flood",
+        name="flood",
+        tool_command="python tools/flood.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="Answer with SQL.\n",
+        tools={"flood.py": "open('tool_output/out.txt', 'w').write('x' * 8_000_000)\n"},
+    )
+    config = base_config(data_root, tmp_path / "out", iterations=1, token_budget=1_000,
+                         initial_agents=[flood])
+    record = run(config).iterations[0]
+    assert record.accuracies["flood"][0] == 0
+    notes = record.tool_fallbacks["flood"]
+    assert notes and all(note == "analysis over token budget (1001)" for note in notes.values())
+
+
+class TaggedOracleBackend(OracleGenerationBackend):
+    """The oracle with a comment in front of its SQL, so predictions never
+    share gold's SQL text."""
+
+    def complete(self, system_text, conversation, temperature):
+        reply = super().complete(system_text, conversation, temperature)
+        return reply if reply == CORRECT_SENTINEL else "-- predicted\n" + reply
+
+
+def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
+    _, question_pool = load_question_pool(data_root)
+    gold_texts = {item.gold_sql for items in question_pool.values() for item in items}
+    executed = []
+    real_execute = harness_module.execute_sql
+
+    def recording_execute(db_path, sql, timeout=30.0):
+        executed.append(sql)
+        return real_execute(db_path, sql, timeout)
+
+    evaluated = []
+    real_evaluate = orchestrator_module.evaluate_agent
+
+    def recording_evaluate(pkg, plan, *args, **kwargs):
+        evaluated.append((plan.iteration, pkg.id))
+        return real_evaluate(pkg, plan, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "execute_sql", recording_execute)
+    monkeypatch.setattr(orchestrator_module, "evaluate_agent", recording_evaluate)
+    state = run(
+        base_config(data_root, tmp_path / "out", iterations=2),
+        gen_backend=TaggedOracleBackend.from_question_pool(question_pool),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(2)),
+    )
+    second = state.iterations[1]
+    assert second.mode == "evolve"
+    # Deep Focus scored the new agent on iteration 1's plan...
+    assert evaluated.count((1, second.new_agent)) == 1
+    # ...yet every gold query ran once per iteration and never again.
+    gold_runs = [sql for sql in executed if sql in gold_texts]
+    assert sorted(gold_runs) == sorted(
+        item.gold_sql for record in state.iterations
+        for items in record.questions.values() for item in items
+    )
+
+
+def test_workers_do_not_change_outputs(data_root, tmp_path):
+    for workers in (1, 4):
+        run(base_config(data_root, tmp_path / f"w{workers}", workers=workers),
+            evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+    names = ["run_state.json"] + [f"iter_{k}/outcomes.json" for k in range(1, 5)]
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
 
 
 def test_state_round_trip_and_schema_check(data_root, tmp_path):
