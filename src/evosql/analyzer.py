@@ -121,22 +121,26 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     return sqlite3.connect(f"file:{quoted}?mode=ro", uri=True)
 
 
+def _schema_ddl(conn: sqlite3.Connection) -> str:
+    rows = conn.execute(
+        "SELECT sql || ';' FROM sqlite_master "
+        "WHERE sql IS NOT NULL "
+        "ORDER BY tbl_name, type DESC, name"
+    ).fetchall()
+    return "\n".join(sql for (sql,) in rows)
+
+
 def extract_naive_schema(db_path: str | Path) -> str:
     """Raw DDL dump: every non-null schema statement suffixed ';', ordered
     by (table name, object type descending, object name)."""
     try:
         conn = _connect_readonly(db_path)
         try:
-            rows = conn.execute(
-                "SELECT sql || ';' FROM sqlite_master "
-                "WHERE sql IS NOT NULL "
-                "ORDER BY tbl_name, type DESC, name"
-            ).fetchall()
+            return _schema_ddl(conn)
         finally:
             conn.close()
     except sqlite3.Error as exc:
         raise AnalysisError(f"cannot read {db_path}: {exc}") from exc
-    return "\n".join(sql for (sql,) in rows)
 
 
 def _qident(name: str) -> str:
@@ -217,12 +221,35 @@ def _fmt_value(value, max_len: int | None = SAMPLE_RENDER_MAX) -> str:
     return text
 
 
-def _distinct_values(conn, table, column, limit):
+def _distinct_values(conn, table, column, limit, ordered=True):
+    # Without ORDER BY, SQLite stops scanning once limit values are found.
+    order = f" ORDER BY {_qident(column)}" if ordered else ""
     sql = (
         f"SELECT DISTINCT {_qident(column)} FROM {_qident(table)} "
-        f"WHERE {_qident(column)} IS NOT NULL ORDER BY {_qident(column)} LIMIT {int(limit)}"
+        f"WHERE {_qident(column)} IS NOT NULL{order} LIMIT {int(limit)}"
     )
     return [row[0] for row in conn.execute(sql).fetchall()]
+
+
+def _column_aggregates(conn, table: str, names: list[str]):
+    """(row count, {column: (non-null count, min, max)}) from one scan of
+    table, split into several statements only where one would exceed
+    SQLite's limit on result columns."""
+    # Connection.getlimit is new in Python 3.11; 2000 is SQLite's default.
+    getlimit = getattr(conn, "getlimit", None)
+    max_results = getlimit(sqlite3.SQLITE_LIMIT_COLUMN) if getlimit else 2000
+    per_statement = (max_results - 1) // 3
+    row_count, facts = 0, {}
+    for start in range(0, len(names), per_statement):
+        chunk = names[start : start + per_statement]
+        terms = ", ".join(
+            f"COUNT({q}), MIN({q}), MAX({q})" for q in map(_qident, chunk)
+        )
+        row = conn.execute(f"SELECT COUNT(*), {terms} FROM {_qident(table)}").fetchone()
+        row_count = row[0]
+        for i, name in enumerate(chunk):
+            facts[name] = tuple(row[1 + 3 * i : 4 + 3 * i])
+    return row_count, facts
 
 
 _ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}([ T]\d{2}:\d{2}(:\d{2})?.*)?$")
@@ -282,30 +309,62 @@ def _detect_format(values: list) -> str | None:
     return None
 
 
+# Every reader of a column's ascending distinct values (samples, format
+# probe, enumerated values) takes a prefix of this many.
+ORDERED_VALUES_MAX = max(
+    FORMAT_PROBE_VALUES,
+    CATEGORICAL_DISTINCT_MAX,
+    max(config.samples_per_column for config in TIER_CONFIGS.values()),
+)
+
+
 class _Snapshot:
-    """All per-database facts gathered once; section builders read from it."""
+    """All per-database facts, each fetched once; section builders read
+    from it, so re-rendering at a lower tier runs no query it ran before.
+
+    Per table, one aggregate scan gives the row count and every column's
+    non-null count, MIN and MAX. Per column, a distinct probe without
+    ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1 values: the exact
+    distinct count is only needed up to that cutoff. A column's ascending
+    distinct values are fetched at most once, when a section first needs
+    them.
+    """
 
     def __init__(self, conn: sqlite3.Connection):
+        self._conn = conn
         self.tables = _base_tables(conn)
         self.columns = {t: _table_columns(conn, t) for t in self.tables}
-        self.row_counts = {
-            t: conn.execute(f"SELECT COUNT(*) FROM {_qident(t)}").fetchone()[0]
-            for t in self.tables
-        }
         self.total_columns = sum(len(cols) for cols in self.columns.values())
         self.foreign_keys = [fk for t in self.tables for fk in _foreign_keys(conn, t)]
 
+        self.row_counts: dict[str, int] = {}
         self.nonnull_counts: dict[tuple[str, str], int] = {}
+        self.min_max: dict[tuple[str, str], tuple] = {}
+        # Exact up to CATEGORICAL_DISTINCT_MAX; one more stands for "more".
         self.distinct_counts: dict[tuple[str, str], int] = {}
+        self.mixed_case_enum = False
         for table in self.tables:
-            for col in self.columns[table]:
-                name = col[1]
-                nonnull, distinct = conn.execute(
-                    f"SELECT COUNT({_qident(name)}), COUNT(DISTINCT {_qident(name)}) "
-                    f"FROM {_qident(table)}"
-                ).fetchone()
-                self.nonnull_counts[(table, name)] = nonnull
-                self.distinct_counts[(table, name)] = distinct
+            names = [col[1] for col in self.columns[table]]
+            self.row_counts[table], facts = _column_aggregates(conn, table, names)
+            for name in names:
+                key = (table, name)
+                self.nonnull_counts[key], lo, hi = facts[name]
+                self.min_max[key] = (lo, hi)
+                probe = _distinct_values(
+                    conn, table, name, CATEGORICAL_DISTINCT_MAX + 1, ordered=False
+                )
+                self.distinct_counts[key] = len(probe)
+                # Whether a categorical column holds upper case does not
+                # depend on the order its values come in.
+                if len(probe) <= CATEGORICAL_DISTINCT_MAX and any(
+                    isinstance(v, str) and v != v.lower() for v in probe
+                ):
+                    self.mixed_case_enum = True
+
+        self.fk_cardinality = {fk: _fk_cardinality(conn, fk) for fk in self.foreign_keys}
+        self.fk_nullable = {fk: _fk_nullable(conn, fk) for fk in self.foreign_keys}
+        self._orphans: dict[_ForeignKey, int] = {}
+        self._ordered: dict[tuple[str, str], list] = {}
 
         # Format probes over text-affinity columns (tier-independent).
         self.format_tags: dict[tuple[str, str], str] = {}
@@ -315,13 +374,34 @@ class _Snapshot:
                 name, declared = col[1], col[2]
                 if _affinity(declared) != "TEXT":
                     continue
-                probe = _distinct_values(conn, table, name, FORMAT_PROBE_VALUES)
+                probe = self.ordered_values(table, name, FORMAT_PROBE_VALUES)
                 tag = _detect_format(probe)
                 if tag:
                     self.format_tags[(table, name)] = tag
                     self.format_examples[(table, name)] = next(
                         v for v in probe if isinstance(v, str) and v
                     )
+
+    def ordered_values(self, table: str, name: str, limit: int) -> list:
+        """The first limit distinct non-null values of a column, ascending."""
+        if limit > ORDERED_VALUES_MAX:
+            raise ValueError(f"at most {ORDERED_VALUES_MAX} ordered values per column")
+        key = (table, name)
+        if key not in self._ordered:
+            self._ordered[key] = _distinct_values(self._conn, table, name, ORDERED_VALUES_MAX)
+        return self._ordered[key][:limit]
+
+    def samples(self, table: str, name: str, limit: int) -> list:
+        if limit == 1:
+            # MIN is the first value an ascending distinct query returns.
+            lo = self.min_max[(table, name)][0]
+            return [] if lo is None else [lo]
+        return self.ordered_values(table, name, limit)
+
+    def orphan_count(self, fk: _ForeignKey) -> int:
+        if fk not in self._orphans:
+            self._orphans[fk] = _fk_orphan_count(self._conn, fk)
+        return self._orphans[fk]
 
 
 def _fk_cardinality(conn, fk: _ForeignKey) -> str:
@@ -374,7 +454,7 @@ def _categorical_columns(snap: _Snapshot) -> list[tuple[str, str, int]]:
 
 
 def _build_sections(
-    conn: sqlite3.Connection, snap: _Snapshot, config: FeatureConfig, schema_ddl: str
+    snap: _Snapshot, config: FeatureConfig, schema_ddl: str
 ) -> list[tuple[str, str]]:
     sections: list[tuple[str, str]] = []
 
@@ -397,7 +477,7 @@ def _build_sections(
             name, declared = col[1], col[2] or "untyped"
             nonnull = snap.nonnull_counts[(table, name)]
             null_part = f"{(rows - nonnull) / rows * 100:.1f}% null" if rows else "no rows"
-            samples = _distinct_values(conn, table, name, config.samples_per_column)
+            samples = snap.samples(table, name, config.samples_per_column)
             sample_part = (
                 "samples: " + ", ".join(_fmt_value(v) for v in samples)
                 if samples
@@ -408,7 +488,7 @@ def _build_sections(
 
     # 4. Foreign-key relationship map with cardinality
     fk_lines = [
-        f"- {_fk_label(fk)} ({_fk_cardinality(conn, fk)})" for fk in snap.foreign_keys
+        f"- {_fk_label(fk)} ({snap.fk_cardinality[fk]})" for fk in snap.foreign_keys
     ]
     sections.append((SECTION_TITLES[3], "\n".join(fk_lines) or EMPTY_BODY))
 
@@ -423,7 +503,7 @@ def _build_sections(
                 if config.enum_value_limit is None
                 else min(config.enum_value_limit, distinct)
             )
-            values = _distinct_values(conn, table, name, limit)
+            values = snap.ordered_values(table, name, limit)
             rendered = ", ".join(_fmt_value(v, max_len=None) for v in values)
             suffix = f" (showing first {limit} of {distinct})" if limit < distinct else ""
             enum_lines.append(f"- {table}.{name} ({distinct} distinct): {rendered}{suffix}")
@@ -436,9 +516,7 @@ def _build_sections(
             name, declared = col[1], col[2]
             if _affinity(declared) not in ("INTEGER", "REAL", "NUMERIC"):
                 continue
-            lo, hi = conn.execute(
-                f"SELECT MIN({_qident(name)}), MAX({_qident(name)}) FROM {_qident(table)}"
-            ).fetchone()
+            lo, hi = snap.min_max[(table, name)]
             if lo is None and hi is None:
                 continue
             range_lines.append(f"- {table}.{name}: {_fmt_value(lo)} .. {_fmt_value(hi)}")
@@ -490,7 +568,7 @@ def _build_sections(
     else:
         orphan_lines = []
         for fk in snap.foreign_keys:
-            orphans = _fk_orphan_count(conn, fk)
+            orphans = snap.orphan_count(fk)
             if config.cross_table_validation == "critical" and orphans == 0:
                 continue
             orphan_lines.append(f"- {_fk_label(fk)}: {orphans} orphaned rows")
@@ -498,26 +576,19 @@ def _build_sections(
 
     # 10. Query guidance from detected features
     guidance = []
-    enum_cols = _categorical_columns(snap)
-    mixed_case = False
-    for table, name, distinct in enum_cols:
-        values = _distinct_values(conn, table, name, distinct)
-        if any(isinstance(v, str) and v != v.lower() for v in values):
-            mixed_case = True
-            break
-    if mixed_case:
+    if snap.mixed_case_enum:
         guidance.append(
             "- String comparisons are case-sensitive; match enumerated values "
             "exactly as listed in the enumerated-values section."
         )
-    nullable_fks = [fk for fk in snap.foreign_keys if _fk_nullable(conn, fk)]
+    nullable_fks = [fk for fk in snap.foreign_keys if snap.fk_nullable[fk]]
     if nullable_fks:
         labels = ", ".join(_fk_label(fk) for fk in nullable_fks)
         guidance.append(
             f"- Nullable foreign keys ({labels}): inner joins drop rows with "
             "NULL keys; use LEFT JOIN when unmatched rows matter."
         )
-    if any(_fk_cardinality(conn, fk) == "one-to-many" for fk in snap.foreign_keys):
+    if any(card == "one-to-many" for card in snap.fk_cardinality.values()):
         guidance.append(
             "- One-to-many joins can duplicate parent rows; count with "
             "DISTINCT or aggregate in a subquery before joining."
@@ -562,13 +633,13 @@ def analyze(db_path: str | Path, budget_tokens: int = DEFAULT_TOKEN_BUDGET) -> D
         conn = _connect_readonly(path)
         try:
             snap = _Snapshot(conn)
-            schema_ddl = extract_naive_schema(path)
+            schema_ddl = _schema_ddl(conn)
             tier = classify_size(snap.total_columns)
             tier_index = TIER_ORDER.index(tier.tier)
             while True:
                 effective = TIER_ORDER[tier_index]
                 config = TIER_CONFIGS[effective]
-                sections = _build_sections(conn, snap, config, schema_ddl)
+                sections = _build_sections(snap, config, schema_ddl)
                 stats = {
                     "table_count": len(snap.tables),
                     "total_columns": snap.total_columns,

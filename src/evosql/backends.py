@@ -13,7 +13,6 @@ reasoning.md block, when present, takes precedence as the reasoning text.
 
 import json
 import os
-import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -60,41 +59,36 @@ def parse_file_blocks(text: str) -> DraftPackage:
 
 
 class ScriptedGenerationBackend:
-    """Replays canned replies.
-
-    Two forms: a global `responses` sequence consumed call by call (for
-    single-threaded scripting of one pipeline), or conversation-position
-    replay, where `by_question` (keyed by question text) and `default` are
-    indexed by the number of assistant turns so far and never consumed.
-    Positional replay is stateless, so it is thread-safe, reusable across
-    agents and iterations, and stable under resume.
+    """Replays canned replies by conversation position: `by_question` (keyed
+    by question text) and `default` lists are indexed by the number of
+    assistant turns so far and never consumed. Replay is stateless, so it
+    is thread-safe, reusable across agents and iterations, and stable under
+    resume.
     """
 
     identity = "scripted"
 
     def __init__(
         self,
-        responses: list[str] | None = None,
         by_question: dict[str, list[str]] | None = None,
         default: list[str] | None = None,
     ):
-        self._responses = list(responses or [])
         self._by_question = {q: list(r) for q, r in (by_question or {}).items()}
         self._default = list(default or [])
-        self._lock = threading.Lock()
 
     @classmethod
     def from_fixture(cls, path) -> "ScriptedGenerationBackend":
         data = json.loads(open(path).read())
-        if isinstance(data, list):
-            return cls(responses=data)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"scripted generation fixture {path} must be an object "
+                '{"by_question": {<question>: [replies...]}, "default": [replies...]}; '
+                "a list of replies consumed call by call is not supported, since "
+                "its order would follow thread scheduling"
+            )
         return cls(by_question=data.get("by_question"), default=data.get("default"))
 
     def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
-        if self._responses:
-            with self._lock:
-                if self._responses:
-                    return self._responses.pop(0)
         question = extract_question(system_text)
         script = self._by_question.get(question, self._default)
         if not script:

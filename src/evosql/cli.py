@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from . import orchestrator, scheduler
-from .analyzer import DEFAULT_TOKEN_BUDGET, analyze, run_agent_tool
-from .harness import evaluate_agent, execute_gold
+from .analyzer import DEFAULT_TOKEN_BUDGET, DEFAULT_TOOL_TIMEOUT, analyze
+from .harness import evaluate_agent, execute_gold, pool_map
 from .registry import load_package
 from .scheduler import IterationPlan, iteration_rng
 from .simulate import SimulationConfig, SyntheticAgent, simulate
@@ -83,15 +83,26 @@ def cmd_evaluate(args) -> int:
         )
         for db in databases
     }
+    results = pool_map(
+        lambda db: orchestrator.bounded_analysis(
+            pkg, args.data_root, db, DEFAULT_TOKEN_BUDGET, DEFAULT_TOOL_TIMEOUT
+        ),
+        databases,
+        args.workers,
+    )
+    analyses = {}
+    for db, (text, note) in zip(databases, results):
+        if text is None:
+            print(f"blocked: {db} ({note}); its questions are skipped")
+        else:
+            analyses[db] = text
+    if not analyses:
+        raise SystemExit("every database is evaluation-blocked")
     plan = IterationPlan(
-        iteration=1, mode="none", databases=databases, questions=questions,
-        competitors=[pkg.id],
+        iteration=1, mode="none", databases=list(analyses),
+        questions={db: questions[db] for db in analyses}, competitors=[pkg.id],
     )
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
-    analyses = {
-        db: run_agent_tool(pkg, scheduler.database_path(args.data_root, db)).text
-        for db in databases
-    }
     gold = execute_gold(plan, args.data_root)
     evaluation = evaluate_agent(
         pkg, plan, backend, analyses, gold, args.data_root, workers=args.workers

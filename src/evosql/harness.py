@@ -121,7 +121,10 @@ class GoldTable:
 
 def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
     """Set-based equivalence: row order ignored, duplicates collapse, cells
-    and arity must match exactly (integral reals equal integers)."""
+    and arity must match exactly (integral reals equal integers). A result
+    cut at ROW_CAP never matches: its rows beyond the cap are unknown."""
+    if pred.truncated or (isinstance(gold, ResultTable) and gold.truncated):
+        return False
     gold_rows = gold.row_set if isinstance(gold, GoldTable) else _canonical_rows(gold.rows)
     return _canonical_rows(pred.rows) == gold_rows
 
@@ -176,8 +179,9 @@ def execute_gold(
 ) -> GoldResults:
     """Execute every gold query in the plan exactly once.
 
-    Gold queries that fail are recorded as dataset defects; they are logged
-    and excluded from every agent's denominator.
+    Gold queries that fail, or whose result is cut at ROW_CAP, are recorded
+    as dataset defects; they are logged and excluded from every agent's
+    denominator.
     """
     gold = GoldResults()
     for db_id in plan.databases:
@@ -189,6 +193,11 @@ def execute_gold(
             except SqlError as exc:
                 logger.warning("defective gold SQL for %s q%s: %s", db_id, item.question_id, exc)
                 gold.defective[key] = str(exc)
+                continue
+            if table.truncated:
+                logger.warning("gold SQL for %s q%s returns more than ROW_CAP rows",
+                               db_id, item.question_id)
+                gold.defective[key] = f"gold result exceeds ROW_CAP ({ROW_CAP} rows)"
                 continue
             gold.results[key] = GoldTable(_canonical_rows(table.rows), _preview_rows(table))
     return gold

@@ -285,6 +285,31 @@ def build_evolution_backend(spec: str):
     raise ValueError(f"unknown evolution backend spec {spec!r}")
 
 
+def bounded_analysis(pkg, data_root: Path, db_id: str, token_budget: int,
+                     tool_timeout: float) -> tuple[str | None, str | None]:
+    """Run pkg's analysis tool on one database within the token budget.
+
+    Returns (analysis text, or None when the (agent, database) pair is
+    evaluation-blocked; the fallback or blocking note, or None). At most
+    token_budget * 4 + 1 bytes of the tool's output are read, so a longer
+    output is over budget. An analysis over budget, or a tool whose naive
+    fallback fails too, blocks the pair.
+    """
+    db_file = scheduler.database_path(data_root, db_id)
+    try:
+        result = run_agent_tool(pkg, db_file, tool_timeout, token_budget * 4 + 1)
+    except AnalysisError as exc:
+        logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_id, exc)
+        return None, str(exc)
+    tokens = estimate_tokens(result.text)
+    if tokens > token_budget:
+        # Oversized analyses would overflow the generation context.
+        logger.error("analysis for (%s, %s) is %d tokens, budget %d",
+                     pkg.id, db_id, tokens, token_budget)
+        return None, f"analysis over token budget ({tokens})"
+    return result.text, (result.reason or "fallback") if result.fallback else None
+
+
 class Orchestrator:
     """Owns the registry and rating state for one run (single writer)."""
 
@@ -348,23 +373,8 @@ class Orchestrator:
     # -- per-iteration pieces -------------------------------------------------
 
     def _run_tool(self, pkg, db_id: str) -> tuple[str | None, str | None]:
-        """(analysis text, or None when the pair is evaluation-blocked; the
-        fallback note, or None)."""
-        db_file = scheduler.database_path(self.config.data_root, db_id)
-        budget = self.config.token_budget
-        try:
-            result = run_agent_tool(pkg, db_file, self.config.tool_timeout, budget * 4 + 1)
-        except AnalysisError as exc:
-            logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_id, exc)
-            return None, str(exc)
-        tokens = estimate_tokens(result.text)
-        if tokens > budget:
-            # Oversized analyses would overflow the generation context; the
-            # (agent, db) pair is evaluation-blocked instead.
-            logger.error("analysis for (%s, %s) is %d tokens, budget %d",
-                         pkg.id, db_id, tokens, budget)
-            return None, f"analysis over token budget ({tokens})"
-        return result.text, (result.reason or "fallback") if result.fallback else None
+        return bounded_analysis(pkg, self.config.data_root, db_id,
+                                self.config.token_budget, self.config.tool_timeout)
 
     def _analysis_for(self, agent_id: str, db_id: str) -> str | None:
         key = (agent_id, db_id)

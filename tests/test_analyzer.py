@@ -4,6 +4,7 @@ import sqlite3
 
 import pytest
 
+from evosql import analyzer
 from evosql.analyzer import (
     OMITTED_STUB,
     SECTION_TITLES,
@@ -239,6 +240,53 @@ def test_analyze_budget_degrades_then_errors(school_db):
     with pytest.raises(BudgetExceededError) as err:
         analyze(school_db, budget_tokens=10)
     assert err.value.section in SECTION_TITLES
+
+
+def _analyze_counting_statements(monkeypatch, db, **kwargs) -> list[str]:
+    statements: list[str] = []
+    connect = analyzer._connect_readonly
+
+    def counting(path):
+        conn = connect(path)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(analyzer, "_connect_readonly", counting)
+    analyze(db, **kwargs)
+    return statements
+
+
+def _make_numeric_db(path, tables: int, columns_per_table: int):
+    statements = []
+    for t in range(tables):
+        cols = ", ".join(f"c{c} INTEGER" for c in range(columns_per_table))
+        statements.append(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY, {cols});")
+        for r in range(30):
+            values = ", ".join(str((r * (c + 3)) % (c + 25)) for c in range(columns_per_table))
+            statements.append(f"INSERT INTO t{t} VALUES ({r}, {values});")
+    return make_database(path, "\n".join(statements))
+
+
+def test_analyze_aggregate_scans_grow_with_tables_not_columns(tmp_path, monkeypatch):
+    narrow = _analyze_counting_statements(
+        monkeypatch, _make_numeric_db(tmp_path / "narrow.sqlite", 4, 10))
+    wide = _analyze_counting_statements(
+        monkeypatch, _make_numeric_db(tmp_path / "wide.sqlite", 4, 20))
+
+    def aggregates(statements):
+        return [s for s in statements if any(f in s for f in ("COUNT(", "MIN(", "MAX("))]
+
+    assert len(aggregates(wide)) == len(aggregates(narrow)) == 4
+    # Each added column costs at most its distinct probe and one ordered fetch.
+    assert len(wide) - len(narrow) <= 2 * 4 * 10
+
+
+def test_analyze_degrading_runs_no_further_statement(school_db, monkeypatch):
+    full = analyze(school_db)
+    statements = _analyze_counting_statements(monkeypatch, school_db)
+    degraded = _analyze_counting_statements(
+        monkeypatch, school_db, budget_tokens=full.token_estimate - 1)
+    assert len(degraded) == len(statements)
 
 
 def test_analyze_unreadable_file(tmp_path):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from evosql import orchestrator
+from evosql.backends import OracleGenerationBackend
 from evosql.cli import main
+from evosql.registry import write_package
 from tests.conftest import make_evolution_response
 
 
@@ -73,6 +76,57 @@ def test_run_resume_leaderboard_and_evaluate(data_root, tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "accuracy: 10/10" in out
+
+
+class _RecordingOracle:
+    def __init__(self, question_pool):
+        self.oracle = OracleGenerationBackend.from_question_pool(question_pool)
+        self.system_texts = []
+
+    def complete(self, system_text, conversation, temperature):
+        self.system_texts.append(system_text)
+        return self.oracle.complete(system_text, conversation, temperature)
+
+
+def test_evaluate_blocks_oversized_analysis(data_root, tmp_path, monkeypatch, capsys):
+    # The tool floods its output on the films database only: that analysis
+    # is over the token budget, so films is reported and skipped, and no
+    # prompt carries the flood; school is evaluated as usual.
+    write_package(
+        tmp_path / "flood",
+        name="flood",
+        tool_command="python tools/flood.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="x\n",
+        tools={"flood.py": (
+            "import sqlite3\n"
+            "conn = sqlite3.connect('database.sqlite')\n"
+            "films = conn.execute(\"SELECT COUNT(*) FROM sqlite_master WHERE name = 'films'\")"
+            ".fetchone()[0]\n"
+            "with open('tool_output/out.txt', 'w') as f:\n"
+            "    f.write('FLOOD' * 200_000 if films else 'schema')\n"
+        )},
+    )
+    backends = []
+
+    def recording_backend(spec, question_pool):
+        backends.append(_RecordingOracle(question_pool))
+        return backends[-1]
+
+    monkeypatch.setattr(orchestrator, "build_generation_backend", recording_backend)
+    assert main([
+        "evaluate",
+        "--agent-dir", str(tmp_path / "flood"),
+        "--data-root", str(data_root),
+        "--databases", "school,films",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "blocked: films (analysis over token budget" in out
+    assert "accuracy: 10/10" in out
+    assert " films q" not in out
+    (backend,) = backends
+    assert backend.system_texts
+    assert not any("FLOOD" in text for text in backend.system_texts)
 
 
 def test_run_with_config_file(data_root, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for SQL execution, set-based comparison, and agent evaluation."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from evosql.harness import (
     write_error_analysis,
 )
 from evosql.registry import load_package
-from evosql.scheduler import IterationPlan, load_question_pool
+from evosql.scheduler import IterationPlan, QuestionItem, load_question_pool
+from tests.conftest import make_database
 
 
 def test_execute_sql_simple(school_db):
@@ -201,6 +203,55 @@ def test_execute_gold_flags_defective(data_root):
     gold = execute_gold(plan, data_root)
     assert ("school", 1) in gold.defective
     assert ("school", 2) in gold.results
+
+
+def _numbers_root(root, rows: int):
+    """A data root with one database, numbers, whose table t holds 1..rows."""
+    values = ", ".join(f"({i})" for i in range(1, rows + 1))
+    make_database(root / "numbers" / "numbers.sqlite",
+                  f"CREATE TABLE t (x INTEGER); INSERT INTO t VALUES {values};")
+    return root
+
+
+def test_truncated_prediction_never_matches(tmp_path, monkeypatch):
+    # 150 rows cut at a cap of 100 equal the first 100 rows, which is what
+    # the gold query returns; the comparison must still fail.
+    import evosql.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "ROW_CAP", 100)
+    db = _numbers_root(tmp_path, 150) / "numbers" / "numbers.sqlite"
+    gold = execute_sql(db, "SELECT x FROM t WHERE x <= 100")
+    pred = execute_sql(db, "SELECT x FROM t ORDER BY x")
+    assert not gold.truncated and pred.truncated
+    assert pred.rows == gold.rows
+    assert not compare_results(pred, gold)
+    assert not compare_results(gold, pred)
+
+
+def test_truncated_gold_is_defective(tmp_path, monkeypatch):
+    import evosql.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "ROW_CAP", 100)
+    root = _numbers_root(tmp_path, 150)
+    items = [
+        QuestionItem(1, "numbers", "All numbers?", gold_sql="SELECT x FROM t"),
+        QuestionItem(2, "numbers", "Small numbers?", gold_sql="SELECT x FROM t WHERE x <= 100"),
+    ]
+    plan = IterationPlan(iteration=1, mode="none", databases=["numbers"],
+                         questions={"numbers": items}, competitors=[])
+    gold = execute_gold(plan, root)
+    assert "ROW_CAP" in gold.defective[("numbers", 1)]
+    assert list(gold.results) == [("numbers", 2)]
+
+
+def test_scripted_fixture_rejects_reply_list(tmp_path):
+    # A list consumed call by call would hand replies out in thread order.
+    fixture = tmp_path / "replies.json"
+    fixture.write_text(json.dumps(["SELECT 1"]))
+    with pytest.raises(ValueError, match="by_question"):
+        ScriptedGenerationBackend.from_fixture(fixture)
+    fixture.write_text(json.dumps({"default": ["SELECT 1"]}))
+    assert ScriptedGenerationBackend.from_fixture(fixture).complete("", [], 0.0) == "SELECT 1"
 
 
 def _oracle_backend(data_root):
