@@ -3,22 +3,29 @@
 Produces a fixed 10-section plain-text report whose depth scales down as the
 schema grows (sample counts, enum listings, semantic and cross-table passes),
 keeping the output inside a token budget. Also provides the raw-DDL baseline
-extractor and the child-process runner for packaged agent tools.
+extractor and the runner for packaged agent tools, which forks Python tools
+from warm tool hosts (toolhost.py).
 
 Everything here is pure given the database file: queries are ordered, sample
 values are the first N distinct values ascending, and no wall-clock state
 leaks into the output, so analyzing the same file twice is byte-identical.
 """
 
+import atexit
+import json
 import logging
 import math
+import os
 import re
+import select
 import shlex
 import shutil
 import sqlite3
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +37,11 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TOKEN_BUDGET = 150_000
 DEFAULT_TOOL_TIMEOUT = 300.0
+TOOL_HOST_SCRIPT = Path(__file__).with_name("toolhost.py")
+# How long a tool host may take to report a killed tool or to exit.
+HOST_GRACE_S = 10.0
+# Bytes read from the end of a failed tool's stderr for the fallback reason.
+STDERR_TAIL_BYTES = 4096
 
 # A column is treated as categorical when it has at most this many distinct
 # non-null values.
@@ -194,6 +206,9 @@ def _foreign_keys(conn: sqlite3.Connection, table: str) -> list[_ForeignKey]:
     return fks
 
 
+NUMERIC_AFFINITIES = ("INTEGER", "REAL", "NUMERIC")
+
+
 def _affinity(declared: str | None) -> str:
     d = (declared or "").upper()
     if "INT" in d:
@@ -231,24 +246,36 @@ def _distinct_values(conn, table, column, limit, ordered=True):
     return [row[0] for row in conn.execute(sql).fetchall()]
 
 
-def _column_aggregates(conn, table: str, names: list[str]):
+def _column_aggregates(conn, table: str, columns: list[tuple]):
     """(row count, {column: (non-null count, min, max)}) from one scan of
     table, split into several statements only where one would exceed
-    SQLite's limit on result columns."""
+    SQLite's limit on result columns. Only numeric-affinity columns show
+    their maximum, so only they get a MAX; the others read None."""
     # Connection.getlimit is new in Python 3.11; 2000 is SQLite's default.
     getlimit = getattr(conn, "getlimit", None)
     max_results = getlimit(sqlite3.SQLITE_LIMIT_COLUMN) if getlimit else 2000
-    per_statement = (max_results - 1) // 3
+    chunks, chunk, width = [], [], 1  # COUNT(*) is one result column
+    for col in columns:
+        name, wants_max = col[1], _affinity(col[2]) in NUMERIC_AFFINITIES
+        if width + 2 + wants_max > max_results:
+            chunks.append(chunk)
+            chunk, width = [], 1
+        chunk.append((name, wants_max))
+        width += 2 + wants_max
+    if chunk:
+        chunks.append(chunk)
     row_count, facts = 0, {}
-    for start in range(0, len(names), per_statement):
-        chunk = names[start : start + per_statement]
-        terms = ", ".join(
-            f"COUNT({q}), MIN({q}), MAX({q})" for q in map(_qident, chunk)
-        )
-        row = conn.execute(f"SELECT COUNT(*), {terms} FROM {_qident(table)}").fetchone()
-        row_count = row[0]
-        for i, name in enumerate(chunk):
-            facts[name] = tuple(row[1 + 3 * i : 4 + 3 * i])
+    for chunk in chunks:
+        terms = []
+        for name, wants_max in chunk:
+            q = _qident(name)
+            terms.append(f"COUNT({q}), MIN({q})" + (f", MAX({q})" if wants_max else ""))
+        row = conn.execute(
+            f"SELECT COUNT(*), {', '.join(terms)} FROM {_qident(table)}"
+        ).fetchone()
+        row_count, values = row[0], iter(row[1:])
+        for name, wants_max in chunk:
+            facts[name] = (next(values), next(values), next(values) if wants_max else None)
     return row_count, facts
 
 
@@ -322,12 +349,12 @@ class _Snapshot:
     """All per-database facts, each fetched once; section builders read
     from it, so re-rendering at a lower tier runs no query it ran before.
 
-    Per table, one aggregate scan gives the row count and every column's
-    non-null count, MIN and MAX. Per column, a distinct probe without
-    ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1 values: the exact
-    distinct count is only needed up to that cutoff. A column's ascending
-    distinct values are fetched at most once, when a section first needs
-    them.
+    Per table, one aggregate scan gives the row count, every column's
+    non-null count and MIN, and each numeric column's MAX. Per column, a
+    distinct probe without ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1
+    values: the exact distinct count is only needed up to that cutoff. A
+    column's ascending distinct values are fetched at most once, when a
+    section first needs them.
     """
 
     def __init__(self, conn: sqlite3.Connection):
@@ -344,9 +371,8 @@ class _Snapshot:
         self.distinct_counts: dict[tuple[str, str], int] = {}
         self.mixed_case_enum = False
         for table in self.tables:
-            names = [col[1] for col in self.columns[table]]
-            self.row_counts[table], facts = _column_aggregates(conn, table, names)
-            for name in names:
+            self.row_counts[table], facts = _column_aggregates(conn, table, self.columns[table])
+            for name in facts:
                 key = (table, name)
                 self.nonnull_counts[key], lo, hi = facts[name]
                 self.min_max[key] = (lo, hi)
@@ -514,7 +540,7 @@ def _build_sections(
     for table in snap.tables:
         for col in snap.columns[table]:
             name, declared = col[1], col[2]
-            if _affinity(declared) not in ("INTEGER", "REAL", "NUMERIC"):
+            if _affinity(declared) not in NUMERIC_AFFINITIES:
                 continue
             lo, hi = snap.min_max[(table, name)]
             if lo is None and hi is None:
@@ -683,6 +709,179 @@ class ToolRunResult:
     reason: str | None = None
 
 
+class _HostDied(Exception):
+    """A tool host ended or stopped answering before a run finished."""
+
+
+class _ToolHost:
+    """One warm interpreter running toolhost.py; serves one run at a time."""
+
+    def __init__(self):
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, str(TOOL_HOST_SCRIPT)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            )
+        except OSError as exc:
+            raise _HostDied(f"cannot start tool host: {exc}") from exc
+        self._buffer = b""
+        # poll, unlike select, takes descriptors past FD_SETSIZE.
+        self._answers = select.poll()
+        self._answers.register(self.proc.stdout, select.POLLIN)
+        # False from a request until its answer is read: a host that is not
+        # ready is out of step and serves no further run.
+        self.ready = True
+
+    def run(self, argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
+        """Exit code of `python <script> <args>` (argv) run by the host."""
+        self.ready = False
+        self._send(json.dumps({"argv": argv[1:], "cwd": str(cwd), "stderr": str(stderr_path)}))
+        status = self._receive(timeout)
+        if status is None:
+            # The host kills the tool, reaps it and reports its exit code.
+            try:
+                self._send("kill")
+                self.ready = self._receive(HOST_GRACE_S) is not None
+            except _HostDied:
+                pass
+            raise subprocess.TimeoutExpired(argv, timeout)
+        self.ready = True
+        return status
+
+    def _send(self, line: str) -> None:
+        try:
+            self.proc.stdin.write(line.encode() + b"\n")
+            self.proc.stdin.flush()
+        except OSError as exc:
+            raise _HostDied(f"tool host {self.proc.pid} is gone: {exc}") from exc
+
+    def _receive(self, timeout: float) -> int | None:
+        """The host's next answer; None if none came within timeout."""
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self._buffer:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._answers.poll(remaining * 1000):
+                return None
+            chunk = os.read(self.proc.stdout.fileno(), 64)
+            if not chunk:
+                raise _HostDied(f"tool host {self.proc.pid} exited")
+            self._buffer += chunk
+        line, _, self._buffer = self._buffer.partition(b"\n")
+        return int(line)
+
+    def close(self) -> None:
+        """End the host: at EOF it kills a running tool and exits."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(HOST_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+class _ToolHosts:
+    """Warm tool hosts, started on demand and reused, so there are never
+    more hosts than concurrent callers."""
+
+    def __init__(self):
+        self._idle: list[_ToolHost] = []
+        self._lock = threading.Lock()
+        self.started = 0
+        atexit.register(self.close)
+
+    def run(self, argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
+        with self._lock:
+            host = self._idle.pop() if self._idle else None
+        if host is None:
+            host = _ToolHost()
+            with self._lock:
+                self.started += 1
+        try:
+            return host.run(argv, cwd, stderr_path, timeout)
+        finally:
+            if host.ready:
+                with self._lock:
+                    self._idle.append(host)
+            else:
+                host.close()
+
+    def close(self) -> None:
+        """End every idle host."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for host in idle:
+            host.close()
+
+
+_TOOL_HOSTS = _ToolHosts()
+
+
+def _hosted(argv: list[str]) -> bool:
+    """Whether a tool host can run argv: `python|python3 <script>.py [args]`."""
+    return (
+        hasattr(os, "fork")
+        and len(argv) >= 2
+        and argv[0] in ("python", "python3")
+        and argv[1].endswith(".py")
+    )
+
+
+def _run_subprocess(argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
+    with open(stderr_path, "wb") as stderr:
+        return subprocess.run(
+            argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=stderr, timeout=timeout,
+        ).returncode
+
+
+def _stderr_tail(path: Path) -> str:
+    """The last line in the final STDERR_TAIL_BYTES of a tool's stderr."""
+    try:
+        with open(path, "rb") as stderr:
+            size = stderr.seek(0, os.SEEK_END)
+            stderr.seek(max(0, size - STDERR_TAIL_BYTES))
+            tail = stderr.read().decode(errors="replace").strip()
+    except OSError:
+        return ""
+    return tail.splitlines()[-1] if tail else ""
+
+
+def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: float,
+                max_bytes: int) -> tuple[str | None, str | None]:
+    """Run the tool once in a fresh working directory: (output, None), or
+    (None, why the run failed)."""
+    workdir = Path(tempfile.mkdtemp(prefix="evosql_tool_"))
+    stderr_path = workdir.with_name(workdir.name + ".stderr")
+    try:
+        shutil.copy(db_path, workdir / "database.sqlite")
+        tools_src = pkg.root_dir / TOOLS_DIRNAME
+        if tools_src.is_dir():
+            shutil.copytree(tools_src, workdir / TOOLS_DIRNAME)
+        (workdir / "tool_output").mkdir(exist_ok=True)
+        (workdir / "output").mkdir(exist_ok=True)
+        try:
+            code = runner(argv, workdir, stderr_path, timeout)
+        except subprocess.TimeoutExpired:
+            return None, f"timeout after {timeout:g}s"
+        except OSError as exc:
+            return None, f"cannot execute tool: {exc}"
+        output_file = workdir / pkg.tool_output_file
+        if code != 0:
+            tail = _stderr_tail(stderr_path)
+            return None, f"exit code {code}" + (f": {tail}" if tail else "")
+        if not output_file.is_file():
+            return None, f"tool produced no {pkg.tool_output_file}"
+        with open(output_file, "rb") as out:
+            return out.read(max_bytes).decode(errors="replace"), None
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+        stderr_path.unlink(missing_ok=True)
+
+
 def run_agent_tool(
     pkg: AgentPackage, db_path: str | Path, timeout: float = DEFAULT_TOOL_TIMEOUT,
     max_bytes: int = -1,
@@ -691,52 +890,36 @@ def run_agent_tool(
 
     The tool sees a copy of the database as ./database.sqlite plus the
     package's tools/ directory, and must write its declared output file with
-    exit code 0. Nonzero exit, timeout, or a missing output file falls back
-    to the raw-DDL extractor with the result tagged as a fallback; if the
-    fallback itself fails the (agent, database) pair is evaluation-blocked.
-    At most max_bytes (-1: all) of the output file are read, as UTF-8; a
-    caller that sets its limit one byte past its budget sees a longer file
-    as over it.
+    exit code 0. Its stdin is /dev/null, its stdout is discarded, and only
+    the end of its stderr is read, for the fallback reason. Nonzero exit,
+    timeout, or a missing output file falls back to the raw-DDL extractor
+    with the result tagged as a fallback; if the fallback itself fails the
+    (agent, database) pair is evaluation-blocked. At most max_bytes (-1:
+    all) of the output file are read, as UTF-8; a caller that sets its
+    limit one byte past its budget sees a longer file as over it.
+
+    `python|python3 <script>.py [args]` runs in a child forked from a warm
+    tool host (toolhost.py); any other command runs as a plain subprocess.
     """
     if pkg.execution_mode == "fallback_naive":
         return ToolRunResult(text=extract_naive_schema(db_path))
 
-    reason = None
-    workdir = Path(tempfile.mkdtemp(prefix="evosql_tool_"))
-    try:
-        shutil.copy(db_path, workdir / "database.sqlite")
-        tools_src = pkg.root_dir / TOOLS_DIRNAME
-        if tools_src.is_dir():
-            shutil.copytree(tools_src, workdir / TOOLS_DIRNAME)
-        (workdir / "tool_output").mkdir(exist_ok=True)
-        (workdir / "output").mkdir(exist_ok=True)
-
-        argv = shlex.split(pkg.tool_command)
-        if argv and argv[0] in ("python", "python3"):
-            argv[0] = sys.executable
+    argv = shlex.split(pkg.tool_command)
+    # A host that dies is replaced and the run retried once; should the
+    # replacement die too, the tool runs as a plain subprocess. A host's
+    # death never counts as the tool's failure.
+    runners = [_TOOL_HOSTS.run] * 2 if _hosted(argv) else []
+    if argv and argv[0] in ("python", "python3"):
+        argv[0] = sys.executable
+    for runner in runners + [_run_subprocess]:
         try:
-            proc = subprocess.run(
-                argv,
-                cwd=workdir,
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-            output_file = workdir / pkg.tool_output_file
-            if proc.returncode != 0:
-                stderr_tail = proc.stderr.strip().splitlines()[-1] if proc.stderr.strip() else ""
-                reason = f"exit code {proc.returncode}" + (f": {stderr_tail}" if stderr_tail else "")
-            elif not output_file.is_file():
-                reason = f"tool produced no {pkg.tool_output_file}"
-            else:
-                with open(output_file, "rb") as out:
-                    return ToolRunResult(text=out.read(max_bytes).decode(errors="replace"))
-        except subprocess.TimeoutExpired:
-            reason = f"timeout after {timeout:g}s"
-        except OSError as exc:
-            reason = f"cannot execute tool: {exc}"
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+            text, reason = _run_staged(pkg, db_path, argv, runner, timeout, max_bytes)
+            break
+        except _HostDied as exc:
+            logger.warning("tool run of agent %s on %s lost its host (%s); retrying",
+                           pkg.id, db_path, exc)
+    if reason is None:
+        return ToolRunResult(text=text)
 
     logger.warning("tool for agent %s failed on %s (%s); using naive fallback",
                    pkg.id, db_path, reason)

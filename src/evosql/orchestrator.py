@@ -69,8 +69,6 @@ class RunConfig:
     token_budget: int = 150_000
     max_rounds: int = 2
     initial_agents: list[Path] = field(default_factory=list)
-    price_request_per_1k: float = 0.0
-    price_response_per_1k: float = 0.0
 
     def __post_init__(self):
         self.data_root = Path(self.data_root)

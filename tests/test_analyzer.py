@@ -281,6 +281,17 @@ def test_analyze_aggregate_scans_grow_with_tables_not_columns(tmp_path, monkeypa
     assert len(wide) - len(narrow) <= 2 * 4 * 10
 
 
+def test_analyze_takes_max_of_numeric_columns_only(tmp_path, monkeypatch):
+    # Only the Numeric Ranges section reads a maximum.
+    db = make_database(tmp_path / "mixed.sqlite", (
+        "CREATE TABLE t (i INTEGER, r REAL, n NUMERIC, s TEXT, b BLOB, u);\n"
+        "INSERT INTO t VALUES (1, 2.5, 3, 'x', x'00', 'y');\n"
+    ))
+    (scan,) = [s for s in _analyze_counting_statements(monkeypatch, db) if "COUNT(*)" in s]
+    assert [m for m in ("i", "r", "n", "s", "b", "u") if f'MAX("{m}")' in scan] == ["i", "r", "n"]
+    assert scan.count("MIN(") == 6
+
+
 def test_analyze_degrading_runs_no_further_statement(school_db, monkeypatch):
     full = analyze(school_db)
     statements = _analyze_counting_statements(monkeypatch, school_db)
