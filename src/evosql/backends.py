@@ -16,6 +16,7 @@ import os
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import BackendError
 from .pipeline import CORRECT_SENTINEL, extract_question
@@ -78,7 +79,7 @@ class ScriptedGenerationBackend:
 
     @classmethod
     def from_fixture(cls, path) -> "ScriptedGenerationBackend":
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(
                 f"scripted generation fixture {path} must be an object "
@@ -187,7 +188,7 @@ class ScriptedEvolutionBackend:
 
     @classmethod
     def from_fixture(cls, path) -> "ScriptedEvolutionBackend":
-        return cls(json.loads(open(path).read()))
+        return cls(json.loads(Path(path).read_text()))
 
     def propose(self, context) -> DraftPackage:
         self._queue = list(self._fixtures.get(context.iteration, []))

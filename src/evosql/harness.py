@@ -3,11 +3,12 @@
 Predicted and gold SQL run against read-only SQLite connections with a
 wall-clock timeout; results are compared as sets of canonicalized row tuples
 (row order ignored, duplicates collapse, arity must match). Accuracy is kept
-as exact counts, never accumulated floats. Gold queries are executed and
-canonicalized once per iteration and shared across agents; questions whose
-gold SQL is itself broken are excluded from the denominator as dataset
-defects. Within one question, each distinct SQL text runs once: scoring reads
-the final SQL's result from the verification loop's executions.
+as exact counts, never accumulated floats. Each gold query is executed and
+canonicalized once per question within the Deep Focus window and shared
+across agents and iterations; questions whose gold SQL is itself broken are
+excluded from the denominator as dataset defects. Within one question, each
+distinct SQL text runs once: scoring reads the final SQL's result from the
+verification loop's executions.
 """
 
 import logging
@@ -15,9 +16,12 @@ import math
 import sqlite3
 import time
 import urllib.parse
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import ne
 from pathlib import Path
 
 from .errors import InvalidStateError, PipelineError, SqlError
@@ -107,7 +111,12 @@ def _canonical_cell(value):
 
 
 def _canonical_rows(rows) -> set:
-    return {tuple(_canonical_cell(cell) for cell in row) for row in rows}
+    row_set = set(map(tuple, rows))
+    # NaN is the only value unequal to itself. SQLite returns NULL for NaN,
+    # so executed results never take the per-cell pass.
+    if any(map(ne, chain.from_iterable(row_set), chain.from_iterable(row_set))):
+        return {tuple(_canonical_cell(cell) for cell in row) for row in row_set}
+    return row_set
 
 
 @dataclass
@@ -126,7 +135,10 @@ def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
     if pred.truncated or (isinstance(gold, ResultTable) and gold.truncated):
         return False
     gold_rows = gold.row_set if isinstance(gold, GoldTable) else _canonical_rows(gold.rows)
-    return _canonical_rows(pred.rows) == gold_rows
+    # Canonical gold holds no float NaN, so a raw row set that equals it has
+    # none either; only an unequal one needs the NaN probe.
+    pred_rows = set(map(tuple, pred.rows))
+    return pred_rows == gold_rows or _canonical_rows(pred_rows) == gold_rows
 
 
 @dataclass
@@ -174,32 +186,47 @@ class GoldResults:
     defective: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
+def _run_gold(db_file: Path, sql: str, key: tuple[str, int], timeout: float) -> GoldTable | str:
+    """The gold result of one question, or the reason it is a dataset defect."""
+    try:
+        table = execute_sql(db_file, sql, timeout)
+    except SqlError as exc:
+        logger.warning("defective gold SQL for %s q%s: %s", *key, exc)
+        return str(exc)
+    if table.truncated:
+        logger.warning("gold SQL for %s q%s returns more than ROW_CAP rows", *key)
+        return f"gold result exceeds ROW_CAP ({ROW_CAP} rows)"
+    return GoldTable(_canonical_rows(table.rows), _preview_rows(table))
+
+
 def execute_gold(
-    plan: IterationPlan, data_root: str | Path, timeout: float = DEFAULT_SQL_TIMEOUT
+    plan: IterationPlan,
+    data_root: str | Path,
+    timeout: float = DEFAULT_SQL_TIMEOUT,
+    held: Iterable[GoldResults] = (),
 ) -> GoldResults:
     """Execute every gold query in the plan exactly once.
 
-    Gold queries that fail, or whose result is cut at ROW_CAP, are recorded
-    as dataset defects; they are logged and excluded from every agent's
-    denominator.
+    Questions found in held (gold results of earlier iterations over the
+    same question pool) are not run again: their GoldTable or defect reason
+    is copied as it is. Gold queries that fail, or whose result is cut at
+    ROW_CAP, are recorded as dataset defects; they are logged and excluded
+    from every agent's denominator.
     """
+    known: dict[tuple[str, int], GoldTable | str] = {}
+    for past in held:
+        known.update(past.results)
+        known.update(past.defective)
     gold = GoldResults()
     for db_id in plan.databases:
         db_file = database_path(data_root, db_id)
         for item in plan.questions[db_id]:
             key = (db_id, item.question_id)
-            try:
-                table = execute_sql(db_file, item.gold_sql, timeout)
-            except SqlError as exc:
-                logger.warning("defective gold SQL for %s q%s: %s", db_id, item.question_id, exc)
-                gold.defective[key] = str(exc)
-                continue
-            if table.truncated:
-                logger.warning("gold SQL for %s q%s returns more than ROW_CAP rows",
-                               db_id, item.question_id)
-                gold.defective[key] = f"gold result exceeds ROW_CAP ({ROW_CAP} rows)"
-                continue
-            gold.results[key] = GoldTable(_canonical_rows(table.rows), _preview_rows(table))
+            found = known[key] if key in known else _run_gold(db_file, item.gold_sql, key, timeout)
+            if isinstance(found, GoldTable):
+                gold.results[key] = found
+            else:
+                gold.defective[key] = found
     return gold
 
 

@@ -19,7 +19,7 @@ import json
 import logging
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import scheduler
@@ -88,6 +88,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         data = json.loads(Path(path).read_text())
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -324,7 +327,8 @@ class Orchestrator:
         self._analysis_cache: dict[tuple[str, str], str] = {}
         self._fallback_notes: dict[tuple[str, str], str] = {}
         # Gold of the latest iterations Deep Focus replays, by iteration;
-        # empty after a resume, when Deep Focus runs gold again.
+        # later iterations copy the questions it holds. Empty after a
+        # resume, until Deep Focus or the next iteration runs gold again.
         self._gold_by_iteration: dict[int, GoldResults] = {}
 
         existing = load_state(self.output_dir)
@@ -417,9 +421,11 @@ class Orchestrator:
         )
         texts = pool_map(lambda db: self._run_tool(pkg, db)[0], plan.databases, self.config.workers)
         analyses = dict(zip(plan.databases, texts))
-        gold = self._gold_by_iteration.get(record.iteration) or execute_gold(
-            plan, self.config.data_root, self.config.sql_timeout
-        )
+        gold = self._gold_by_iteration.get(record.iteration)
+        if gold is None:
+            # Only after a resume. Held, so the iteration under way copies it.
+            gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
+            self._gold_by_iteration[record.iteration] = gold
         evaluation = evaluate_agent(
             pkg, plan, self.gen_backend, analyses, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,
@@ -472,10 +478,12 @@ class Orchestrator:
         analyses_by_agent = {
             agent_id: {db: texts[(agent_id, db)] for db in databases} for agent_id in competitors
         }
-        # Deep Focus is done with the gold no later iteration replays: drop
-        # it before this iteration's gold is held beside it.
+        # Questions the window already holds are not run again. Deep Focus
+        # is done with the gold no later iteration replays, so it is dropped
+        # once this iteration has copied what it needs from it.
+        gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout,
+                            held=self._gold_by_iteration.values())
         self._gold_by_iteration.pop(iteration - self.config.deep_focus_k, None)
-        gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
         if self.config.deep_focus_k:
             self._gold_by_iteration[iteration] = gold
 

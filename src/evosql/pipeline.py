@@ -165,11 +165,11 @@ def _truncate_cell(value) -> str:
 
 
 def _render_preview(result) -> str:
-    rows = list(result.rows)
-    if not rows:
+    if not result.rows:
         return "(0 rows)"
-    lines = [" | ".join(_truncate_cell(cell) for cell in row) for row in rows[:PREVIEW_MAX_ROWS]]
-    total = getattr(result, "row_count", len(rows))
+    lines = [" | ".join(_truncate_cell(cell) for cell in row)
+             for row in result.rows[:PREVIEW_MAX_ROWS]]
+    total = getattr(result, "row_count", len(result.rows))
     suffix = ", capped" if getattr(result, "truncated", False) else ""
     lines.append(f"({total} rows total{suffix})")
     return "\n".join(lines)

@@ -10,8 +10,11 @@ from hypothesis import given, strategies as st
 from evosql.backends import OracleGenerationBackend, ScriptedGenerationBackend
 from evosql.errors import InvalidStateError, SqlError
 from evosql.harness import (
+    GoldTable,
     QuestionOutcome,
     ResultTable,
+    _canonical_cell,
+    _canonical_rows,
     compare_results,
     evaluate_agent,
     execute_gold,
@@ -90,6 +93,55 @@ def test_compare_nulls_and_nan():
     assert compare_results(_table([(None,)]), _table([(None,)]))
     assert not compare_results(_table([(None,)]), _table([(0,)]))
     assert compare_results(_table([(float("nan"),)]), _table([(float("nan"),)]))
+
+
+def test_execute_sql_returns_null_for_nan(school_db):
+    table = execute_sql(school_db, "SELECT 0.0 / 0.0, 1e308 * 10 - 1e308 * 10")
+    assert table.rows == [(None, None)]
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, float("inf"), float("-inf")]),
+    st.builds(lambda: float("nan")),
+    st.floats(),
+    st.binary(max_size=2),
+    st.text(max_size=2),
+)
+
+
+_ROW_LISTS = st.integers(1, 3).flatmap(
+    lambda arity: st.lists(
+        st.one_of(st.tuples(*[_CELLS] * arity), st.lists(_CELLS, min_size=arity, max_size=arity)),
+        max_size=8,
+    )
+)
+
+
+def _per_cell(rows) -> set:
+    return {tuple(_canonical_cell(cell) for cell in row) for row in rows}
+
+
+@given(_ROW_LISTS)
+def test_canonical_rows_equal_the_per_cell_canonicalization(rows):
+    assert _canonical_rows(rows) == _per_cell(rows)
+
+
+@given(_ROW_LISTS, _ROW_LISTS, st.randoms())
+def test_compare_agrees_with_per_cell_canonicalization(rows, other, rng):
+    # A reordered copy with fresh NaN objects must match; any other rows
+    # match exactly when their per-cell canonical sets are equal.
+    copy = [tuple(float("nan") if cell != cell else cell for cell in row) for row in rows]
+    rng.shuffle(copy)
+    gold = GoldTable(_canonical_rows(rows), [])
+    assert compare_results(_table(copy), _table(rows))
+    assert compare_results(_table(copy), gold)
+    expected = _per_cell(other) == _per_cell(rows)
+    assert compare_results(_table(other), _table(rows)) == expected
+    assert compare_results(_table(other), gold) == expected
 
 
 def _oracle_compare(pred_rows, gold_rows):

@@ -251,16 +251,32 @@ class TaggedOracleBackend(OracleGenerationBackend):
         return reply if reply == CORRECT_SENTINEL else "-- predicted\n" + reply
 
 
-def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
-    _, question_pool = load_question_pool(data_root)
+def record_gold_runs(monkeypatch, question_pool) -> list[str]:
+    """Patch execute_sql to record every gold query it runs."""
     gold_texts = {item.gold_sql for items in question_pool.values() for item in items}
-    executed = []
+    gold_runs = []
     real_execute = harness_module.execute_sql
 
     def recording_execute(db_path, sql, timeout=30.0):
-        executed.append(sql)
+        if sql in gold_texts:
+            gold_runs.append(sql)
         return real_execute(db_path, sql, timeout)
 
+    monkeypatch.setattr(harness_module, "execute_sql", recording_execute)
+    return gold_runs
+
+
+def distinct_gold(records) -> list[str]:
+    """The gold SQL of each distinct question the records sampled, sorted."""
+    return sorted({
+        (db, item.question_id): item.gold_sql for record in records
+        for db, items in record.questions.items() for item in items
+    }.values())
+
+
+def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
+    _, question_pool = load_question_pool(data_root)
+    gold_runs = record_gold_runs(monkeypatch, question_pool)
     evaluated = []
     real_evaluate = orchestrator_module.evaluate_agent
 
@@ -268,7 +284,6 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
         evaluated.append((plan.iteration, pkg.id))
         return real_evaluate(pkg, plan, *args, **kwargs)
 
-    monkeypatch.setattr(harness_module, "execute_sql", recording_execute)
     monkeypatch.setattr(orchestrator_module, "evaluate_agent", recording_evaluate)
     state = run(
         base_config(data_root, tmp_path / "out", iterations=2),
@@ -279,12 +294,50 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     assert second.mode == "evolve"
     # Deep Focus scored the new agent on iteration 1's plan...
     assert evaluated.count((1, second.new_agent)) == 1
-    # ...yet every gold query ran once per iteration and never again.
-    gold_runs = [sql for sql in executed if sql in gold_texts]
-    assert sorted(gold_runs) == sorted(
-        item.gold_sql for record in state.iterations
-        for items in record.questions.values() for item in items
-    )
+    # ...yet every gold query ran once and never again.
+    assert sorted(gold_runs) == distinct_gold(state.iterations)
+
+
+def test_gold_runs_once_per_question_and_again_after_resume(data_root, tmp_path, monkeypatch):
+    _, question_pool = load_question_pool(data_root)
+    gold_runs = record_gold_runs(monkeypatch, question_pool)
+    backend = TaggedOracleBackend.from_question_pool(question_pool)
+    state = run(base_config(data_root, tmp_path / "full", iterations=3), gen_backend=backend,
+                evo_backend=ScriptedEvolutionBackend(evolution_fixtures(3)))
+    # Every iteration samples the whole toy pool, so the same questions
+    # come back each time; their gold runs once in the run.
+    first, *later = [distinct_gold([record]) for record in state.iterations]
+    assert all(sampled == first for sampled in later)
+    assert sorted(gold_runs) == distinct_gold(state.iterations)
+
+    run(base_config(data_root, tmp_path / "halted", iterations=2), gen_backend=backend,
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(3)))
+    gold_runs.clear()
+    resumed = resume(base_config(data_root, tmp_path / "halted", iterations=3),
+                     gen_backend=backend,
+                     evo_backend=ScriptedEvolutionBackend(evolution_fixtures(3)))
+    # A resumed run holds no gold, so it runs gold again: once, for Deep
+    # Focus's replay of iteration 2, and iteration 3 copies it.
+    assert resumed.iterations[2].mode == "evolve"
+    assert sorted(gold_runs) == distinct_gold(resumed.iterations[2:])
+    assert (tmp_path / "halted" / "run_state.json").read_bytes() == (
+        tmp_path / "full" / "run_state.json"
+    ).read_bytes()
+
+
+def test_config_file_with_unknown_keys_is_rejected(data_root, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "data_root": str(data_root),
+        "output_dir": str(tmp_path / "out"),
+        "price_request_per_1k": 0.5,
+        "workerz": 2,
+    }))
+    with pytest.raises(ValueError) as err:
+        RunConfig.from_file(config_path)
+    message = str(err.value)
+    assert str(config_path) in message
+    assert "price_request_per_1k" in message and "workerz" in message
 
 
 def test_workers_do_not_change_outputs(data_root, tmp_path):
