@@ -11,8 +11,11 @@ reading ``` alone. Text outside blocks is treated as reasoning prose; a
 reasoning.md block, when present, takes precedence as the reasoning text.
 """
 
+import email.utils
 import json
+import logging
 import os
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -21,8 +24,17 @@ from pathlib import Path
 from .errors import BackendError
 from .pipeline import CORRECT_SENTINEL, extract_question
 
+logger = logging.getLogger(__name__)
+
 API_KEY_ENV = "EVOSQL_API_KEY"
 HTTP_TIMEOUT = 120.0
+# A transient failure (no connection, 429, 5xx) is retried this many times,
+# after HTTP_BACKOFF_S, then twice and four times that, or after what the
+# response's Retry-After asks. A Retry-After beyond RETRY_AFTER_MAX_S ends
+# the retries.
+HTTP_RETRIES = 3
+HTTP_BACKOFF_S = 1.0
+RETRY_AFTER_MAX_S = 120.0
 
 FILE_BLOCK_OPEN = "```file="
 
@@ -68,6 +80,7 @@ class ScriptedGenerationBackend:
     """
 
     identity = "scripted"
+    in_process = True
 
     def __init__(
         self,
@@ -104,6 +117,7 @@ class OracleGenerationBackend:
     harness smoke runs."""
 
     identity = "oracle"
+    in_process = True
 
     def __init__(self, gold_by_question: dict[str, str]):
         self._gold = dict(gold_by_question)
@@ -126,13 +140,45 @@ class OracleGenerationBackend:
             raise BackendError(f"oracle has no gold SQL for question {question!r}") from None
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header value asks for (delta-seconds or an
+    HTTP date), or None when absent or unreadable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
+
+
+def _retry_delay(exc: OSError, attempt: int) -> float | None:
+    """Seconds to wait before retrying after attempt (0-based) failed with
+    exc, or None when exc is not transient."""
+    backoff = HTTP_BACKOFF_S * 2 ** attempt
+    if not isinstance(exc, urllib.error.HTTPError):
+        return backoff  # no connection, reset or timed out
+    if exc.code != 429 and exc.code < 500:
+        return None
+    asked = _retry_after_s(exc.headers.get("Retry-After") if exc.headers else None)
+    if asked is None:
+        return backoff
+    return asked if asked <= RETRY_AFTER_MAX_S else None
+
+
 class HttpChatBackend:
     """Chat-completions adapter for a live generation endpoint.
 
     Posts OpenAI-style payloads to <base_url>/chat/completions with a Bearer
     token read from the EVOSQL_API_KEY environment variable and passes the
-    loop's temperature through.
+    loop's temperature through. Transient failures are retried (see
+    HTTP_RETRIES); the last one raises BackendError.
     """
+
+    sleep = staticmethod(time.sleep)
 
     def __init__(self, base_url: str, model: str, api_key_env: str = API_KEY_ENV,
                  timeout: float = HTTP_TIMEOUT):
@@ -160,11 +206,24 @@ class HttpChatBackend:
                 "Authorization": f"Bearer {api_key}",
             },
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise BackendError(f"chat endpoint failure: {exc}") from exc
+        for attempt in range(HTTP_RETRIES + 1):
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    body = json.loads(response.read().decode("utf-8"))
+                break
+            except ValueError as exc:
+                raise BackendError(f"chat endpoint sent no JSON: {exc}") from exc
+            except OSError as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()
+                delay = _retry_delay(exc, attempt) if attempt < HTTP_RETRIES else None
+                if delay is None:
+                    raise BackendError(
+                        f"chat endpoint failure (attempt {attempt + 1}): {exc}"
+                    ) from exc
+                logger.warning("chat endpoint failure (attempt %d): %s; retrying in %gs",
+                               attempt + 1, exc, delay)
+                self.sleep(delay)
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

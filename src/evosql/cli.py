@@ -25,7 +25,11 @@ def _add_run_flags(parser):
                         help="oracle | scripted:<fixture.json> | http:<model>@<base_url>")
     parser.add_argument("--evo-backend", dest="evo_backend",
                         help="none | scripted:<fixture.json> | http:<model>@<base_url>")
-    parser.add_argument("--workers", type=int)
+    parser.add_argument("--workers", type=int,
+                        help="tasks running Python, SQL or tools at once")
+    parser.add_argument("--backend-concurrency", type=int, dest="backend_concurrency",
+                        help="(agent, question) tasks in flight, each waiting on at most "
+                             "one generation call")
     parser.add_argument("--deep-focus-k", type=int, dest="deep_focus_k")
 
 
@@ -41,6 +45,7 @@ def _build_config(args) -> orchestrator.RunConfig:
             "gen_backend",
             "evo_backend",
             "workers",
+            "backend_concurrency",
             "deep_focus_k",
         )
         if getattr(args, key, None) is not None
@@ -105,8 +110,9 @@ def cmd_evaluate(args) -> int:
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
     gold = execute_gold(plan, args.data_root)
     evaluation = evaluate_agent(
-        pkg, plan, backend, analyses, gold, args.data_root, workers=args.workers
-    )
+        [pkg], plan, backend, {pkg.id: analyses}, gold, args.data_root,
+        workers=args.workers, backend_concurrency=args.backend_concurrency,
+    )[pkg.id]
     print(f"agent: {pkg.id}")
     print(f"accuracy: {evaluation.matches}/{evaluation.total} "
           f"({100 * evaluation.matches / evaluation.total:.1f}%)")
@@ -192,7 +198,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("--databases", help="comma-separated db ids (default: all)")
     p_eval.add_argument("--questions-per-db", type=int, default=30)
     p_eval.add_argument("--gen-backend", default="oracle")
-    p_eval.add_argument("--workers", type=int, default=1)
+    p_eval.add_argument("--workers", type=int, default=1,
+                        help="tasks running Python, SQL or tools at once")
+    p_eval.add_argument("--backend-concurrency", type=int, default=6,
+                        help="questions in flight, each waiting on at most one "
+                             "generation call")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_evaluate)
 

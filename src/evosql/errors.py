@@ -68,5 +68,9 @@ class PipelineError(EvoSqlError):
         self.transcript = transcript
 
 
+class BackendCallError(PipelineError):
+    """The generation backend failed to answer one of a question's calls."""
+
+
 class EvolutionError(EvoSqlError):
     """The evolution backend failed to produce a valid agent package."""

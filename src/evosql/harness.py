@@ -9,11 +9,18 @@ across agents and iterations; questions whose gold SQL is itself broken are
 excluded from the denominator as dataset defects. Within one question, each
 distinct SQL text runs once: scoring reads the final SQL's result from the
 verification loop's executions.
+
+Every (agent, question) task of an evaluation shares one queue. Up to
+backend_concurrency tasks are in flight, but at most workers of them run
+Python, SQL or scoring at once: a task holds a CPU slot except while it
+waits on the generation backend. A backend that answers in-process waits on
+nothing, so its tasks run workers at a time.
 """
 
 import logging
 import math
 import sqlite3
+import threading
 import time
 import urllib.parse
 from collections.abc import Iterable
@@ -24,7 +31,7 @@ from itertools import chain
 from operator import ne
 from pathlib import Path
 
-from .errors import InvalidStateError, PipelineError, SqlError
+from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
 from .pipeline import VerificationTranscript, assemble_prompt, generate_with_verification
 from .registry import AgentPackage
 from .scheduler import IterationPlan, QuestionItem, database_path
@@ -41,6 +48,7 @@ FAILURE_SQL_ERROR = "sql_error"
 FAILURE_TIMEOUT = "timeout"
 FAILURE_EMPTY_VS_NONEMPTY = "empty_vs_nonempty"
 FAILURE_PIPELINE = "pipeline_error"
+FAILURE_BACKEND = "backend_error"
 
 _SYNTAX_MARKERS = ("syntax error", "unrecognized token", "incomplete input")
 
@@ -254,7 +262,8 @@ def _preview_rows(table: ResultTable) -> list[str]:
     ]
 
 
-def _blocked_outcome(agent_id: str, item: QuestionItem, reason: str) -> QuestionOutcome:
+def _blocked_outcome(agent_id: str, item: QuestionItem, reason: str,
+                     kind: str = FAILURE_PIPELINE) -> QuestionOutcome:
     return QuestionOutcome(
         question_id=item.question_id,
         db_id=item.db_id,
@@ -264,7 +273,7 @@ def _blocked_outcome(agent_id: str, item: QuestionItem, reason: str) -> Question
         predicted_sql="",
         gold_sql=item.gold_sql,
         match=False,
-        failure_kind=FAILURE_PIPELINE,
+        failure_kind=kind,
         pred_preview=[reason],
     )
 
@@ -301,7 +310,10 @@ def _evaluate_question(
             backend, prompt, db_file, executor, max_rounds=max_rounds
         )
     except PipelineError as exc:
-        outcome = _blocked_outcome(pkg.id, item, str(exc))
+        # A backend that still fails after its own retries is an outage,
+        # reported apart from the agent's faults.
+        kind = FAILURE_BACKEND if isinstance(exc, BackendCallError) else FAILURE_PIPELINE
+        outcome = _blocked_outcome(pkg.id, item, str(exc), kind)
         outcome.transcript = exc.transcript
         return outcome
 
@@ -346,59 +358,94 @@ def pool_map(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+class _SlotReleasingBackend:
+    """The generation backend, called with the caller's CPU slot given back,
+    so other tasks run SQL while this one waits for a reply."""
+
+    def __init__(self, backend, slot: threading.Semaphore):
+        self._backend = backend
+        self._slot = slot
+
+    def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
+        self._slot.release()
+        try:
+            return self._backend.complete(system_text, conversation, temperature)
+        finally:
+            self._slot.acquire()
+
+
 def evaluate_agent(
-    pkg: AgentPackage,
+    packages: list[AgentPackage],
     plan: IterationPlan,
     backend,
-    analyses: dict[str, str | None],
+    analyses: dict[str, dict[str, str | None]],
     gold: GoldResults,
     data_root: str | Path,
     *,
     sql_timeout: float = DEFAULT_SQL_TIMEOUT,
     max_rounds: int = 2,
     workers: int = 1,
-) -> AgentEvaluation:
-    """Evaluate one agent on every plan question.
+    backend_concurrency: int = 1,
+) -> dict[str, AgentEvaluation]:
+    """Evaluate every package on every plan question; evaluations are keyed
+    by agent id, in the order of packages.
 
-    analyses maps db_id to that agent's database analysis text (None marks
-    an evaluation-blocked database, whose questions count as incorrect with
-    a pipeline_error). Questions run on a bounded worker pool; outcomes are
-    ordered by (db_id, question_id) so the aggregate is independent of
-    completion order.
+    analyses maps agent id, then db_id, to that agent's database analysis
+    text (None marks an evaluation-blocked database, whose questions count
+    as incorrect with a pipeline_error). All agents' questions go on one
+    queue of backend_concurrency threads (at most workers for an in_process
+    backend), of which at most workers run outside the backend at once.
+    Each agent's outcomes are ordered by (db_id, question_id), so nothing
+    depends on completion order.
     """
+    if workers < 1 or backend_concurrency < 1:
+        raise ValueError("workers and backend_concurrency must be >= 1")
     tasks = []
-    for db_id in plan.databases:
-        db_file = database_path(data_root, db_id)
-        for item in plan.questions[db_id]:
-            if (db_id, item.question_id) in gold.defective:
-                continue
-            tasks.append((item, analyses.get(db_id), gold.results[(db_id, item.question_id)], db_file))
+    for pkg in packages:
+        for db_id in plan.databases:
+            db_file = database_path(data_root, db_id)
+            for item in plan.questions[db_id]:
+                if (db_id, item.question_id) in gold.defective:
+                    continue
+                tasks.append((pkg, item, analyses[pkg.id].get(db_id),
+                              gold.results[(db_id, item.question_id)], db_file))
     if not tasks:
         raise InvalidStateError(
-            f"no scorable questions for agent {pkg.id} (all gold SQL defective or plan empty)"
+            "no scorable questions (no agents, all gold SQL defective or plan empty)"
         )
+
+    cpu_slot = threading.Semaphore(workers)
+    slotted = _SlotReleasingBackend(backend, cpu_slot)
 
     def run(task) -> QuestionOutcome:
-        item, analysis, gold_table, db_file = task
-        return _evaluate_question(
-            pkg, item, analysis, gold_table, backend, db_file, sql_timeout, max_rounds
-        )
+        pkg, item, analysis, gold_table, db_file = task
+        with cpu_slot:
+            return _evaluate_question(
+                pkg, item, analysis, gold_table, slotted, db_file, sql_timeout, max_rounds
+            )
 
-    outcomes = pool_map(run, tasks, workers)
+    # Threads beyond workers only pay off while tasks wait on the backend;
+    # each costs a malloc arena (about 0.3 MB) and slot handoffs.
+    in_flight = backend_concurrency
+    if getattr(backend, "in_process", False):
+        in_flight = min(workers, backend_concurrency)
+    by_agent: dict[str, list[QuestionOutcome]] = {pkg.id: [] for pkg in packages}
+    for outcome in pool_map(run, tasks, in_flight):
+        by_agent[outcome.agent_id].append(outcome)
+    return {agent_id: _aggregate(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}
+
+
+def _aggregate(agent_id: str, outcomes: list[QuestionOutcome]) -> AgentEvaluation:
     outcomes.sort(key=lambda o: (o.db_id, o.question_id))
-
-    matches = sum(1 for o in outcomes if o.match)
-    request_tokens = sum(o.transcript.request_tokens for o in outcomes if o.transcript)
-    response_tokens = sum(o.transcript.response_tokens for o in outcomes if o.transcript)
-    backend_calls = sum(o.transcript.backend_calls for o in outcomes if o.transcript)
+    transcripts = [o.transcript for o in outcomes if o.transcript]
     return AgentEvaluation(
-        agent_id=pkg.id,
-        matches=matches,
+        agent_id=agent_id,
+        matches=sum(1 for o in outcomes if o.match),
         total=len(outcomes),
         outcomes=outcomes,
-        request_tokens=request_tokens,
-        response_tokens=response_tokens,
-        backend_calls=backend_calls,
+        request_tokens=sum(t.request_tokens for t in transcripts),
+        response_tokens=sum(t.response_tokens for t in transcripts),
+        backend_calls=sum(t.backend_calls for t in transcripts),
     )
 
 

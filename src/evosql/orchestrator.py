@@ -5,8 +5,8 @@ as given; from iteration 2 on, the mode (evolve/challenger/none) decides
 whether a new agent is evolved (with Deep Focus refinement) before the
 roster is selected. Each iteration samples databases and questions, runs
 every competitor's analysis tool, evaluates all competitors on identical
-prompts, decomposes accuracies into pairwise ELO updates, and records the
-winners.
+prompts in one shared queue of (agent, question) tasks, decomposes
+accuracies into pairwise ELO updates, and records the winners.
 
 State is one JSON file plus per-iteration artifact directories. Artifact
 paths inside the state are relative to the output directory and no clocks
@@ -60,6 +60,7 @@ class RunConfig:
     gen_backend: str = "oracle"
     evo_backend: str = "none"
     workers: int = 4
+    backend_concurrency: int = 6
     deep_focus_k: int = 1
     late_stage_start: int = scheduler.DEFAULT_LATE_STAGE_START
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
@@ -82,6 +83,8 @@ class RunConfig:
             raise ValueError("late_stage_start must be >= 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.backend_concurrency < 1:
+            raise ValueError("backend_concurrency must be >= 1")
         if self.deep_focus_k < 0:
             raise ValueError("deep_focus_k must be >= 0")
 
@@ -410,6 +413,15 @@ class Orchestrator:
         self.registry.register(pkg)
         return pkg.id
 
+    def _evaluate(self, packages, plan: IterationPlan, analyses, gold: GoldResults):
+        return evaluate_agent(
+            packages, plan, self.gen_backend, analyses, gold, self.config.data_root,
+            sql_timeout=self.config.sql_timeout,
+            max_rounds=self.config.max_rounds,
+            workers=self.config.workers,
+            backend_concurrency=self.config.backend_concurrency,
+        )
+
     def _deep_focus_eval(self, pkg, record: IterationRecord):
         """Evaluate a candidate package on a past iteration's tasks."""
         plan = IterationPlan(
@@ -426,12 +438,7 @@ class Orchestrator:
             # Only after a resume. Held, so the iteration under way copies it.
             gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
             self._gold_by_iteration[record.iteration] = gold
-        evaluation = evaluate_agent(
-            pkg, plan, self.gen_backend, analyses, gold, self.config.data_root,
-            sql_timeout=self.config.sql_timeout,
-            max_rounds=self.config.max_rounds,
-            workers=self.config.workers,
-        )
+        evaluation = self._evaluate([pkg], plan, {pkg.id: analyses}, gold)[pkg.id]
         matches = {(o.db_id, o.question_id): o.match for o in evaluation.outcomes}
         return evaluation.accuracy, matches
 
@@ -487,21 +494,12 @@ class Orchestrator:
         if self.config.deep_focus_k:
             self._gold_by_iteration[iteration] = gold
 
-        evaluations = {}
+        evaluations = self._evaluate(
+            [self.registry.package(agent_id) for agent_id in competitors],
+            plan, analyses_by_agent, gold,
+        )
         all_outcomes = []
-        for agent_id in competitors:
-            evaluation = evaluate_agent(
-                self.registry.package(agent_id),
-                plan,
-                self.gen_backend,
-                analyses_by_agent[agent_id],
-                gold,
-                self.config.data_root,
-                sql_timeout=self.config.sql_timeout,
-                max_rounds=self.config.max_rounds,
-                workers=self.config.workers,
-            )
-            evaluations[agent_id] = evaluation
+        for agent_id, evaluation in evaluations.items():
             all_outcomes.extend(evaluation.outcomes)
             logger.info("iteration %d: %s scored %d/%d", iteration, agent_id,
                         evaluation.matches, evaluation.total)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from .analyzer import estimate_tokens
-from .errors import EmptySqlError, PipelineError
+from .errors import BackendCallError, EmptySqlError, PipelineError
 
 TEMPERATURE_SCHEDULE = (0.0, 0.2, 0.3)
 RETRY_TEMPERATURE = 0.3
@@ -44,7 +44,9 @@ class GenerationBackend(Protocol):
     complete() receives the full system text, the conversation so far
     (role/content dicts, starting with the initial user request), and the
     sampling temperature, and returns the assistant reply. identity labels
-    the backend/model in reports.
+    the backend/model in reports. A backend whose class sets in_process =
+    True answers without waiting on I/O, so the harness runs no more
+    questions at once than it has workers.
     """
 
     identity: str
@@ -208,9 +210,9 @@ def generate_with_verification(
     tuples), .row_count and .truncated, or raise on failure; failures are
     summarized into the verification message rather than propagated.
 
-    Raises PipelineError (carrying the partial transcript) on backend
-    transport failure or an empty initial generation; such questions count
-    as incorrect upstream.
+    Raises PipelineError (carrying the partial transcript) on an empty
+    initial generation, and its subclass BackendCallError when the backend
+    fails; such questions count as incorrect upstream.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
@@ -226,7 +228,7 @@ def generate_with_verification(
         try:
             reply = backend.complete(system_text, list(conversation), temperature)
         except Exception as exc:
-            raise PipelineError(f"backend failure: {exc}", transcript=transcript) from exc
+            raise BackendCallError(f"backend failure: {exc}", transcript=transcript) from exc
         transcript.backend_calls += 1
         transcript.request_tokens += sent
         transcript.response_tokens += estimate_tokens(reply)

@@ -53,6 +53,7 @@ def test_run_resume_leaderboard_and_evaluate(data_root, tmp_path, capsys):
         "--gen-backend", "oracle",
         "--evo-backend", f"scripted:{fixture_path}",
         "--workers", "1",
+        "--backend-concurrency", "5",
         "--deep-focus-k", "0",
     ]
     assert main(args) == 0
@@ -73,9 +74,16 @@ def test_run_resume_leaderboard_and_evaluate(data_root, tmp_path, capsys):
         "--data-root", str(data_root),
         "--databases", "school",
         "--gen-backend", "oracle",
+        "--backend-concurrency", "3",
     ]) == 0
     out = capsys.readouterr().out
     assert "accuracy: 10/10" in out
+
+
+def test_run_rejects_backend_concurrency_below_one(data_root, tmp_path):
+    with pytest.raises(ValueError, match="backend_concurrency"):
+        main(["run", "--data-root", str(data_root), "--output-dir", str(tmp_path / "out"),
+              "--backend-concurrency", "0"])
 
 
 class _RecordingOracle:

@@ -2,13 +2,16 @@
 
 import json
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from evosql.backends import OracleGenerationBackend, ScriptedGenerationBackend
-from evosql.errors import InvalidStateError, SqlError
+from evosql.errors import BackendError, InvalidStateError, SqlError
 from evosql.harness import (
     GoldTable,
     QuestionOutcome,
@@ -320,11 +323,18 @@ def _analyses_for(pkg, plan, data_root):
     }
 
 
+def _evaluate_one(pkg, plan, backend, analyses, gold, data_root, **kwargs):
+    """evaluate_agent on one package; analyses maps db_id to its text."""
+    return evaluate_agent(
+        [pkg], plan, backend, {pkg.id: analyses}, gold, data_root, **kwargs
+    )[pkg.id]
+
+
 def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root)
     gold = execute_gold(plan, data_root)
-    evaluation = evaluate_agent(
+    evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
         gold, data_root,
     )
@@ -343,7 +353,7 @@ def test_evaluate_agent_counts_failures(data_root, naive_package_dir):
     backend = ScriptedGenerationBackend(
         default=["SELECT 999", "SELECT 999", "SELECT 999", "SELECT 999"]
     )
-    evaluation = evaluate_agent(
+    evaluation = _evaluate_one(
         pkg, plan, backend, _analyses_for(pkg, plan, data_root), gold, data_root
     )
     assert evaluation.matches < evaluation.total
@@ -356,7 +366,7 @@ def test_evaluate_agent_excludes_defective_gold(data_root, naive_package_dir):
     plan = _plan(data_root, limit=3)
     plan.questions["school"][0].gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
-    evaluation = evaluate_agent(
+    evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
         gold, data_root,
     )
@@ -370,7 +380,7 @@ def test_evaluate_agent_all_gold_defective(data_root, naive_package_dir):
         item.gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
     with pytest.raises(InvalidStateError):
-        evaluate_agent(
+        _evaluate_one(
             pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
             gold, data_root,
         )
@@ -380,7 +390,7 @@ def test_evaluate_agent_blocked_analysis_counts_incorrect(data_root, naive_packa
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root, limit=3)
     gold = execute_gold(plan, data_root)
-    evaluation = evaluate_agent(
+    evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), {"school": None}, gold, data_root
     )
     assert evaluation.matches == 0
@@ -406,7 +416,7 @@ def test_gold_executed_once_regardless_of_agent_count(data_root, naive_package_d
     backend = ScriptedGenerationBackend(default=["SELECT 12345"])
     analyses = _analyses_for(pkg, plan, data_root)
     for _ in range(3):  # three agents sharing one iteration's gold cache
-        evaluate_agent(pkg, plan, backend, analyses, gold, data_root)
+        _evaluate_one(pkg, plan, backend, analyses, gold, data_root)
     assert calls["gold"] == len(plan.questions["school"])
 
 
@@ -433,7 +443,7 @@ def test_accepted_question_executes_sql_once(data_root, naive_package_dir, monke
     gold = execute_gold(plan, data_root)
     analyses = _analyses_for(pkg, plan, data_root)
     calls = _count_sql(monkeypatch)
-    evaluation = evaluate_agent(pkg, plan, _oracle_backend(data_root), analyses, gold, data_root)
+    evaluation = _evaluate_one(pkg, plan, _oracle_backend(data_root), analyses, gold, data_root)
     (outcome,) = evaluation.outcomes
     assert outcome.match
     assert outcome.transcript.attempts[-1].verdict == "accepted_correct"
@@ -450,7 +460,7 @@ def test_failing_sql_executes_once_per_text(data_root, naive_package_dir, monkey
     analyses = _analyses_for(pkg, plan, data_root)
     backend = ScriptedGenerationBackend(default=["SELEC 1", "SELEC 1", "CORRECT", "SELECT 999"])
     calls = _count_sql(monkeypatch)
-    evaluation = evaluate_agent(pkg, plan, backend, analyses, gold, data_root)
+    evaluation = _evaluate_one(pkg, plan, backend, analyses, gold, data_root)
     (outcome,) = evaluation.outcomes
     assert outcome.predicted_sql == "SELECT 999"
     assert outcome.failure_kind == "wrong_result"
@@ -462,13 +472,132 @@ def test_evaluate_agent_workers_match_sequential(data_root, naive_package_dir):
     plan = _plan(data_root)
     gold = execute_gold(plan, data_root)
     analyses = _analyses_for(pkg, plan, data_root)
-    sequential = evaluate_agent(
+    sequential = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), analyses, gold, data_root, workers=1
     )
-    concurrent = evaluate_agent(
-        pkg, plan, _oracle_backend(data_root), analyses, gold, data_root, workers=4
+    concurrent = _evaluate_one(
+        pkg, plan, _oracle_backend(data_root), analyses, gold, data_root, workers=4,
+        backend_concurrency=8,
     )
     assert [o.to_dict() for o in sequential.outcomes] == [o.to_dict() for o in concurrent.outcomes]
+
+
+def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_dir,
+                                                       monkeypatch):
+    import evosql.harness as harness_module
+
+    workers, concurrency = 2, 4
+    packages = [load_package(naive_package_dir), load_package(naive_package_dir, "twin")]
+    plan = _plan(data_root)
+    gold = execute_gold(plan, data_root)
+    text = _analyses_for(packages[0], plan, data_root)
+    oracle = _oracle_backend(data_root)
+    lock = threading.Lock()
+    busy = {"backend": 0, "sql": 0}
+    peak = {"backend": 0, "sql": 0}
+    first_calls = []
+    # The first `concurrency` backend calls wait for each other: they can
+    # only all arrive if that many tasks are in flight at once.
+    meet = threading.Barrier(concurrency, timeout=10)
+
+    def counted(kind, fn):
+        with lock:
+            busy[kind] += 1
+            peak[kind] = max(peak[kind], busy[kind])
+        try:
+            return fn()
+        finally:
+            with lock:
+                busy[kind] -= 1
+
+    class SleepingBackend:
+        identity = "sleeping"
+
+        def complete(self, system_text, conversation, temperature):
+            def call():
+                with lock:
+                    first_calls.append(None)
+                    waits = len(first_calls) <= concurrency
+                if waits:
+                    meet.wait()
+                time.sleep(0.01)
+                return oracle.complete(system_text, conversation, temperature)
+            return counted("backend", call)
+
+    real_execute = harness_module.execute_sql
+
+    def slow_execute(db_path, sql, timeout=30.0):
+        def call():
+            time.sleep(0.005)
+            return real_execute(db_path, sql, timeout)
+        return counted("sql", call)
+
+    monkeypatch.setattr(harness_module, "execute_sql", slow_execute)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
+    try:
+        evaluations = evaluate_agent(
+            packages, plan, SleepingBackend(), {pkg.id: text for pkg in packages}, gold,
+            data_root, workers=workers, backend_concurrency=concurrency,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert [ev.matches for ev in evaluations.values()] == [len(plan.questions["school"])] * 2
+    assert peak["backend"] >= concurrency
+    assert 1 <= peak["sql"] <= workers
+
+
+def test_in_process_backend_runs_workers_tasks_at_a_time(data_root, naive_package_dir):
+    # An in-process backend waits on nothing, so threads beyond workers
+    # would only cost memory and slot handoffs.
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root)
+    gold = execute_gold(plan, data_root)
+    analyses = _analyses_for(pkg, plan, data_root)
+    threads = set()
+
+    class CountingOracle(OracleGenerationBackend):
+        def complete(self, *args):
+            threads.add(threading.get_ident())
+            time.sleep(0.002)
+            return super().complete(*args)
+
+    _, question_pool = load_question_pool(data_root)
+    evaluation = _evaluate_one(pkg, plan, CountingOracle.from_question_pool(question_pool),
+                               analyses, gold, data_root, workers=2, backend_concurrency=8)
+    assert evaluation.matches == evaluation.total
+    assert 1 <= len(threads) <= 2
+
+
+def test_evaluate_agent_rejects_concurrency_below_one(data_root, naive_package_dir):
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root, limit=1)
+    gold = execute_gold(plan, data_root)
+    for bad in ({"workers": 0}, {"backend_concurrency": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            _evaluate_one(pkg, plan, _oracle_backend(data_root), {"school": "schema"}, gold,
+                          data_root, **bad)
+
+
+def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_package_dir):
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root, limit=3)
+    gold = execute_gold(plan, data_root)
+    analyses = _analyses_for(pkg, plan, data_root)
+
+    class Down:
+        identity = "down"
+
+        def complete(self, *_args):
+            raise BackendError("chat endpoint failure (attempt 4): HTTP Error 503")
+
+    down = _evaluate_one(pkg, plan, Down(), analyses, gold, data_root)
+    assert {o.failure_kind for o in down.outcomes} == {"backend_error"}
+    assert "Failures: backend_error: 3" in write_error_analysis(1, down.outcomes)
+    # An empty first generation is the agent's, not the backend's, failure.
+    empty = _evaluate_one(pkg, plan, ScriptedGenerationBackend(default=["```\n```"]),
+                          analyses, gold, data_root)
+    assert {o.failure_kind for o in empty.outcomes} == {"pipeline_error"}
 
 
 def test_prompts_identical_across_agents_except_analysis():

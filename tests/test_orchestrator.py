@@ -1,6 +1,7 @@
 """End-to-end orchestrator tests: run shape, determinism, resume, reports."""
 
 import json
+import time
 
 import pytest
 
@@ -280,9 +281,9 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     evaluated = []
     real_evaluate = orchestrator_module.evaluate_agent
 
-    def recording_evaluate(pkg, plan, *args, **kwargs):
-        evaluated.append((plan.iteration, pkg.id))
-        return real_evaluate(pkg, plan, *args, **kwargs)
+    def recording_evaluate(packages, plan, *args, **kwargs):
+        evaluated.append((plan.iteration, tuple(pkg.id for pkg in packages)))
+        return real_evaluate(packages, plan, *args, **kwargs)
 
     monkeypatch.setattr(orchestrator_module, "evaluate_agent", recording_evaluate)
     state = run(
@@ -292,8 +293,10 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     )
     second = state.iterations[1]
     assert second.mode == "evolve"
-    # Deep Focus scored the new agent on iteration 1's plan...
-    assert evaluated.count((1, second.new_agent)) == 1
+    # One evaluation per iteration, all competitors at once, and Deep Focus
+    # scored the new agent on iteration 1's plan...
+    assert evaluated == [(1, ("naive",)), (1, (second.new_agent,)),
+                         (2, tuple(second.competitors))]
     # ...yet every gold query ran once and never again.
     assert sorted(gold_runs) == distinct_gold(state.iterations)
 
@@ -340,13 +343,32 @@ def test_config_file_with_unknown_keys_is_rejected(data_root, tmp_path):
     assert "price_request_per_1k" in message and "workerz" in message
 
 
+class WaitingOracle(OracleGenerationBackend):
+    """The oracle answering like a remote backend: after a wait that varies
+    by prompt, so questions overlap and finish out of order."""
+
+    in_process = False
+
+    def complete(self, system_text, conversation, temperature):
+        time.sleep(0.001 * (len(system_text) % 3))
+        return super().complete(system_text, conversation, temperature)
+
+
 def test_workers_do_not_change_outputs(data_root, tmp_path):
-    for workers in (1, 4):
-        run(base_config(data_root, tmp_path / f"w{workers}", workers=workers),
+    _, question_pool = load_question_pool(data_root)
+    settings = [(1, 1), (4, 8), (2, 3)]  # (workers, backend_concurrency)
+    for workers, concurrency in settings:
+        run(base_config(data_root, tmp_path / f"w{workers}c{concurrency}", workers=workers,
+                        backend_concurrency=concurrency),
+            gen_backend=WaitingOracle.from_question_pool(question_pool),
             evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
-    names = ["run_state.json"] + [f"iter_{k}/outcomes.json" for k in range(1, 5)]
+    names = ["run_state.json"] + [
+        f"iter_{k}/{artifact}" for k in range(1, 5)
+        for artifact in ("outcomes.json", "transcripts.json", "error_analysis_report.md")
+    ]
     for name in names:
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+        first, *others = [(tmp_path / f"w{w}c{c}" / name).read_bytes() for w, c in settings]
+        assert all(other == first for other in others), name
 
 
 def test_state_round_trip_and_schema_check(data_root, tmp_path):
@@ -437,6 +459,8 @@ def test_config_validation():
         RunConfig(data_root=".", output_dir=".", late_stage_start=1)
     with pytest.raises(ValueError):
         RunConfig(data_root=".", output_dir=".", workers=0)
+    with pytest.raises(ValueError, match="backend_concurrency"):
+        RunConfig(data_root=".", output_dir=".", backend_concurrency=0)
 
 
 def test_config_from_file(tmp_path, data_root):
