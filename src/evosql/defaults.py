@@ -108,11 +108,3 @@ def write_naive_package(dest_dir: str | Path) -> Path:
         instructions=NAIVE_EVAL_INSTRUCTIONS,
         tools={"extract_schema.py": NAIVE_EXTRACT_SCHEMA},
     )
-
-
-def write_default_strategy(dest_path: str | Path) -> Path:
-    """Write the built-in cross-pollination strategy file."""
-    path = Path(dest_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(DEFAULT_STRATEGY)
-    return path

@@ -108,15 +108,6 @@ class EloEngine:
         self.ratings[agent_id] = rating
         return rating
 
-    def rating_of(self, agent_id: str) -> Rating:
-        try:
-            return self.ratings[agent_id]
-        except KeyError:
-            raise UnknownAgentError(f"agent {agent_id!r} is not registered") from None
-
-    def total_rating(self) -> float:
-        return sum(r.value for r in self.ratings.values())
-
     def decompose_and_update(
         self, iteration: int, results: list[tuple[str, object]]
     ) -> list[MatchRecord]:

@@ -9,19 +9,27 @@ decimal line. A line written while a child runs kills it; the host still
 answers with its exit code. EOF on stdin ends the host, killing a running
 child first.
 
-The host imports only what it needs to serve requests, so a tool finds
-nearly the module state a fresh interpreter has. What still differs: the
-children of one host share its hash seed and the environment it started
-with, and a relative PYTHONPATH entry was resolved against the host's
-working directory, not the tool's.
+A child leaves by os._exit after the exit steps a tool can observe (see
+_exit), not by interpreter shutdown: tearing down the modules would only
+write to the pages the child shares with the host, copying them.
+
+The host imports only what it needs to serve requests, plus sqlite3, which
+every analysis tool imports, so a tool finds nearly the module state a
+fresh interpreter has. What still differs: the children of one host share
+its hash seed and the environment it started with, a relative PYTHONPATH
+entry was resolved against the host's working directory, not the tool's,
+and __del__ does not run for objects still alive at exit, other than files.
 """
 
+import _io
+import atexit
 import builtins
 import gc
 import json
 import os
 import select
 import signal
+import sqlite3  # noqa: F401  preloaded: every analysis tool imports it
 import sys
 import types
 
@@ -47,9 +55,10 @@ class _Lines:
         return line
 
 
-def _run_script(argv: list[str]) -> None:
-    """Run argv[0] as __main__; an uncaught exception is reported as a
-    fresh interpreter reports it."""
+def _run_script(argv: list[str]) -> int | None:
+    """Run argv[0] as __main__ and return its exit code, or None after an
+    uncaught KeyboardInterrupt. Exit messages and tracebacks go to stderr
+    as a fresh interpreter writes them."""
     script = os.path.abspath(argv[0])
     sys.argv = list(argv)
     sys.path[0] = os.path.dirname(os.path.realpath(script))
@@ -64,25 +73,100 @@ def _run_script(argv: list[str]) -> None:
     except OSError as exc:
         print(f"{sys.executable}: can't open file {argv[0]!r}: "
               f"[Errno {exc.errno}] {exc.strerror}", file=sys.stderr)
-        sys.exit(2)
+        return 2
     try:
         exec(compile(source, script, "exec"), main.__dict__)
-    except (SystemExit, KeyboardInterrupt):
-        raise
+    except SystemExit as exc:
+        return _exit_code(exc)
     except BaseException as exc:
         # Drop this frame: the traceback starts in the script, as under a
         # fresh interpreter, and is empty for a SyntaxError.
         exc.with_traceback(exc.__traceback__.tb_next)
         sys.excepthook(type(exc), exc, exc.__traceback__)
-        sys.exit(1)
+        return None if isinstance(exc, KeyboardInterrupt) else 1
+    return 0
+
+
+def _exit_code(exc: SystemExit) -> int:
+    """The exit status `python` gives for exc: an int code modulo 256, 0
+    for None, and 1 for any other code, which is written to stderr."""
+    if exc.code is None:
+        return 0
+    if isinstance(exc.code, int):
+        return exc.code & 0xFF
+    try:
+        sys.stderr.write(f"{exc.code}\n")
+    except Exception:
+        pass
+    return 1
+
+
+def _unraisable(obj, exc: BaseException) -> None:
+    """Report an exception raised while exiting, which cannot propagate,
+    as Python's default sys.unraisablehook does, without this module's
+    frame."""
+    import traceback
+
+    kind = type(exc)
+    name = kind.__qualname__
+    if kind.__module__ != "builtins":
+        name = f"{kind.__module__}.{name}"
+    frames = traceback.format_tb(exc.__traceback__.tb_next)
+    if frames:
+        frames.insert(0, "Traceback (most recent call last):\n")
+    try:
+        sys.stderr.write(f"Exception ignored in: {obj!r}\n{''.join(frames)}{name}: {exc}\n")
+    except Exception:
+        pass
+
+
+def _exit(code: int | None) -> None:
+    """Leave the child with exit code, or by SIGINT for None, after the
+    steps of interpreter shutdown that a tool can observe, in CPython's
+    order: non-daemon threads are joined, atexit handlers run, stdout and
+    stderr are flushed (exit code 120 if that fails), and the files the
+    tool left open are closed, as module teardown would close them. The
+    teardown itself is skipped."""
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        try:
+            threading._shutdown()
+        except BaseException as exc:
+            _unraisable(threading, exc)
+    atexit._run_exitfuncs()
+    # A fresh interpreter runs no signal handler past this point.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception as exc:
+            if stream is sys.stdout:
+                _unraisable(stream, exc)
+            if code is not None:
+                code = 120
+    # The host's objects are frozen, so these are the tool's own; the
+    # filter runs the C base type's check, at C speed. A text wrapper
+    # flushes into its buffered file, and that into its raw one, so they
+    # close in that order, and any other file last.
+    files = list(filter(_io._IOBase.__instancecheck__, gc.get_objects()))
+    for kind in (_io._TextIOBase, _io._BufferedIOBase, _io._IOBase):
+        for file in files:
+            if isinstance(file, kind):
+                try:
+                    file.close()
+                except Exception:
+                    pass
+    if code is None:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        code = 128 + signal.SIGINT
+    os._exit(code)
 
 
 def _child(request: dict) -> None:
-    """Body of the forked child. It leaves by SystemExit (or the tool's
-    KeyboardInterrupt), which no frame of the host catches, so the child
-    shuts down as a fresh interpreter would: non-daemon threads are
-    joined, atexit handlers run, files still open are flushed, and the
-    exit code is the one `python <script>` gives."""
+    """Body of the forked child: run the tool, then leave by _exit, with
+    the exit code `python <script>` gives."""
     os.chdir(request["cwd"])
     null = os.open(os.devnull, os.O_RDWR)
     err = os.open(request["stderr"], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
@@ -91,8 +175,7 @@ def _child(request: dict) -> None:
     os.dup2(err, 2)
     os.close(null)
     os.close(err)
-    _run_script(request["argv"])
-    sys.exit(0)
+    _exit(_run_script(request["argv"]))
 
 
 def _wait(pid: int, requests: _Lines, wakeup: int) -> int | None:
@@ -124,8 +207,8 @@ def main() -> None:
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
 
     # Keep the host's objects out of the collector's reach: collections in
-    # a child, and its shutdown, then leave the pages they sit on shared
-    # instead of copying them.
+    # a child then leave the pages they sit on shared instead of copying
+    # them, and the child can tell its own objects from the host's.
     gc.freeze()
     requests = _Lines(sys.stdin.fileno())
     while (line := requests.read()) is not None:
@@ -137,7 +220,11 @@ def main() -> None:
             os.close(wakeup_w)
             signal.signal(signal.SIGCHLD, signal.SIG_DFL)
             signal.signal(signal.SIGINT, signal.default_int_handler)
-            _child(request)
+            try:
+                _child(request)
+            finally:
+                # Never back into the host's loop, whatever escaped.
+                os._exit(1)
         status = _wait(pid, requests, wakeup)
         if status is None:
             return

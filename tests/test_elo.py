@@ -114,15 +114,15 @@ def test_decompose_worked_three_agent_case():
         ("B", "C", 0.5),
     ]
     assert all(r.iteration == 7 for r in records)
-    assert engine.rating_of("A").value > INITIAL_RATING
-    assert engine.rating_of("A").games == 2
-    assert engine.rating_of("B").games == 2
+    assert engine.ratings["A"].value > INITIAL_RATING
+    assert engine.ratings["A"].games == 2
+    assert engine.ratings["B"].games == 2
 
 
 def test_decompose_single_competitor_is_noop():
     engine = _engine(["A"])
     assert engine.decompose_and_update(1, [("A", Fraction(1, 2))]) == []
-    assert engine.rating_of("A").value == INITIAL_RATING
+    assert engine.ratings["A"].value == INITIAL_RATING
 
 
 def test_decompose_all_tied_leaves_ratings_unchanged():
@@ -166,12 +166,12 @@ def test_zero_sum_over_long_random_sequence():
     rng = random.Random(42)
     agent_ids = [f"agent{i}" for i in range(6)]
     engine = _engine(agent_ids)
-    total_before = engine.total_rating()
+    total_before = sum(r.value for r in engine.ratings.values())
     for iteration in range(2000):
         roster = rng.sample(agent_ids, rng.choice([2, 3, 4]))
         results = [(a, Fraction(rng.randrange(31), 30)) for a in roster]
         engine.decompose_and_update(iteration, results)
-    assert engine.total_rating() == pytest.approx(total_before, abs=1e-9)
+    assert sum(r.value for r in engine.ratings.values()) == pytest.approx(total_before, abs=1e-9)
 
 
 def test_match_record_round_trip():

@@ -10,7 +10,7 @@ from evosql.backends import (
     parse_file_blocks,
     render_evolution_request,
 )
-from evosql.defaults import DEFAULT_STRATEGY, write_default_strategy
+from evosql.defaults import DEFAULT_STRATEGY
 from evosql.errors import BackendError, EvolutionError
 from evosql.evolution import (
     EvolutionContext,
@@ -88,7 +88,7 @@ def _registry_with_naive(naive_package_dir):
 
 def test_build_context_initial_state(naive_package_dir, tmp_path):
     registry = _registry_with_naive(naive_package_dir)
-    strategy_path = write_default_strategy(tmp_path / "strategy.md")
+    strategy_path = tmp_path_strategy(tmp_path)
     context = build_context(registry, [], strategy_path)
     assert context.iteration == 1
     assert [row["agent_id"] for row in context.leaderboard] == ["naive"]
@@ -100,7 +100,7 @@ def test_build_context_initial_state(naive_package_dir, tmp_path):
 
 def test_build_context_reads_strategy_verbatim(naive_package_dir, tmp_path):
     registry = _registry_with_naive(naive_package_dir)
-    strategy_path = write_default_strategy(tmp_path / "strategy.md")
+    strategy_path = tmp_path_strategy(tmp_path)
     context = build_context(registry, [], strategy_path)
     assert context.strategy == DEFAULT_STRATEGY
     assert "combining successful elements from multiple existing agents" in context.strategy
@@ -133,7 +133,9 @@ def test_build_context_after_iteration(naive_package_dir, tmp_path):
 
 
 def tmp_path_strategy(tmp_path):
-    return write_default_strategy(tmp_path / "strategy.md")
+    path = tmp_path / "strategy.md"
+    path.write_text(DEFAULT_STRATEGY)
+    return path
 
 
 def test_evolve_agent_registers_valid_draft(naive_package_dir, tmp_path):

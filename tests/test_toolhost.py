@@ -53,35 +53,51 @@ def _run_both(hosts, workdir: Path, *args: str, timeout: float = 60) -> dict:
     return runs
 
 
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="needs /dev/full to make a flush fail")
+
+
 @pytest.mark.parametrize(
     "script,code,stderr_end",
     [
         ("x = 1\n", 0, ""),
         ("import sys\nsys.exit(None)\n", 0, ""),
         ("import sys\nsys.exit(3)\n", 3, ""),
+        ("import sys\nsys.exit(256)\n", 0, ""),
+        ("import sys\nsys.exit(-1)\n", 255, ""),
+        ("import sys\nsys.exit(True)\n", 1, ""),
+        ("import sys\nsys.exit(2 ** 40 + 7)\n", 7, ""),
         ("import sys\nsys.exit('msg')\n", 1, "msg\n"),
         ("def f():\n    raise ValueError('boom')\nf()\n", 1, "ValueError: boom\n"),
         ("def (\n", 1, "SyntaxError: invalid syntax\n"),
+        # Standard streams are flushed before module teardown would close
+        # the file that replaced one.
+        pytest.param("import sys\nsys.stdout = open('/dev/full', 'w')\nprint('x')\n", 120,
+                     "OSError: [Errno 28] No space left on device\n", marks=_NEEDS_DEV_FULL),
+        pytest.param("import sys\nsys.stderr = open('/dev/full', 'w')\n"
+                     "print('x', file=sys.stderr)\n", 120, "", marks=_NEEDS_DEV_FULL),
         ("raise KeyboardInterrupt\n", -signal.SIGINT, "KeyboardInterrupt\n"),
     ],
-    ids=["end", "exit-none", "exit-3", "exit-msg", "exception", "syntax-error", "interrupt"],
+    ids=["end", "exit-none", "exit-3", "exit-256", "exit-minus-1", "exit-true", "exit-2**40+7",
+         "exit-msg", "exception", "syntax-error", "stdout-flush-fails", "stderr-flush-fails",
+         "interrupt"],
 )
 def test_host_exit_codes_match_a_fresh_interpreter(hosts, tmp_path, script, code, stderr_end):
     runs = _run_both(hosts, _workdir(tmp_path, script))
     assert runs["host"][0] == runs["subprocess"][0] == code
     assert runs["host"][1].endswith(stderr_end)
     assert runs["subprocess"][1].endswith(stderr_end)
-    if code != -signal.SIGINT:
-        # A traceback starts in the script, as a fresh interpreter's does;
-        # only an interrupt's also shows the host's frames.
-        assert runs["host"][1] == runs["subprocess"][1]
+    # A traceback starts in the script, as a fresh interpreter's does.
+    assert runs["host"][1] == runs["subprocess"][1]
     if script.startswith("def f"):
         assert runs["host"][1].startswith("Traceback (most recent call last):\n")
 
 
-def test_host_shuts_down_like_a_fresh_interpreter(hosts, tmp_path):
+def test_host_shuts_down_like_a_fresh_interpreter(hosts, tmp_path, monkeypatch):
     # atexit handlers run, a non-daemon thread is joined, a file left open
-    # is flushed, and stderr is flushed before the exit code is reported.
+    # is flushed, and stderr is flushed before the exit code is reported;
+    # stderr is buffered unless PYTHONUNBUFFERED is set.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     script = (
         "import atexit, sys, threading, time\n"
         "atexit.register(lambda: sys.stderr.write(' atexit'))\n"
@@ -99,6 +115,96 @@ def test_host_shuts_down_like_a_fresh_interpreter(hosts, tmp_path):
     assert runs["host"] == runs["subprocess"] == (4, "no newline atexit")
     assert (workdir / "thread.txt").read_text() == "joined joined "
     assert (workdir / "unclosed.txt").read_text() == "flushed flushed "
+
+
+def test_interrupt_while_joining_threads_is_reported_and_ignored(hosts, tmp_path):
+    # Ctrl-C while the tool waits for its threads ends the wait, and exit
+    # goes on with atexit handlers and exit code 0.
+    script = (
+        "import atexit, os, signal, sys, threading, time\n"
+        "atexit.register(lambda: sys.stderr.write('atexit\\n'))\n"
+        "def interrupt():\n"
+        "    time.sleep(0.2)\n"
+        "    os.kill(os.getpid(), signal.SIGINT)\n"
+        "    time.sleep(60)\n"
+        "threading.Thread(target=interrupt).start()\n"
+    )
+    runs = _run_both(hosts, _workdir(tmp_path, script))
+    assert runs["host"] == runs["subprocess"]
+    code, stderr = runs["host"]
+    assert code == 0
+    assert stderr.startswith("Exception ignored in: <module 'threading'")
+    assert stderr.endswith("KeyboardInterrupt: \natexit\n")
+
+
+def test_host_closes_files_a_tool_left_open(hosts, tmp_path):
+    # Text, buffered and unbuffered files, one opened by an imported
+    # sibling module, and one written only by an atexit handler: each ends
+    # with all its data on disk.
+    script = (
+        "import atexit\n"
+        "import helper\n"
+        "appended = open('appended.bin', 'ab')\n"
+        "appended.write(b'ab ')\n"
+        "raw = open('raw.bin', 'ab', buffering=0)\n"
+        "raw.write(b'raw ')\n"
+        "late = open('late.txt', 'a')\n"
+        "atexit.register(late.write, 'atexit ')\n"
+    )
+    helper = "LOG = open('sibling.txt', 'a')\nLOG.write('sibling ')\n"
+    workdir = _workdir(tmp_path, script, helper=helper)
+    runs = _run_both(hosts, workdir)
+    assert runs["host"] == runs["subprocess"] == (0, "")
+    assert (workdir / "appended.bin").read_bytes() == b"ab ab "
+    assert (workdir / "raw.bin").read_bytes() == b"raw raw "
+    assert (workdir / "sibling.txt").read_text() == "sibling sibling "
+    assert (workdir / "late.txt").read_text() == "atexit atexit "
+
+
+def test_host_differs_from_a_fresh_interpreter_only_as_documented(hosts, tmp_path):
+    # The host preloads sqlite3, and a child leaves without tearing down
+    # its modules, so __del__ does not run for an object still alive at
+    # exit. Python does not promise that call at exit either.
+    script = (
+        "import json, sys\n"
+        "preloaded = 'sqlite3' in sys.modules\n"
+        "class Finalized:\n"
+        "    def __del__(self, open=open):  # builtins are gone by then\n"
+        "        with open('del.txt', 'a') as f:\n"
+        "            f.write('del ')\n"
+        "alive = Finalized()\n"
+        "with open('seen.json', 'a') as f:\n"
+        "    f.write(json.dumps(preloaded) + '\\n')\n"
+    )
+    workdir = _workdir(tmp_path, script)
+    runs = _run_both(hosts, workdir)
+    assert runs["host"] == runs["subprocess"] == (0, "")
+    assert (workdir / "seen.json").read_text().splitlines() == ["true", "false"]
+    assert (workdir / "del.txt").read_text() == "del "
+
+
+def test_module_state_does_not_leak_between_runs(hosts, tmp_path):
+    # The preloaded sqlite3 is the host's, but a run's changes to it stay
+    # in that run's child.
+    script = (
+        "import sqlite3\n"
+        "conn = sqlite3.connect(':memory:')\n"
+        "try:\n"
+        "    conn.execute('SELECT ?', (1j,))\n"
+        "    seen = 'adapted'\n"
+        "except sqlite3.ProgrammingError:\n"
+        "    seen = 'unsupported'\n"
+        "conn.close()\n"
+        "sqlite3.register_adapter(complex, str)\n"
+        "with open('seen.txt', 'a') as f:\n"
+        "    f.write(seen + ' ')\n"
+    )
+    workdir = _workdir(tmp_path, script)
+    argv = [sys.executable, "tools/probe.py"]
+    for _ in range(2):
+        assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
+    assert hosts.started == 1
+    assert (workdir / "seen.txt").read_text() == "unsupported unsupported "
 
 
 def test_host_sets_main_argv_path_and_cwd(hosts, tmp_path):
@@ -185,6 +291,28 @@ def test_tool_stdio_is_bounded(tool_path, tmp_path, school_db):
     assert result.fallback is True
     assert result.reason == "exit code 3: MARKER the real reason"
     assert result.text == extract_naive_schema(school_db)
+
+
+def test_tool_writing_its_database_leaves_the_pool_copy_unchanged(tool_path, tmp_path,
+                                                                   school_db):
+    # One committed INSERT, and one still in an open transaction at exit.
+    script = (
+        "import sqlite3\n"
+        "conn = sqlite3.connect('database.sqlite')\n"
+        "(count,) = conn.execute('SELECT count(*) FROM students').fetchone()\n"
+        "with open('tool_output/out.txt', 'w') as f:\n"
+        "    f.write(f'{count} students')\n"
+        "conn.execute(\"INSERT INTO students VALUES (6, 'Finn', 3, '2021-09-01')\")\n"
+        "conn.commit()\n"
+        "conn.execute(\"INSERT INTO students VALUES (7, 'Gus', 3, '2021-09-01')\")\n"
+    )
+    pkg = _package(tmp_path / "writer", script)
+    before = school_db.read_bytes()
+    first = run_agent_tool(pkg, school_db, timeout=60)
+    second = run_agent_tool(pkg, school_db, timeout=60)
+    assert (first.text, first.fallback) == ("5 students", False)
+    assert second == first
+    assert school_db.read_bytes() == before
 
 
 def test_concurrent_runs_start_at_most_one_host_per_caller(hosts, naive_package_dir, school_db):
