@@ -6,7 +6,7 @@ from .harness import QuestionOutcome, ResultTable, compare_results, execute_sql
 from .orchestrator import RunConfig, RunState, leaderboard, resume, run
 from .pipeline import assemble_prompt, generate_with_verification, sanitize_sql
 from .registry import AgentPackage, AgentRegistry, load_package, write_package
-from .scheduler import IterationPlan, QuestionItem, load_question_pool
+from .scheduler import QuestionItem, load_question_pool
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ __all__ = [
     "AgentRegistry",
     "DatabaseAnalysis",
     "EloEngine",
-    "IterationPlan",
     "MatchRecord",
     "QuestionItem",
     "QuestionOutcome",

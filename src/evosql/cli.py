@@ -10,7 +10,6 @@ from . import orchestrator, scheduler
 from .analyzer import DEFAULT_TOKEN_BUDGET, DEFAULT_TOOL_TIMEOUT, analyze
 from .harness import evaluate_agent, execute_gold, pool_map
 from .registry import load_package
-from .scheduler import IterationPlan, iteration_rng
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 
 
@@ -80,12 +79,9 @@ def cmd_evaluate(args) -> int:
     if unknown:
         raise SystemExit(f"unknown databases: {', '.join(unknown)}")
 
-    rng = iteration_rng(args.seed, 1)
+    rng = scheduler.iteration_rng(args.seed, 1)
     questions = {
-        db: rng.sample(
-            question_pool.get(db, []),
-            min(args.questions_per_db, len(question_pool.get(db, []))),
-        )
+        db: rng.sample(question_pool[db], min(args.questions_per_db, len(question_pool[db])))
         for db in databases
     }
     results = pool_map(
@@ -103,14 +99,13 @@ def cmd_evaluate(args) -> int:
             analyses[db] = text
     if not analyses:
         raise SystemExit("every database is evaluation-blocked")
-    plan = IterationPlan(
-        iteration=1, mode="none", databases=list(analyses),
-        questions={db: questions[db] for db in analyses}, competitors=[pkg.id],
-    )
+    questions = {db: questions[db] for db in analyses}
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
-    gold = execute_gold(plan, args.data_root)
+    gold = execute_gold(questions, args.data_root)
+    if not gold.results:
+        raise SystemExit("no scorable question: none sampled, or every gold query is defective")
     evaluation = evaluate_agent(
-        [pkg], plan, backend, {pkg.id: analyses}, gold, args.data_root,
+        [pkg], questions, backend, {pkg.id: analyses}, gold, args.data_root,
         workers=args.workers, backend_concurrency=args.backend_concurrency,
     )[pkg.id]
     print(f"agent: {pkg.id}")
@@ -149,13 +144,13 @@ def cmd_simulate(args) -> int:
         SyntheticAgent(agent_id=f"agent_{i + 1}", global_accuracy=p)
         for i, p in enumerate(latents)
     ]
-    base = SimulationConfig(
-        iterations=args.iterations,
-        seed=args.seed,
-        evolve=args.evolve,
-    )
+
+    def run(seed: int):
+        config = SimulationConfig(iterations=args.iterations, seed=seed, evolve=args.evolve)
+        return simulate(population, config)
+
     if args.seeds <= 1:
-        result = simulate(population, base)
+        result = run(args.seed)
         print(f"kendall tau (latent vs final ELO): {result.kendall_tau:.3f}")
         for agent_id in sorted(result.final_ratings, key=result.final_ratings.get, reverse=True):
             print(f"  {agent_id}: latent {result.latent_strengths[agent_id]:.2f} "
@@ -164,10 +159,7 @@ def cmd_simulate(args) -> int:
 
     order_matches = 0
     for seed in range(args.seed, args.seed + args.seeds):
-        config = SimulationConfig(
-            iterations=args.iterations, seed=seed, evolve=args.evolve
-        )
-        result = simulate(population, config)
+        result = run(seed)
         by_latent = sorted(population, key=lambda a: -result.latent_strengths[a.agent_id])
         by_rating = sorted(population, key=lambda a: -result.final_ratings[a.agent_id])
         order_matches += by_latent == by_rating

@@ -34,7 +34,7 @@ from pathlib import Path
 from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
 from .pipeline import VerificationTranscript, assemble_prompt, generate_with_verification
 from .registry import AgentPackage
-from .scheduler import IterationPlan, QuestionItem, database_path
+from .scheduler import QuestionItem, database_path
 
 logger = logging.getLogger(__name__)
 
@@ -208,12 +208,12 @@ def _run_gold(db_file: Path, sql: str, key: tuple[str, int], timeout: float) -> 
 
 
 def execute_gold(
-    plan: IterationPlan,
+    questions: dict[str, list[QuestionItem]],
     data_root: str | Path,
     timeout: float = DEFAULT_SQL_TIMEOUT,
     held: Iterable[GoldResults] = (),
 ) -> GoldResults:
-    """Execute every gold query in the plan exactly once.
+    """Execute the gold query of every question, by database, exactly once.
 
     Questions found in held (gold results of earlier iterations over the
     same question pool) are not run again: their GoldTable or defect reason
@@ -226,9 +226,9 @@ def execute_gold(
         known.update(past.results)
         known.update(past.defective)
     gold = GoldResults()
-    for db_id in plan.databases:
+    for db_id, items in questions.items():
         db_file = database_path(data_root, db_id)
-        for item in plan.questions[db_id]:
+        for item in items:
             key = (db_id, item.question_id)
             found = known[key] if key in known else _run_gold(db_file, item.gold_sql, key, timeout)
             if isinstance(found, GoldTable):
@@ -240,7 +240,7 @@ def execute_gold(
 
 @dataclass
 class AgentEvaluation:
-    """Accuracy and outcomes for one agent over one iteration plan."""
+    """Accuracy and outcomes for one agent over one iteration's questions."""
 
     agent_id: str
     matches: int
@@ -376,7 +376,7 @@ class _SlotReleasingBackend:
 
 def evaluate_agent(
     packages: list[AgentPackage],
-    plan: IterationPlan,
+    questions: dict[str, list[QuestionItem]],
     backend,
     analyses: dict[str, dict[str, str | None]],
     gold: GoldResults,
@@ -387,8 +387,8 @@ def evaluate_agent(
     workers: int = 1,
     backend_concurrency: int = 1,
 ) -> dict[str, AgentEvaluation]:
-    """Evaluate every package on every plan question; evaluations are keyed
-    by agent id, in the order of packages.
+    """Evaluate every package on every question (by db_id); evaluations
+    are keyed by agent id, in the order of packages.
 
     analyses maps agent id, then db_id, to that agent's database analysis
     text (None marks an evaluation-blocked database, whose questions count
@@ -402,16 +402,16 @@ def evaluate_agent(
         raise ValueError("workers and backend_concurrency must be >= 1")
     tasks = []
     for pkg in packages:
-        for db_id in plan.databases:
+        for db_id, items in questions.items():
             db_file = database_path(data_root, db_id)
-            for item in plan.questions[db_id]:
+            for item in items:
                 if (db_id, item.question_id) in gold.defective:
                     continue
                 tasks.append((pkg, item, analyses[pkg.id].get(db_id),
                               gold.results[(db_id, item.question_id)], db_file))
     if not tasks:
         raise InvalidStateError(
-            "no scorable questions (no agents, all gold SQL defective or plan empty)"
+            "no scorable questions (no agents, all gold SQL defective or no questions)"
         )
 
     cpu_slot = threading.Semaphore(workers)

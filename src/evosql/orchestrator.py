@@ -1,12 +1,12 @@
 """End-to-end run loop: sampling, evolution, evaluation, rating, persistence.
 
 One run executes N iterations. Iteration 1 evaluates the initial agent set
-as given; from iteration 2 on, the mode (evolve/challenger/none) decides
-whether a new agent is evolved (with Deep Focus refinement) before the
-roster is selected. Each iteration samples databases and questions, runs
-every competitor's analysis tool, evaluates all competitors on identical
-prompts in one shared queue of (agent, question) tasks, decomposes
-accuracies into pairwise ELO updates, and records the winners.
+in id order; from iteration 2 on, the mode (evolve/challenger/none) decides
+whether a new agent is evolved (with Deep Focus refinement) before
+scheduler.roster_for_iteration selects the roster. Each iteration samples
+databases and questions, runs every competitor's analysis tool, evaluates
+all competitors on identical prompts in one shared queue of (agent,
+question) tasks, and scheduler.settle_iteration rates and records them.
 
 State is one JSON file plus per-iteration artifact directories. Artifact
 paths inside the state are relative to the output directory and no clocks
@@ -38,7 +38,7 @@ from .errors import AnalysisError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
 from .harness import GoldResults, evaluate_agent, execute_gold, pool_map, write_error_analysis
 from .registry import AgentRegistry, load_package
-from .scheduler import IterationPlan, QuestionItem, iteration_rng
+from .scheduler import QuestionItem, iteration_rng
 
 logger = logging.getLogger(__name__)
 
@@ -253,6 +253,14 @@ def restore_registry(snapshot: dict, output_dir: Path) -> AgentRegistry:
     return registry
 
 
+def _http_backend(backend_class, rest: str):
+    """backend_class for the "<model>@<base_url>" part of an http: spec."""
+    model, _, base_url = rest.partition("@")
+    if not model or not base_url:
+        raise ValueError("http backend spec must be http:<model>@<base_url>")
+    return backend_class(base_url, model)
+
+
 def build_generation_backend(spec: str, question_pool=None):
     """Instantiate a generation backend from its CLI spec string.
 
@@ -267,10 +275,7 @@ def build_generation_backend(spec: str, question_pool=None):
     if scheme == "scripted":
         return ScriptedGenerationBackend.from_fixture(rest)
     if scheme == "http":
-        model, _, base_url = rest.partition("@")
-        if not model or not base_url:
-            raise ValueError("http backend spec must be http:<model>@<base_url>")
-        return HttpChatBackend(base_url, model)
+        return _http_backend(HttpChatBackend, rest)
     raise ValueError(f"unknown generation backend spec {spec!r}")
 
 
@@ -282,10 +287,7 @@ def build_evolution_backend(spec: str):
     if scheme == "scripted":
         return ScriptedEvolutionBackend.from_fixture(rest)
     if scheme == "http":
-        model, _, base_url = rest.partition("@")
-        if not model or not base_url:
-            raise ValueError("http backend spec must be http:<model>@<base_url>")
-        return HttpEvolutionBackend(base_url, model)
+        return _http_backend(HttpEvolutionBackend, rest)
     raise ValueError(f"unknown evolution backend spec {spec!r}")
 
 
@@ -413,9 +415,9 @@ class Orchestrator:
         self.registry.register(pkg)
         return pkg.id
 
-    def _evaluate(self, packages, plan: IterationPlan, analyses, gold: GoldResults):
+    def _evaluate(self, packages, questions, analyses, gold: GoldResults):
         return evaluate_agent(
-            packages, plan, self.gen_backend, analyses, gold, self.config.data_root,
+            packages, questions, self.gen_backend, analyses, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,
             max_rounds=self.config.max_rounds,
             workers=self.config.workers,
@@ -424,21 +426,15 @@ class Orchestrator:
 
     def _deep_focus_eval(self, pkg, record: IterationRecord):
         """Evaluate a candidate package on a past iteration's tasks."""
-        plan = IterationPlan(
-            iteration=record.iteration,
-            mode=record.mode,
-            databases=list(record.databases),
-            questions=record.questions,
-            competitors=[pkg.id],
-        )
-        texts = pool_map(lambda db: self._run_tool(pkg, db)[0], plan.databases, self.config.workers)
-        analyses = dict(zip(plan.databases, texts))
+        texts = pool_map(lambda db: self._run_tool(pkg, db)[0], record.databases,
+                         self.config.workers)
+        analyses = dict(zip(record.databases, texts))
         gold = self._gold_by_iteration.get(record.iteration)
         if gold is None:
             # Only after a resume. Held, so the iteration under way copies it.
-            gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout)
+            gold = execute_gold(record.questions, self.config.data_root, self.config.sql_timeout)
             self._gold_by_iteration[record.iteration] = gold
-        evaluation = self._evaluate([pkg], plan, {pkg.id: analyses}, gold)[pkg.id]
+        evaluation = self._evaluate([pkg], record.questions, {pkg.id: analyses}, gold)[pkg.id]
         matches = {(o.db_id, o.question_id): o.match for o in evaluation.outcomes}
         return evaluation.accuracy, matches
 
@@ -455,26 +451,9 @@ class Orchestrator:
             self.config.questions_per_database,
         )
 
-        new_agent = None
-        if iteration == 1:
-            # The first iteration evaluates the initial agent set as given.
-            mode = scheduler.MODE_NONE
-            competitors = self.registry.agent_ids()
-        else:
-            mode = scheduler.choose_mode(iteration, rng, self.config.late_stage_start)
-            if mode == scheduler.MODE_EVOLVE:
-                new_agent = self._evolve_for_iteration(iteration, iter_dir)
-                if new_agent is None:
-                    mode = scheduler.MODE_NONE
-            competitors = scheduler.select_competitors(mode, self.registry, new_agent, rng)
-
-        plan = IterationPlan(
-            iteration=iteration,
-            mode=mode,
-            databases=databases,
-            questions=questions,
-            competitors=competitors,
-            new_agent_slot=mode == scheduler.MODE_EVOLVE,
+        mode, competitors, new_agent = scheduler.roster_for_iteration(
+            iteration, self.registry, rng, lambda it: self._evolve_for_iteration(it, iter_dir),
+            self.config.late_stage_start,
         )
         logger.info("iteration %d: mode=%s databases=%s competitors=%s",
                     iteration, mode, databases, competitors)
@@ -488,7 +467,7 @@ class Orchestrator:
         # Questions the window already holds are not run again. Deep Focus
         # is done with the gold no later iteration replays, so it is dropped
         # once this iteration has copied what it needs from it.
-        gold = execute_gold(plan, self.config.data_root, self.config.sql_timeout,
+        gold = execute_gold(questions, self.config.data_root, self.config.sql_timeout,
                             held=self._gold_by_iteration.values())
         self._gold_by_iteration.pop(iteration - self.config.deep_focus_k, None)
         if self.config.deep_focus_k:
@@ -496,7 +475,7 @@ class Orchestrator:
 
         evaluations = self._evaluate(
             [self.registry.package(agent_id) for agent_id in competitors],
-            plan, analyses_by_agent, gold,
+            questions, analyses_by_agent, gold,
         )
         all_outcomes = []
         for agent_id, evaluation in evaluations.items():
@@ -504,19 +483,23 @@ class Orchestrator:
             logger.info("iteration %d: %s scored %d/%d", iteration, agent_id,
                         evaluation.matches, evaluation.total)
 
-        accuracies = {agent_id: ev.accuracy for agent_id, ev in evaluations.items()}
-        match_records = self.registry.elo.decompose_and_update(
-            iteration, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
+        match_records, winners = scheduler.settle_iteration(
+            iteration, self.registry, competitors,
+            {agent_id: ev.accuracy for agent_id, ev in evaluations.items()},
         )
-        winners = scheduler.determine_winners(accuracies)
-        self.registry.record_iteration_outcome(competitors, winners)
 
         report = write_error_analysis(iteration, all_outcomes)
         report_path = iter_dir / "error_analysis_report.md"
         report_path.write_text(report)
-        (iter_dir / "plan.json").write_text(
-            json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        plan = {
+            "iteration": iteration,
+            "mode": mode,
+            "databases": databases,
+            "questions": {db: [q.to_dict() for q in items] for db, items in questions.items()},
+            "competitors": competitors,
+            "new_agent_slot": new_agent is not None,
+        }
+        (iter_dir / "plan.json").write_text(json.dumps(plan, indent=2, sort_keys=True) + "\n")
         (iter_dir / "outcomes.json").write_text(
             json.dumps([o.to_dict() for o in all_outcomes], indent=2, sort_keys=True) + "\n"
         )

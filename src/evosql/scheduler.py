@@ -1,9 +1,10 @@
-"""Per-iteration task sampling, mode selection, and competitor rosters.
+"""Per-iteration task sampling and the tournament's selection and rating rules.
 
-All functions here are pure over registry snapshots plus an explicit RNG, so
-they can be called from any thread and replayed deterministically. The
-per-iteration RNG is derived from (run_seed, iteration) with a stable hash,
-so a resumed run resamples exactly what an uninterrupted run would have.
+roster_for_iteration (mode, evolution, competitors) and settle_iteration
+(pairwise ELO, winners, bookkeeping) are the one copy of those rules, shared
+by the real run loop and by simulation. The per-iteration RNG is derived
+from (run_seed, iteration) with a stable hash, so a resumed run resamples
+exactly what an uninterrupted run would have.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .elo import MatchRecord
 from .errors import DataValidationError, InvalidStateError
 from .registry import AgentRegistry
 
@@ -62,30 +64,6 @@ class QuestionItem:
     @classmethod
     def from_dict(cls, data: dict) -> "QuestionItem":
         return cls(**data)
-
-
-@dataclass
-class IterationPlan:
-    """Everything one iteration needs: mode, roster, and sampled tasks."""
-
-    iteration: int
-    mode: str
-    databases: list[str]
-    questions: dict[str, list[QuestionItem]]
-    competitors: list[str]
-    new_agent_slot: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mode": self.mode,
-            "databases": list(self.databases),
-            "questions": {
-                db: [q.to_dict() for q in items] for db, items in self.questions.items()
-            },
-            "competitors": list(self.competitors),
-            "new_agent_slot": self.new_agent_slot,
-        }
 
 
 def iteration_rng(run_seed: int, iteration: int) -> random.Random:
@@ -252,3 +230,38 @@ def determine_winners(accuracies: dict[str, object]) -> set[str]:
         raise ValueError("accuracies must be non-empty")
     best = max(accuracies.values())
     return {agent for agent, acc in accuracies.items() if acc == best}
+
+
+def roster_for_iteration(
+    iteration: int, registry: AgentRegistry, rng: random.Random, evolve=None,
+    late_stage_start: int = DEFAULT_LATE_STAGE_START,
+) -> tuple[str, list[str], str | None]:
+    """The iteration's (mode, competitors, new agent id or None).
+
+    Iteration 1 fields the whole population in id order and draws nothing
+    from rng. Later iterations draw a mode only when evolve is given, and
+    are none-mode otherwise. In evolve mode, evolve(iteration) registers a
+    new agent and returns its id; None degrades the iteration to none-mode.
+    """
+    if iteration == 1:
+        return MODE_NONE, registry.agent_ids(), None
+    mode = choose_mode(iteration, rng, late_stage_start) if evolve else MODE_NONE
+    new_agent = None
+    if mode == MODE_EVOLVE:
+        new_agent = evolve(iteration)
+        if new_agent is None:
+            mode = MODE_NONE
+    return mode, select_competitors(mode, registry, new_agent, rng), new_agent
+
+
+def settle_iteration(
+    iteration: int, registry: AgentRegistry, competitors: list[str], accuracies: dict[str, object]
+) -> tuple[list[MatchRecord], set[str]]:
+    """Rate and record one iteration: pairwise ELO updates in roster order,
+    then the winners, then the registry's win bookkeeping."""
+    match_records = registry.elo.decompose_and_update(
+        iteration, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
+    )
+    winners = determine_winners(accuracies)
+    registry.record_iteration_outcome(competitors, winners)
+    return match_records, winners

@@ -2,10 +2,10 @@
 
 Replaces generation and evolution with synthetic agents: each agent carries a
 latent per-database correctness probability, and per-question outcomes are
-independent Bernoulli draws. The same mode selection, roster rules, pairwise
-ELO decomposition, and winner bookkeeping as the real loop apply, which makes
-properties like convergence to latent strength and bounded ratings under
-non-transitive matchups cheap to verify.
+independent Bernoulli draws. The real loop's roster and settle steps
+(scheduler.roster_for_iteration and scheduler.settle_iteration) run
+unchanged, which makes properties like convergence to latent strength and
+bounded ratings under non-transitive matchups cheap to verify.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +15,7 @@ from itertools import combinations
 from . import scheduler
 from .errors import InvalidStateError
 from .registry import AgentRegistry
-from .scheduler import iteration_rng
 
-DEFAULT_QUESTIONS_PER_DATABASE = 30
 DEFAULT_EVOLVE_DELTA = 0.02
 DEFAULT_EVOLVE_CAP = 0.95
 
@@ -53,7 +51,7 @@ class SimulationConfig:
     iterations: int = 100
     seed: int = 0
     databases: list[str] = field(default_factory=lambda: [f"db{i}" for i in range(1, 7)])
-    questions_per_database: int = DEFAULT_QUESTIONS_PER_DATABASE
+    questions_per_database: int = scheduler.QUESTIONS_PER_DATABASE
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
     evolve: bool = False
     evolve_delta: float = DEFAULT_EVOLVE_DELTA
@@ -72,7 +70,6 @@ class SimulationResult:
     final_ratings: dict[str, float]
     trajectories: list[dict[str, float]]
     accuracies: list[dict[str, Fraction]]
-    winners: list[list[str]]
     kendall_tau: float
     latent_strengths: dict[str, float]
 
@@ -92,32 +89,18 @@ def kendall_tau(xs: list[float], ys: list[float]) -> float:
     return (concordant - discordant) / pairs
 
 
-def _default_evolve_rule(parents: list[SyntheticAgent], config: SimulationConfig,
-                         agent_id: str) -> SyntheticAgent:
-    """New latent per database: best parent latent plus a delta, capped."""
-    latents = {
-        db: min(config.evolve_cap, max(p.latent_for(db) for p in parents) + config.evolve_delta)
-        for db in config.databases
-    }
-    return SyntheticAgent(agent_id=agent_id, latents=latents)
-
-
-def simulate(
-    population: list[SyntheticAgent],
-    config: SimulationConfig,
-    evolve_rule=None,
-) -> SimulationResult:
+def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> SimulationResult:
     """Run the evolution cycle with synthetic outcomes.
 
-    Iteration 1 fields the whole initial population; later iterations use
-    the regular mode machinery. With config.evolve false every later
-    iteration is a none-mode roster, keeping the population fixed; with it
-    true, evolve-mode iterations add a synthetic agent derived from the
-    pending winners (or the top two by ELO) via evolve_rule.
+    Iteration 1 fields the whole initial population in id order. With
+    config.evolve false every later iteration is a none-mode roster,
+    keeping the population fixed; with it true, an evolve-mode iteration
+    adds a synthetic agent whose latent per database is the best among the
+    pending winners (or the top two by ELO) plus evolve_delta, capped at
+    evolve_cap.
     """
     if len(population) < 2:
         raise ValueError("population must have at least 2 agents")
-    evolve_rule = evolve_rule or _default_evolve_rule
 
     registry = AgentRegistry()
     agents = {}
@@ -125,33 +108,29 @@ def simulate(
         registry.register_record(agent.agent_id)
         agents[agent.agent_id] = agent
 
+    def evolve(iteration: int) -> str:
+        parents = [agents[a] for a in registry.pending_winners() or registry.top_by_elo(2)]
+        agent_id = f"iter{iteration}_evolved"
+        agents[agent_id] = SyntheticAgent(agent_id, latents={
+            db: min(config.evolve_cap,
+                    max(p.latent_for(db) for p in parents) + config.evolve_delta)
+            for db in config.databases
+        })
+        registry.register_record(agent_id)
+        return agent_id
+
     trajectories: list[dict[str, float]] = []
     accuracy_history: list[dict[str, Fraction]] = []
-    winner_history: list[list[str]] = []
 
     for iteration in range(1, config.iterations + 1):
-        rng = iteration_rng(config.seed, iteration)
+        rng = scheduler.iteration_rng(config.seed, iteration)
         databases = rng.sample(
             config.databases, min(config.databases_per_iteration, len(config.databases))
         )
-
-        if iteration == 1:
-            competitors = [a.agent_id for a in population]
-        else:
-            mode = (
-                scheduler.choose_mode(iteration, rng, config.late_stage_start)
-                if config.evolve
-                else scheduler.MODE_NONE
-            )
-            new_agent_id = None
-            if mode == scheduler.MODE_EVOLVE:
-                parent_ids = registry.pending_winners() or registry.top_by_elo(2)
-                parents = [agents[a] for a in parent_ids]
-                new_agent_id = f"iter{iteration}_evolved"
-                new_agent = evolve_rule(parents, config, new_agent_id)
-                registry.register_record(new_agent_id)
-                agents[new_agent_id] = new_agent
-            competitors = scheduler.select_competitors(mode, registry, new_agent_id, rng)
+        _, competitors, _ = scheduler.roster_for_iteration(
+            iteration, registry, rng, evolve if config.evolve else None,
+            config.late_stage_start,
+        )
 
         accuracies: dict[str, Fraction] = {}
         for agent_id in competitors:
@@ -165,16 +144,10 @@ def simulate(
                     if rng.random() < latent:
                         correct += 1
             accuracies[agent_id] = Fraction(correct, total)
-
-        registry.elo.decompose_and_update(
-            iteration, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
-        )
-        winners = scheduler.determine_winners(accuracies)
-        registry.record_iteration_outcome(competitors, winners)
+        scheduler.settle_iteration(iteration, registry, competitors, accuracies)
 
         trajectories.append({a: r.rating.value for a, r in registry.records.items()})
         accuracy_history.append(accuracies)
-        winner_history.append(sorted(winners))
 
     final_ratings = {a: r.rating.value for a, r in registry.records.items()}
     latent_strengths = {a: agents[a].mean_latent(config.databases) for a in final_ratings}
@@ -186,7 +159,6 @@ def simulate(
         final_ratings=final_ratings,
         trajectories=trajectories,
         accuracies=accuracy_history,
-        winners=winner_history,
         kendall_tau=tau,
         latent_strengths=latent_strengths,
     )

@@ -18,7 +18,8 @@ every analysis tool imports, so a tool finds nearly the module state a
 fresh interpreter has. What still differs: the children of one host share
 its hash seed and the environment it started with, a relative PYTHONPATH
 entry was resolved against the host's working directory, not the tool's,
-and __del__ does not run for objects still alive at exit, other than files.
+and __del__ does not run for objects still alive at exit, other than files
+and named temporary files.
 """
 
 import _io
@@ -125,8 +126,8 @@ def _exit(code: int | None) -> None:
     steps of interpreter shutdown that a tool can observe, in CPython's
     order: non-daemon threads are joined, atexit handlers run, stdout and
     stderr are flushed (exit code 120 if that fails), and the files the
-    tool left open are closed, as module teardown would close them. The
-    teardown itself is skipped."""
+    tool left open are closed, named temporary ones deleted, as module
+    teardown would. The teardown itself is skipped."""
     threading = sys.modules.get("threading")
     if threading is not None:
         try:
@@ -145,18 +146,23 @@ def _exit(code: int | None) -> None:
                 _unraisable(stream, exc)
             if code is not None:
                 code = 120
-    # The host's objects are frozen, so these are the tool's own; the
-    # filter runs the C base type's check, at C speed. A text wrapper
-    # flushes into its buffered file, and that into its raw one, so they
-    # close in that order, and any other file last.
-    files = list(filter(_io._IOBase.__instancecheck__, gc.get_objects()))
-    for kind in (_io._TextIOBase, _io._BufferedIOBase, _io._IOBase):
-        for file in files:
-            if isinstance(file, kind):
-                try:
-                    file.close()
-                except Exception:
-                    pass
+    # The host's objects are frozen, so these are the tool's own; each
+    # filter runs a type's check at C speed. A text wrapper flushes into
+    # its buffered file, and that into its raw one, so they close in that
+    # order, and any other file last.
+    objects = gc.get_objects()
+    kinds = [_io._TextIOBase, _io._BufferedIOBase, _io._IOBase]
+    tempfile = sys.modules.get("tempfile")
+    if tempfile is not None:
+        # Closing a named temporary file's wrapper deletes the file, as its
+        # __del__ would at teardown; closing its file object does not.
+        kinds.insert(0, tempfile._TemporaryFileWrapper)
+    for kind in kinds:
+        for file in filter(kind.__instancecheck__, objects):
+            try:
+                file.close()
+            except Exception:
+                pass
     if code is None:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from evosql import scheduler
 from evosql.defaults import write_naive_package
 
 SCHOOL_SCHEMA = """
@@ -256,3 +257,22 @@ def make_evolution_response(name: str, label: str | None = None,
         "```file=tools/analyze.py\n" + tool + "```\n"
         "```file=reasoning.md\n" + reasoning + "\n```\n"
     )
+
+
+def record_iteration_steps(monkeypatch) -> list[tuple[str, int]]:
+    """Record each call of the shared roster and settle steps as (step
+    name, iteration), in call order."""
+    calls = []
+    for name in ("roster_for_iteration", "settle_iteration"):
+        def recorder(iteration, *args, _name=name, _step=getattr(scheduler, name), **kwargs):
+            calls.append((_name, iteration))
+            return _step(iteration, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, name, recorder)
+    return calls
+
+
+def steps_per_iteration(iterations: int) -> list[tuple[str, int]]:
+    """What record_iteration_steps holds after iterations 1..iterations."""
+    return [(name, iteration) for iteration in range(1, iterations + 1)
+            for name in ("roster_for_iteration", "settle_iteration")]

@@ -8,7 +8,7 @@ from evosql import orchestrator
 from evosql.backends import OracleGenerationBackend
 from evosql.cli import main
 from evosql.registry import write_package
-from tests.conftest import make_evolution_response
+from tests.conftest import make_database, make_evolution_response
 
 
 def test_analyze_command(school_db, capsys):
@@ -135,6 +135,18 @@ def test_evaluate_blocks_oversized_analysis(data_root, tmp_path, monkeypatch, ca
     (backend,) = backends
     assert backend.system_texts
     assert not any("FLOOD" in text for text in backend.system_texts)
+
+
+def test_evaluate_without_a_scorable_question_exits_with_a_message(naive_package_dir,
+                                                                  tmp_path):
+    make_database(tmp_path / "data" / "one" / "one.sqlite", "CREATE TABLE t (x INTEGER);")
+    (tmp_path / "data" / "questions.json").write_text(json.dumps([
+        {"question_id": 1, "db_id": "one", "question": "Broken?", "SQL": "SELEC broken"},
+    ]))
+    with pytest.raises(SystemExit, match="^no scorable question: none sampled, or every "
+                                         "gold query is defective$"):
+        main(["evaluate", "--agent-dir", str(naive_package_dir),
+              "--data-root", str(tmp_path / "data")])
 
 
 def test_run_with_config_file(data_root, tmp_path, capsys):

@@ -25,7 +25,7 @@ from evosql.harness import (
     write_error_analysis,
 )
 from evosql.registry import load_package
-from evosql.scheduler import IterationPlan, QuestionItem, load_question_pool
+from evosql.scheduler import QuestionItem, load_question_pool
 from tests.conftest import make_database
 
 
@@ -232,29 +232,22 @@ def test_compare_reflexive_and_permutation_invariant(rows):
 
 def _plan(data_root, db_ids=("school",), limit=None):
     _, question_pool = load_question_pool(data_root)
-    questions = {
+    return {
         db: question_pool[db][:limit] if limit else list(question_pool[db])
         for db in db_ids
     }
-    return IterationPlan(
-        iteration=1,
-        mode="none",
-        databases=list(db_ids),
-        questions=questions,
-        competitors=[],
-    )
 
 
 def test_execute_gold_caches_per_question(data_root):
     plan = _plan(data_root)
     gold = execute_gold(plan, data_root)
-    assert len(gold.results) == len(plan.questions["school"])
+    assert len(gold.results) == len(plan["school"])
     assert not gold.defective
 
 
 def test_execute_gold_flags_defective(data_root):
     plan = _plan(data_root, limit=2)
-    plan.questions["school"][0].gold_sql = "SELEC broken"
+    plan["school"][0].gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
     assert ("school", 1) in gold.defective
     assert ("school", 2) in gold.results
@@ -292,9 +285,7 @@ def test_truncated_gold_is_defective(tmp_path, monkeypatch):
         QuestionItem(1, "numbers", "All numbers?", gold_sql="SELECT x FROM t"),
         QuestionItem(2, "numbers", "Small numbers?", gold_sql="SELECT x FROM t WHERE x <= 100"),
     ]
-    plan = IterationPlan(iteration=1, mode="none", databases=["numbers"],
-                         questions={"numbers": items}, competitors=[])
-    gold = execute_gold(plan, root)
+    gold = execute_gold({"numbers": items}, root)
     assert "ROW_CAP" in gold.defective[("numbers", 1)]
     assert list(gold.results) == [("numbers", 2)]
 
@@ -319,7 +310,7 @@ def _analyses_for(pkg, plan, data_root):
     from evosql.scheduler import database_path
 
     return {
-        db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan.databases
+        db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan
     }
 
 
@@ -364,7 +355,7 @@ def test_evaluate_agent_counts_failures(data_root, naive_package_dir):
 def test_evaluate_agent_excludes_defective_gold(data_root, naive_package_dir):
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root, limit=3)
-    plan.questions["school"][0].gold_sql = "SELEC broken"
+    plan["school"][0].gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
@@ -376,7 +367,7 @@ def test_evaluate_agent_excludes_defective_gold(data_root, naive_package_dir):
 def test_evaluate_agent_all_gold_defective(data_root, naive_package_dir):
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root, limit=2)
-    for item in plan.questions["school"]:
+    for item in plan["school"]:
         item.gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
     with pytest.raises(InvalidStateError):
@@ -402,7 +393,7 @@ def test_gold_executed_once_regardless_of_agent_count(data_root, naive_package_d
 
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root, limit=3)
-    gold_sql_texts = {q.gold_sql for q in plan.questions["school"]}
+    gold_sql_texts = {q.gold_sql for q in plan["school"]}
     calls = {"gold": 0}
     real_execute = harness_module.execute_sql
 
@@ -417,7 +408,7 @@ def test_gold_executed_once_regardless_of_agent_count(data_root, naive_package_d
     analyses = _analyses_for(pkg, plan, data_root)
     for _ in range(3):  # three agents sharing one iteration's gold cache
         _evaluate_one(pkg, plan, backend, analyses, gold, data_root)
-    assert calls["gold"] == len(plan.questions["school"])
+    assert calls["gold"] == len(plan["school"])
 
 
 def _count_sql(monkeypatch):
@@ -447,7 +438,7 @@ def test_accepted_question_executes_sql_once(data_root, naive_package_dir, monke
     (outcome,) = evaluation.outcomes
     assert outcome.match
     assert outcome.transcript.attempts[-1].verdict == "accepted_correct"
-    assert calls == [plan.questions["school"][0].gold_sql]
+    assert calls == [plan["school"][0].gold_sql]
 
 
 def test_failing_sql_executes_once_per_text(data_root, naive_package_dir, monkeypatch):
@@ -542,7 +533,7 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
         )
     finally:
         sys.setswitchinterval(interval)
-    assert [ev.matches for ev in evaluations.values()] == [len(plan.questions["school"])] * 2
+    assert [ev.matches for ev in evaluations.values()] == [len(plan["school"])] * 2
     assert peak["backend"] >= concurrency
     assert 1 <= peak["sql"] <= workers
 

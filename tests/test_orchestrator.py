@@ -25,7 +25,7 @@ from evosql.orchestrator import (
 from evosql.pipeline import CORRECT_SENTINEL, extract_question
 from evosql.registry import write_package
 from evosql.scheduler import load_question_pool
-from tests.conftest import make_evolution_response
+from tests.conftest import make_evolution_response, record_iteration_steps, steps_per_iteration
 
 
 def evolution_fixtures(upto: int, refine: bool = True):
@@ -281,9 +281,9 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     evaluated = []
     real_evaluate = orchestrator_module.evaluate_agent
 
-    def recording_evaluate(packages, plan, *args, **kwargs):
-        evaluated.append((plan.iteration, tuple(pkg.id for pkg in packages)))
-        return real_evaluate(packages, plan, *args, **kwargs)
+    def recording_evaluate(packages, questions, *args, **kwargs):
+        evaluated.append((id(questions), tuple(pkg.id for pkg in packages)))
+        return real_evaluate(packages, questions, *args, **kwargs)
 
     monkeypatch.setattr(orchestrator_module, "evaluate_agent", recording_evaluate)
     state = run(
@@ -293,12 +293,23 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     )
     second = state.iterations[1]
     assert second.mode == "evolve"
+    # Each iteration's record holds the very questions it was scored on.
+    iteration_of = {id(record.questions): record.iteration for record in state.iterations}
+    evaluated = [(iteration_of[key], agents) for key, agents in evaluated]
     # One evaluation per iteration, all competitors at once, and Deep Focus
-    # scored the new agent on iteration 1's plan...
+    # scored the new agent on iteration 1's questions...
     assert evaluated == [(1, ("naive",)), (1, (second.new_agent,)),
                          (2, tuple(second.competitors))]
     # ...yet every gold query ran once and never again.
     assert sorted(gold_runs) == distinct_gold(state.iterations)
+
+
+def test_each_iteration_runs_the_shared_roster_and_settle_steps(data_root, tmp_path,
+                                                                monkeypatch):
+    calls = record_iteration_steps(monkeypatch)
+    run(base_config(data_root, tmp_path / "out", iterations=3),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(3)))
+    assert calls == steps_per_iteration(3)
 
 
 def test_gold_runs_once_per_question_and_again_after_resume(data_root, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
-"""Tests for task sampling, mode selection, and roster rules."""
+"""Tests for task sampling, mode selection, roster rules, and the shared
+roster and settle steps."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +16,10 @@ from evosql.scheduler import (
     determine_winners,
     iteration_rng,
     load_question_pool,
+    roster_for_iteration,
     sample_iteration_tasks,
     select_competitors,
+    settle_iteration,
 )
 
 
@@ -225,3 +229,74 @@ def test_iteration_rng_stable_across_processes():
     assert iteration_rng(0, 1).random() == iteration_rng(0, 1).random()
     values = [iteration_rng(9, i).random() for i in range(1, 5)]
     assert len(set(values)) == len(values)
+
+
+def _never_evolve(iteration):
+    raise AssertionError(f"iteration {iteration} must not evolve")
+
+
+def test_roster_iteration_one_seats_everyone_in_id_order_without_drawing():
+    registry = _registry([("b", 1500, 0, False), ("a", 1500, 0, False), ("c", 1500, 0, False)])
+    rng = random.Random(3)
+    before = rng.getstate()
+    assert roster_for_iteration(1, registry, rng, _never_evolve) == (
+        MODE_NONE, ["a", "b", "c"], None
+    )
+    assert rng.getstate() == before
+
+
+def test_roster_without_evolve_makes_no_mode_draw():
+    registry = _registry([(f"a{i}", 1500 + 10 * i, 1, False) for i in range(6)])
+    rng, reference = random.Random(7), random.Random(7)
+    mode, roster, new_agent = roster_for_iteration(20, registry, rng, late_stage_start=12)
+    assert (mode, new_agent) == (MODE_NONE, None)
+    assert roster == select_competitors(MODE_NONE, registry, rng=reference)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_roster_evolve_returning_none_degrades_to_none_mode():
+    registry = _registry([(f"a{i}", 1500 + 10 * i, 1, i == 0) for i in range(6)])
+    asked = []
+
+    def failing(iteration):
+        asked.append(iteration)
+        return None
+
+    mode, roster, new_agent = roster_for_iteration(2, registry, random.Random(4), failing)
+    assert asked == [2]
+    assert (mode, new_agent) == (MODE_NONE, None)
+    assert roster == select_competitors(MODE_NONE, registry, rng=random.Random(4))
+
+    def evolving(iteration):
+        registry.register_record(f"iter{iteration}_new")
+        return f"iter{iteration}_new"
+
+    mode, roster, new_agent = roster_for_iteration(2, registry, random.Random(4), evolving)
+    assert (mode, new_agent) == (MODE_EVOLVE, "iter2_new")
+    assert roster == select_competitors(MODE_EVOLVE, registry, "iter2_new", random.Random(4))
+
+
+def test_settle_equals_the_inline_rating_sequence():
+    spec = [("b", 1510, 2, True), ("a", 1490, 1, False), ("c", 1500, 3, False)]
+    shared, inline = _registry(spec), _registry(spec)
+    competitors = ["b", "c", "a"]
+    accuracies = {"b": Fraction(2, 3), "c": Fraction(1, 3), "a": Fraction(2, 3)}
+
+    match_records, winners = settle_iteration(5, shared, competitors, accuracies)
+
+    expected_records = inline.elo.decompose_and_update(
+        5, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
+    )
+    expected_winners = determine_winners(accuracies)
+    inline.record_iteration_outcome(competitors, expected_winners)
+    assert [m.to_dict() for m in match_records] == [m.to_dict() for m in expected_records]
+    assert winners == expected_winners == {"a", "b"}
+
+    def snapshot(registry):
+        return {
+            agent_id: (r.rating.value, r.rating.games, r.tests, r.iteration_wins,
+                       r.pending_winner)
+            for agent_id, r in registry.records.items()
+        }
+
+    assert snapshot(shared) == snapshot(inline)

@@ -8,6 +8,7 @@ from evosql.simulate import (
     kendall_tau,
     simulate,
 )
+from tests.conftest import record_iteration_steps, steps_per_iteration
 
 
 def global_population(latents):
@@ -131,6 +132,13 @@ def test_evolution_adds_capped_agents():
     assert all(0 <= result.latent_strengths[a] <= 0.9 for a in evolved)
     # New agents enter at 1500 and the population grew by one per evolution.
     assert len(result.final_ratings) == 2 + len(evolved)
+
+
+def test_each_iteration_runs_the_shared_roster_and_settle_steps(monkeypatch):
+    calls = record_iteration_steps(monkeypatch)
+    config = SimulationConfig(iterations=8, seed=2, evolve=True, late_stage_start=4)
+    simulate(global_population([0.7, 0.3]), config)
+    assert calls == steps_per_iteration(8)
 
 
 def test_evolution_disabled_keeps_population_fixed():

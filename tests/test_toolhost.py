@@ -161,6 +161,25 @@ def test_host_closes_files_a_tool_left_open(hosts, tmp_path):
     assert (workdir / "late.txt").read_text() == "atexit atexit "
 
 
+def test_host_deletes_named_temporary_files_a_tool_left_open(hosts, tmp_path):
+    # The files go outside the working directory, which run_agent_tool
+    # removes after every run: only the tool's exit can delete them.
+    leaks = tmp_path / "leaks"
+    leaks.mkdir()
+    script = (
+        "import sys, tempfile\n"
+        "leak = tempfile.NamedTemporaryFile('w', prefix='leak', dir=sys.argv[1])\n"
+        "leak.write('unflushed')\n"
+        "with open('created.txt', 'a') as f:\n"
+        "    f.write(leak.name + '\\n')\n"
+    )
+    workdir = _workdir(tmp_path, script)
+    runs = _run_both(hosts, workdir, str(leaks))
+    assert runs["host"] == runs["subprocess"] == (0, "")
+    assert len((workdir / "created.txt").read_text().splitlines()) == 2
+    assert list(leaks.iterdir()) == []
+
+
 def test_host_differs_from_a_fresh_interpreter_only_as_documented(hosts, tmp_path):
     # The host preloads sqlite3, and a child leaves without tearing down
     # its modules, so __del__ does not run for an object still alive at
