@@ -79,7 +79,6 @@ class ScriptedGenerationBackend:
     resume.
     """
 
-    identity = "scripted"
     in_process = True
 
     def __init__(
@@ -116,7 +115,6 @@ class OracleGenerationBackend:
     accepts on verification. Useful for end-to-end determinism tests and
     harness smoke runs."""
 
-    identity = "oracle"
     in_process = True
 
     def __init__(self, gold_by_question: dict[str, str]):
@@ -186,7 +184,6 @@ class HttpChatBackend:
         self.model = model
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self.identity = f"http:{model}"
 
     def build_payload(self, system_text: str, conversation: list[dict], temperature: float) -> dict:
         return {
@@ -239,8 +236,6 @@ class ScriptedEvolutionBackend:
     ones regardless of where the process restarted.
     """
 
-    identity = "scripted"
-
     def __init__(self, fixtures: dict[int, list[str]]):
         self._fixtures = {int(k): list(v) for k, v in fixtures.items()}
         self._queue: list[str] = []
@@ -264,8 +259,6 @@ class ScriptedEvolutionBackend:
 class NullEvolutionBackend:
     """Always fails, degrading evolve iterations to none-mode; useful for
     running the tournament over a fixed population."""
-
-    identity = "none"
 
     def propose(self, context) -> DraftPackage:
         raise BackendError("evolution disabled")
@@ -292,7 +285,6 @@ class HttpEvolutionBackend:
                  temperature: float = 0.7, timeout: float = HTTP_TIMEOUT):
         self._chat = HttpChatBackend(base_url, model, api_key_env, timeout)
         self.temperature = temperature
-        self.identity = f"http:{model}"
         self._conversation: list[dict] = []
 
     def _exchange(self, message: str) -> DraftPackage:

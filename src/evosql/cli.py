@@ -4,6 +4,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import orchestrator, scheduler
@@ -33,22 +34,8 @@ def _add_run_flags(parser):
 
 
 def _build_config(args) -> orchestrator.RunConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "iterations",
-            "run_seed",
-            "data_root",
-            "output_dir",
-            "strategy_path",
-            "gen_backend",
-            "evo_backend",
-            "workers",
-            "backend_concurrency",
-            "deep_focus_k",
-        )
-        if getattr(args, key, None) is not None
-    }
+    config_keys = {f.name for f in fields(orchestrator.RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in config_keys and v is not None}
     if args.config:
         return orchestrator.RunConfig.from_file(args.config, **overrides)
     missing = [k for k in ("data_root", "output_dir") if k not in overrides]

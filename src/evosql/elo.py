@@ -48,22 +48,6 @@ class MatchRecord:
     rating_b_before: float
     rating_b_after: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "agent_a": self.agent_a,
-            "agent_b": self.agent_b,
-            "score_a": self.score_a,
-            "rating_a_before": self.rating_a_before,
-            "rating_a_after": self.rating_a_after,
-            "rating_b_before": self.rating_b_before,
-            "rating_b_after": self.rating_b_after,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatchRecord":
-        return cls(**data)
-
 
 def expected_score(rating_self: float, rating_opp: float) -> float:
     """Win expectation for rating_self against rating_opp.

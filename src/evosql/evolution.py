@@ -25,6 +25,7 @@ from .registry import (
     AgentRegistry,
     load_package,
     make_agent_id,
+    parse_frontmatter,
 )
 
 logger = logging.getLogger(__name__)
@@ -202,13 +203,8 @@ def evolve_agent(
         if errors:
             raise EvolutionError("revised draft still invalid: " + "; ".join(errors))
 
-    staging = Path(tempfile.mkdtemp(prefix="evosql_name_"))
-    try:
-        _write_draft_files(draft, staging)
-        name = load_package(staging).name
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-
+    # validate_draft loaded this manifest, so it parses and has a name.
+    name = parse_frontmatter(draft.files[MANIFEST_FILENAME])[0]["name"]
     agent_id = make_agent_id(name, context.iteration)
     dest = Path(dest_dir)
     lineage = sorted(context.parent_packages)

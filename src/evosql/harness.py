@@ -58,7 +58,6 @@ class ResultTable:
     """Materialized query result, capped at ROW_CAP rows."""
 
     rows: list[tuple]
-    row_count: int
     truncated: bool = False
 
 
@@ -88,7 +87,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
                 rows = rows[:ROW_CAP]
                 truncated = True
                 break
-        return ResultTable(rows=rows, row_count=len(rows), truncated=truncated)
+        return ResultTable(rows=rows, truncated=truncated)
     except sqlite3.Error as exc:
         message = str(exc)
         if "interrupted" in message:
@@ -167,19 +166,8 @@ class QuestionOutcome:
     transcript: VerificationTranscript | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "db_id": self.db_id,
-            "agent_id": self.agent_id,
-            "question": self.question,
-            "evidence": self.evidence,
-            "predicted_sql": self.predicted_sql,
-            "gold_sql": self.gold_sql,
-            "match": self.match,
-            "failure_kind": self.failure_kind,
-            "pred_preview": list(self.pred_preview),
-            "gold_preview": list(self.gold_preview),
-        }
+        """Every field but the transcript, which transcripts.json holds."""
+        return {k: v for k, v in vars(self).items() if k != "transcript"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuestionOutcome":

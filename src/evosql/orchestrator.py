@@ -118,55 +118,29 @@ class IterationRecord:
     report_path: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mode": self.mode,
-            "databases": list(self.databases),
-            "questions": {
-                db: [q.to_dict() for q in items] for db, items in self.questions.items()
-            },
-            "competitors": list(self.competitors),
-            "new_agent": self.new_agent,
-            "accuracies": {a: list(mt) for a, mt in self.accuracies.items()},
-            "winners": list(self.winners),
-            "match_records": [m.to_dict() for m in self.match_records],
-            "matches": {
-                agent: {f"{db}:{qid}": ok for (db, qid), ok in sorted(per_agent.items())}
-                for agent, per_agent in self.matches.items()
-            },
-            "excluded_questions": [[db, qid] for db, qid in self.excluded_questions],
-            "tool_fallbacks": self.tool_fallbacks,
-            "tokens": self.tokens,
-            "report_path": self.report_path,
-        }
+        # JSON keys are strings, so a question key (db, qid) is "db:qid".
+        matches = {agent: {f"{db}:{qid}": ok for (db, qid), ok in per_agent.items()}
+                   for agent, per_agent in self.matches.items()}
+        return dict(vars(self), matches=matches)
 
     @classmethod
     def from_dict(cls, data: dict) -> "IterationRecord":
-        matches = {}
-        for agent, per_agent in data["matches"].items():
-            matches[agent] = {}
-            for key, ok in per_agent.items():
-                db, _, qid = key.rpartition(":")
-                matches[agent][(db, int(qid))] = ok
-        return cls(
-            iteration=data["iteration"],
-            mode=data["mode"],
-            databases=list(data["databases"]),
-            questions={
-                db: [QuestionItem.from_dict(q) for q in items]
-                for db, items in data["questions"].items()
-            },
-            competitors=list(data["competitors"]),
-            new_agent=data["new_agent"],
-            accuracies={a: (mt[0], mt[1]) for a, mt in data["accuracies"].items()},
-            winners=list(data["winners"]),
-            match_records=[MatchRecord.from_dict(m) for m in data["match_records"]],
-            matches=matches,
-            excluded_questions=[(db, qid) for db, qid in data["excluded_questions"]],
-            tool_fallbacks=data["tool_fallbacks"],
-            tokens=data["tokens"],
-            report_path=data["report_path"],
-        )
+        """Rebuild what JSON flattened: nested records, tuples, match keys."""
+        return cls(**dict(
+            data,
+            questions={db: [QuestionItem(**q) for q in items]
+                       for db, items in data["questions"].items()},
+            accuracies={a: tuple(mt) for a, mt in data["accuracies"].items()},
+            match_records=[MatchRecord(**m) for m in data["match_records"]],
+            matches={agent: {_question_key(key): ok for key, ok in per_agent.items()}
+                     for agent, per_agent in data["matches"].items()},
+            excluded_questions=[tuple(key) for key in data["excluded_questions"]],
+        ))
+
+
+def _question_key(text: str) -> tuple[str, int]:
+    db, _, qid = text.rpartition(":")
+    return db, int(qid)
 
 
 @dataclass
@@ -179,12 +153,9 @@ class RunState:
     schema_version: int = STATE_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "run_seed": self.run_seed,
-            "iterations": [record.to_dict() for record in self.iterations],
-            "registry": self.registry_snapshot,
-        }
+        data = dict(vars(self), iterations=[record.to_dict() for record in self.iterations])
+        data["registry"] = data.pop("registry_snapshot")
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
@@ -200,10 +171,16 @@ class RunState:
         )
 
 
+def _write_json(path: Path, value) -> None:
+    """Write value as indented JSON with sorted keys. A dataclass nested in
+    value is written as its fields, so its fields are the file format."""
+    path.write_text(json.dumps(value, default=vars, indent=2, sort_keys=True) + "\n")
+
+
 def save_state(state: RunState, output_dir: Path) -> Path:
     path = output_dir / STATE_FILENAME
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(tmp, state.to_dict())
     tmp.replace(path)
     return path
 
@@ -491,32 +468,18 @@ class Orchestrator:
         report = write_error_analysis(iteration, all_outcomes)
         report_path = iter_dir / "error_analysis_report.md"
         report_path.write_text(report)
-        plan = {
+        _write_json(iter_dir / "plan.json", {
             "iteration": iteration,
             "mode": mode,
             "databases": databases,
-            "questions": {db: [q.to_dict() for q in items] for db, items in questions.items()},
+            "questions": questions,
             "competitors": competitors,
             "new_agent_slot": new_agent is not None,
-        }
-        (iter_dir / "plan.json").write_text(json.dumps(plan, indent=2, sort_keys=True) + "\n")
-        (iter_dir / "outcomes.json").write_text(
-            json.dumps([o.to_dict() for o in all_outcomes], indent=2, sort_keys=True) + "\n"
-        )
-        (iter_dir / "transcripts.json").write_text(
-            json.dumps(
-                {
-                    agent_id: [
-                        o.transcript.to_dict() if o.transcript else None
-                        for o in ev.outcomes
-                    ]
-                    for agent_id, ev in evaluations.items()
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        })
+        _write_json(iter_dir / "outcomes.json", [o.to_dict() for o in all_outcomes])
+        _write_json(iter_dir / "transcripts.json", {
+            agent_id: [o.transcript for o in ev.outcomes] for agent_id, ev in evaluations.items()
+        })
 
         record = IterationRecord(
             iteration=iteration,

@@ -43,13 +43,10 @@ class GenerationBackend(Protocol):
 
     complete() receives the full system text, the conversation so far
     (role/content dicts, starting with the initial user request), and the
-    sampling temperature, and returns the assistant reply. identity labels
-    the backend/model in reports. A backend whose class sets in_process =
-    True answers without waiting on I/O, so the harness runs no more
-    questions at once than it has workers.
+    sampling temperature, and returns the assistant reply. A backend whose
+    class sets in_process = True answers without waiting on I/O, so the
+    harness runs no more questions at once than it has workers.
     """
-
-    identity: str
 
     def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
         ...
@@ -80,33 +77,6 @@ class VerificationTranscript:
     backend_calls: int = 0
     request_tokens: int = 0
     response_tokens: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "attempts": [
-                {
-                    "temperature": a.temperature,
-                    "sql": a.sql,
-                    "execution": a.execution,
-                    "verdict": a.verdict,
-                }
-                for a in self.attempts
-            ],
-            "final_sql": self.final_sql,
-            "backend_calls": self.backend_calls,
-            "request_tokens": self.request_tokens,
-            "response_tokens": self.response_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationTranscript":
-        return cls(
-            attempts=[Attempt(**a) for a in data["attempts"]],
-            final_sql=data["final_sql"],
-            backend_calls=data["backend_calls"],
-            request_tokens=data["request_tokens"],
-            response_tokens=data["response_tokens"],
-        )
 
 
 def assemble_prompt(analysis: str, instructions: str, question: str, evidence: str) -> str:
@@ -171,9 +141,8 @@ def _render_preview(result) -> str:
         return "(0 rows)"
     lines = [" | ".join(_truncate_cell(cell) for cell in row)
              for row in result.rows[:PREVIEW_MAX_ROWS]]
-    total = getattr(result, "row_count", len(result.rows))
     suffix = ", capped" if getattr(result, "truncated", False) else ""
-    lines.append(f"({total} rows total{suffix})")
+    lines.append(f"({len(result.rows)} rows total{suffix})")
     return "\n".join(lines)
 
 
@@ -207,8 +176,8 @@ def generate_with_verification(
     """Run the generate/verify/retry loop for one question.
 
     executor(db_path, sql) must return an object with .rows (list of
-    tuples), .row_count and .truncated, or raise on failure; failures are
-    summarized into the verification message rather than propagated.
+    tuples) and .truncated, or raise on failure; failures are summarized
+    into the verification message rather than propagated.
 
     Raises PipelineError (carrying the partial transcript) on an empty
     initial generation, and its subclass BackendCallError when the backend

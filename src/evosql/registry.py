@@ -24,17 +24,6 @@ TOOLS_DIRNAME = "tools"
 
 EXECUTION_MODES = ("tool_only", "fallback_naive")
 
-# Manifest keys with dedicated AgentPackage fields; anything else is kept
-# as opaque metadata so evolved packages may carry extra keys.
-_KNOWN_KEYS = (
-    "name",
-    "description",
-    "execution_mode",
-    "tool_command",
-    "tool_output_file",
-    "lineage",
-)
-
 
 def make_agent_id(name: str, iteration: int) -> str:
     """Stable agent id: initial agents keep their name, evolved agents get

@@ -37,8 +37,6 @@ NON_EVOLVE_ROSTER_SIZE = 4
 TOP_POOL_SIZE = 2
 ABOVE_AVERAGE_RATING = 1500.0
 
-DIFFICULTIES = ("simple", "moderate", "challenging")
-
 
 @dataclass
 class QuestionItem:
@@ -50,20 +48,6 @@ class QuestionItem:
     evidence: str = ""
     gold_sql: str = ""
     difficulty: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "db_id": self.db_id,
-            "question": self.question,
-            "evidence": self.evidence,
-            "gold_sql": self.gold_sql,
-            "difficulty": self.difficulty,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuestionItem":
-        return cls(**data)
 
 
 def iteration_rng(run_seed: int, iteration: int) -> random.Random:

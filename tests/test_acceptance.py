@@ -142,7 +142,7 @@ def test_set_comparison_oracle():
                 pred = random_rows()
             expected = _oracle_compare(pred, gold)
             actual = compare_results(
-                ResultTable(pred, len(pred)), ResultTable(gold, len(gold))
+                ResultTable(pred), ResultTable(gold)
             )
             assert actual == expected, (case, pred, gold)
             agreements += 1
@@ -161,8 +161,6 @@ def test_verification_loop_shape():
         observed_verdicts = set()
         for name, script in scripts.items():
             class _Backend:
-                identity = "scripted"
-
                 def __init__(self, replies):
                     self.replies = list(replies)
 

@@ -1,5 +1,6 @@
 """Tests for the ELO engine and pairwise decomposition."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -179,7 +180,8 @@ def test_match_record_round_trip():
     (record,) = engine.decompose_and_update(3, [("A", 1), ("B", 0)])
     from evosql.elo import MatchRecord
 
-    assert MatchRecord.from_dict(record.to_dict()) == record
+    # As the run state writes and reads it: the record's fields.
+    assert MatchRecord(**json.loads(json.dumps(record, default=vars))) == record
     assert record.score_a == 1.0
     assert record.rating_a_after + record.rating_b_after == pytest.approx(
         record.rating_a_before + record.rating_b_before

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import evosql.evolution as evolution_module
 from evosql.backends import (
     DraftPackage,
     ScriptedEvolutionBackend,
@@ -152,6 +153,26 @@ def test_evolve_agent_registers_valid_draft(naive_package_dir, tmp_path):
     assert reloaded.tool_command == pkg.tool_command
 
 
+def test_evolve_agent_loads_a_valid_draft_twice(naive_package_dir, tmp_path, monkeypatch):
+    # Once staged to validate it, once where it is installed; the agent id
+    # is read from the validated manifest.
+    loaded = []
+
+    def counting_load(root_dir, *args, **kwargs):
+        loaded.append(root_dir)
+        return load_package(root_dir, *args, **kwargs)
+
+    monkeypatch.setattr(evolution_module, "load_package", counting_load)
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    backend = ScriptedEvolutionBackend({2: [make_evolution_response("merged")]})
+    pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
+    assert pkg.id == "iter2_merged"
+    assert len(loaded) == 2
+    assert loaded[-1] == pkg.root_dir
+
+
 def test_evolve_agent_retries_once_then_succeeds(naive_package_dir, tmp_path):
     registry = _registry_with_naive(naive_package_dir)
     context = build_context(registry, [], tmp_path_strategy(tmp_path))
@@ -279,8 +300,6 @@ def test_deep_focus_feedback_contains_uniqueness_sets(tmp_path):
     pkg = _installed_pkg(tmp_path)
 
     class SpyBackend:
-        identity = "spy"
-
         def __init__(self):
             self.feedback = []
 

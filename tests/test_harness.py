@@ -32,7 +32,6 @@ from tests.conftest import make_database
 def test_execute_sql_simple(school_db):
     table = execute_sql(school_db, "SELECT 1")
     assert table.rows == [(1,)]
-    assert table.row_count == 1
     assert table.truncated is False
 
 
@@ -68,7 +67,7 @@ def test_execute_sql_read_only(school_db):
 
 
 def _table(rows):
-    return ResultTable(rows=list(rows), row_count=len(rows))
+    return ResultTable(rows=list(rows))
 
 
 def test_compare_ignores_row_order():
@@ -502,8 +501,6 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
                 busy[kind] -= 1
 
     class SleepingBackend:
-        identity = "sleeping"
-
         def complete(self, system_text, conversation, temperature):
             def call():
                 with lock:
@@ -577,8 +574,6 @@ def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_
     analyses = _analyses_for(pkg, plan, data_root)
 
     class Down:
-        identity = "down"
-
         def complete(self, *_args):
             raise BackendError("chat endpoint failure (attempt 4): HTTP Error 503")
 

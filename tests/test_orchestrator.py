@@ -57,8 +57,6 @@ class MarkerBackend:
     """Answers gold SQL only when the analysis carries the evolved marker;
     otherwise flubs a fixed question subset. Accepts on verification."""
 
-    identity = "marker"
-
     def __init__(self, question_pool, flubbed):
         self.gold = {
             item.question: item.gold_sql
@@ -386,7 +384,7 @@ def test_state_round_trip_and_schema_check(data_root, tmp_path):
     config = base_config(data_root, tmp_path / "out", iterations=2)
     state = run(config, evo_backend=ScriptedEvolutionBackend(evolution_fixtures(2)))
     reloaded = load_state(tmp_path / "out")
-    assert reloaded.to_dict() == state.to_dict()
+    assert reloaded == state
 
     data = json.loads((tmp_path / "out" / "run_state.json").read_text())
     data["schema_version"] = 99
@@ -426,7 +424,7 @@ def test_elo_trajectory_replays_from_state(data_root, tmp_path):
             (agent, Fraction(*record.accuracies[agent])) for agent in record.competitors
         ]
         replayed = engine.decompose_and_update(record.iteration, results)
-        assert [m.to_dict() for m in replayed] == [m.to_dict() for m in record.match_records]
+        assert replayed == record.match_records
     for agent_id, entry in state.registry_snapshot.items():
         assert engine.ratings[agent_id].value == entry["rating_value"]
 

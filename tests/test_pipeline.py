@@ -63,8 +63,6 @@ def test_sanitize_empty_raises():
 class SequenceBackend:
     """Replies with a fixed sequence; records call temperatures."""
 
-    identity = "test"
-
     def __init__(self, replies):
         self.replies = list(replies)
         self.temperatures = []
@@ -80,7 +78,7 @@ class FakeExecutor:
     """Executor stub returning canned tables or raising per SQL text."""
 
     def __init__(self, table=None, errors=(), empty=()):
-        self.table = table if table is not None else ResultTable([(1,)], 1)
+        self.table = table if table is not None else ResultTable([(1,)])
         self.errors = set(errors)
         self.empty = set(empty)
         self.calls = []
@@ -90,7 +88,7 @@ class FakeExecutor:
         if sql in self.errors:
             raise RuntimeError(f"no such table touched by {sql!r}")
         if sql in self.empty:
-            return ResultTable([], 0)
+            return ResultTable([])
         return self.table
 
 
@@ -201,8 +199,6 @@ def test_temperature_schedule_invariant_over_many_scripts():
 
 def test_backend_failure_raises_pipeline_error():
     class Exploding:
-        identity = "boom"
-
         def complete(self, *_args):
             raise ConnectionError("socket closed")
 
@@ -233,13 +229,4 @@ def test_transcript_reproducible():
         backend = SequenceBackend(["SELECT a;", "SELECT b;", CORRECT_SENTINEL])
         return generate_with_verification(backend, SYSTEM, "db", FakeExecutor())[1]
 
-    assert run_once().to_dict() == run_once().to_dict()
-
-
-def test_transcript_round_trip():
-    from evosql.pipeline import VerificationTranscript
-
-    backend = SequenceBackend(["SELECT a;", CORRECT_SENTINEL])
-    _, transcript = generate_with_verification(backend, SYSTEM, "db", FakeExecutor())
-    clone = VerificationTranscript.from_dict(transcript.to_dict())
-    assert clone.to_dict() == transcript.to_dict()
+    assert run_once() == run_once()

@@ -289,7 +289,7 @@ def test_settle_equals_the_inline_rating_sequence():
     )
     expected_winners = determine_winners(accuracies)
     inline.record_iteration_outcome(competitors, expected_winners)
-    assert [m.to_dict() for m in match_records] == [m.to_dict() for m in expected_records]
+    assert match_records == expected_records
     assert winners == expected_winners == {"a", "b"}
 
     def snapshot(registry):
