@@ -36,6 +36,7 @@ from .registry import AgentPackage, TOOLS_DIRNAME
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOKEN_BUDGET = 150_000
+BYTES_PER_TOKEN = 4
 DEFAULT_TOOL_TIMEOUT = 300.0
 TOOL_HOST_SCRIPT = Path(__file__).with_name("toolhost.py")
 # How long a tool host may take to report a killed tool or to exit.
@@ -124,8 +125,8 @@ class DatabaseAnalysis:
 
 
 def estimate_tokens(text: str) -> int:
-    """Cheap token estimate: one token per four bytes, rounded up."""
-    return math.ceil(len(text.encode("utf-8")) / 4)
+    """Cheap token estimate: one token per BYTES_PER_TOKEN bytes, rounded up."""
+    return math.ceil(len(text.encode("utf-8")) / BYTES_PER_TOKEN)
 
 
 def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:

@@ -89,7 +89,7 @@ def cmd_evaluate(args) -> int:
     questions = {db: questions[db] for db in analyses}
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
     gold = execute_gold(questions, args.data_root)
-    if not gold.results:
+    if all(isinstance(g, str) for g in gold.values()):
         raise SystemExit("no scorable question: none sampled, or every gold query is defective")
     evaluation = evaluate_agent(
         [pkg], questions, backend, {pkg.id: analyses}, gold, args.data_root,

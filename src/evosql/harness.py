@@ -23,7 +23,7 @@ import sqlite3
 import threading
 import time
 import urllib.parse
-from collections.abc import Iterable
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +32,8 @@ from operator import ne
 from pathlib import Path
 
 from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
-from .pipeline import VerificationTranscript, assemble_prompt, generate_with_verification
+from .pipeline import (DEFAULT_MAX_ROUNDS, VerificationTranscript, assemble_prompt,
+                       generate_with_verification, preview_cell)
 from .registry import AgentPackage
 from .scheduler import QuestionItem, database_path
 
@@ -75,18 +76,9 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 5000)
     try:
-        cursor = conn.execute(sql)
-        rows: list[tuple] = []
-        truncated = False
-        while True:
-            batch = cursor.fetchmany(1000)
-            if not batch:
-                break
-            rows.extend(batch)
-            if len(rows) > ROW_CAP:
-                rows = rows[:ROW_CAP]
-                truncated = True
-                break
+        rows = conn.execute(sql).fetchmany(ROW_CAP + 1)
+        truncated = len(rows) > ROW_CAP
+        del rows[ROW_CAP:]
         return ResultTable(rows=rows, truncated=truncated)
     except sqlite3.Error as exc:
         message = str(exc)
@@ -169,18 +161,6 @@ class QuestionOutcome:
         """Every field but the transcript, which transcripts.json holds."""
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuestionOutcome":
-        return cls(**{k: v for k, v in data.items() if k != "transcript"})
-
-
-@dataclass
-class GoldResults:
-    """Gold executions for one iteration, shared across every agent."""
-
-    results: dict[tuple[str, int], GoldTable] = field(default_factory=dict)
-    defective: dict[tuple[str, int], str] = field(default_factory=dict)
-
 
 def _run_gold(db_file: Path, sql: str, key: tuple[str, int], timeout: float) -> GoldTable | str:
     """The gold result of one question, or the reason it is a dataset defect."""
@@ -199,55 +179,57 @@ def execute_gold(
     questions: dict[str, list[QuestionItem]],
     data_root: str | Path,
     timeout: float = DEFAULT_SQL_TIMEOUT,
-    held: Iterable[GoldResults] = (),
-) -> GoldResults:
+    held: Mapping[tuple[str, int], GoldTable | str] = {},
+) -> dict[tuple[str, int], GoldTable | str]:
     """Execute the gold query of every question, by database, exactly once.
 
-    Questions found in held (gold results of earlier iterations over the
-    same question pool) are not run again: their GoldTable or defect reason
-    is copied as it is. Gold queries that fail, or whose result is cut at
-    ROW_CAP, are recorded as dataset defects; they are logged and excluded
-    from every agent's denominator.
+    Returns each (db_id, question_id)'s GoldTable, or, for a dataset defect,
+    the reason as a str: a gold query that fails, or whose result is cut at
+    ROW_CAP, is logged and excluded from every agent's denominator.
+    Questions found in held (gold of earlier iterations over the same
+    question pool, in the same shape) are not run again.
     """
-    known: dict[tuple[str, int], GoldTable | str] = {}
-    for past in held:
-        known.update(past.results)
-        known.update(past.defective)
-    gold = GoldResults()
+    gold: dict[tuple[str, int], GoldTable | str] = {}
     for db_id, items in questions.items():
         db_file = database_path(data_root, db_id)
         for item in items:
             key = (db_id, item.question_id)
-            found = known[key] if key in known else _run_gold(db_file, item.gold_sql, key, timeout)
-            if isinstance(found, GoldTable):
-                gold.results[key] = found
-            else:
-                gold.defective[key] = found
+            gold[key] = held[key] if key in held else _run_gold(db_file, item.gold_sql, key, timeout)
     return gold
 
 
 @dataclass
 class AgentEvaluation:
-    """Accuracy and outcomes for one agent over one iteration's questions."""
+    """One agent's outcomes over one iteration's questions, ordered by
+    (db_id, question_id); every total is read from them."""
 
     agent_id: str
-    matches: int
-    total: int
     outcomes: list[QuestionOutcome]
-    request_tokens: int = 0
-    response_tokens: int = 0
-    backend_calls: int = 0
+
+    @property
+    def matches(self) -> int:
+        return sum(o.match for o in self.outcomes)
+
+    @property
+    def total(self) -> int:
+        return len(self.outcomes)
 
     @property
     def accuracy(self) -> Fraction:
         return Fraction(self.matches, self.total)
 
+    def usage(self) -> dict[str, int]:
+        """Generation backend tokens and calls, as the run state records them."""
+        transcripts = [o.transcript for o in self.outcomes if o.transcript]
+        return {
+            "request": sum(t.request_tokens for t in transcripts),
+            "response": sum(t.response_tokens for t in transcripts),
+            "calls": sum(t.backend_calls for t in transcripts),
+        }
+
 
 def _preview_rows(table: ResultTable) -> list[str]:
-    return [
-        " | ".join("NULL" if cell is None else str(cell)[:200] for cell in row)
-        for row in table.rows[:REPORT_PREVIEW_ROWS]
-    ]
+    return [" | ".join(map(preview_cell, row)) for row in table.rows[:REPORT_PREVIEW_ROWS]]
 
 
 def _blocked_outcome(agent_id: str, item: QuestionItem, reason: str,
@@ -367,11 +349,11 @@ def evaluate_agent(
     questions: dict[str, list[QuestionItem]],
     backend,
     analyses: dict[str, dict[str, str | None]],
-    gold: GoldResults,
+    gold: Mapping[tuple[str, int], GoldTable | str],
     data_root: str | Path,
     *,
     sql_timeout: float = DEFAULT_SQL_TIMEOUT,
-    max_rounds: int = 2,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
     workers: int = 1,
     backend_concurrency: int = 1,
 ) -> dict[str, AgentEvaluation]:
@@ -380,11 +362,12 @@ def evaluate_agent(
 
     analyses maps agent id, then db_id, to that agent's database analysis
     text (None marks an evaluation-blocked database, whose questions count
-    as incorrect with a pipeline_error). All agents' questions go on one
-    queue of backend_concurrency threads (at most workers for an in_process
-    backend), of which at most workers run outside the backend at once.
-    Each agent's outcomes are ordered by (db_id, question_id), so nothing
-    depends on completion order.
+    as incorrect with a pipeline_error). gold is execute_gold's mapping; a
+    question whose gold is a defect reason is skipped. All agents'
+    questions go on one queue of backend_concurrency threads (at most
+    workers for an in_process backend), of which at most workers run
+    outside the backend at once. Each agent's outcomes are ordered by
+    (db_id, question_id), so nothing depends on completion order.
     """
     if workers < 1 or backend_concurrency < 1:
         raise ValueError("workers and backend_concurrency must be >= 1")
@@ -393,10 +376,9 @@ def evaluate_agent(
         for db_id, items in questions.items():
             db_file = database_path(data_root, db_id)
             for item in items:
-                if (db_id, item.question_id) in gold.defective:
-                    continue
-                tasks.append((pkg, item, analyses[pkg.id].get(db_id),
-                              gold.results[(db_id, item.question_id)], db_file))
+                gold_table = gold[(db_id, item.question_id)]
+                if isinstance(gold_table, GoldTable):
+                    tasks.append((pkg, item, analyses[pkg.id].get(db_id), gold_table, db_file))
     if not tasks:
         raise InvalidStateError(
             "no scorable questions (no agents, all gold SQL defective or no questions)"
@@ -418,23 +400,9 @@ def evaluate_agent(
     if getattr(backend, "in_process", False):
         in_flight = min(workers, backend_concurrency)
     by_agent: dict[str, list[QuestionOutcome]] = {pkg.id: [] for pkg in packages}
-    for outcome in pool_map(run, tasks, in_flight):
+    for outcome in sorted(pool_map(run, tasks, in_flight), key=lambda o: (o.db_id, o.question_id)):
         by_agent[outcome.agent_id].append(outcome)
-    return {agent_id: _aggregate(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}
-
-
-def _aggregate(agent_id: str, outcomes: list[QuestionOutcome]) -> AgentEvaluation:
-    outcomes.sort(key=lambda o: (o.db_id, o.question_id))
-    transcripts = [o.transcript for o in outcomes if o.transcript]
-    return AgentEvaluation(
-        agent_id=agent_id,
-        matches=sum(1 for o in outcomes if o.match),
-        total=len(outcomes),
-        outcomes=outcomes,
-        request_tokens=sum(t.request_tokens for t in transcripts),
-        response_tokens=sum(t.response_tokens for t in transcripts),
-        backend_calls=sum(t.backend_calls for t in transcripts),
-    )
+    return {agent_id: AgentEvaluation(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}
 
 
 def write_error_analysis(iteration: int, outcomes: list[QuestionOutcome]) -> str:

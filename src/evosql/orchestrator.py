@@ -19,10 +19,11 @@ import json
 import logging
 import shutil
 import time
+from collections import ChainMap
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import scheduler
+from . import analyzer, harness, pipeline, scheduler
 from .analyzer import estimate_tokens, run_agent_tool
 from .backends import (
     HttpChatBackend,
@@ -36,7 +37,7 @@ from .defaults import DEFAULT_STRATEGY, write_naive_package
 from .elo import MatchRecord
 from .errors import AnalysisError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
-from .harness import GoldResults, evaluate_agent, execute_gold, pool_map, write_error_analysis
+from .harness import evaluate_agent, execute_gold, pool_map, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import QuestionItem, iteration_rng
 
@@ -65,10 +66,10 @@ class RunConfig:
     late_stage_start: int = scheduler.DEFAULT_LATE_STAGE_START
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
     questions_per_database: int = scheduler.QUESTIONS_PER_DATABASE
-    sql_timeout: float = 30.0
-    tool_timeout: float = 300.0
-    token_budget: int = 150_000
-    max_rounds: int = 2
+    sql_timeout: float = harness.DEFAULT_SQL_TIMEOUT
+    tool_timeout: float = analyzer.DEFAULT_TOOL_TIMEOUT
+    token_budget: int = analyzer.DEFAULT_TOKEN_BUDGET
+    max_rounds: int = pipeline.DEFAULT_MAX_ROUNDS
     initial_agents: list[Path] = field(default_factory=list)
 
     def __post_init__(self):
@@ -274,13 +275,14 @@ def bounded_analysis(pkg, data_root: Path, db_id: str, token_budget: int,
 
     Returns (analysis text, or None when the (agent, database) pair is
     evaluation-blocked; the fallback or blocking note, or None). At most
-    token_budget * 4 + 1 bytes of the tool's output are read, so a longer
-    output is over budget. An analysis over budget, or a tool whose naive
-    fallback fails too, blocks the pair.
+    token_budget * BYTES_PER_TOKEN + 1 bytes of the tool's output are read,
+    so a longer output is over budget. An analysis over budget, or a tool
+    whose naive fallback fails too, blocks the pair.
     """
     db_file = scheduler.database_path(data_root, db_id)
     try:
-        result = run_agent_tool(pkg, db_file, tool_timeout, token_budget * 4 + 1)
+        result = run_agent_tool(pkg, db_file, tool_timeout,
+                                token_budget * analyzer.BYTES_PER_TOKEN + 1)
     except AnalysisError as exc:
         logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_id, exc)
         return None, str(exc)
@@ -306,15 +308,18 @@ class Orchestrator:
         )
         self.evo_backend = evo_backend or build_evolution_backend(config.evo_backend)
         self.strategy_path = self._materialize_strategy()
-        self._analysis_cache: dict[tuple[str, str], str] = {}
-        self._fallback_notes: dict[tuple[str, str], str] = {}
+        # bounded_analysis's (text, note) by (agent id, db_id).
+        self._analyses: dict[tuple[str, str], tuple[str | None, str | None]] = {}
         # Gold of the latest iterations Deep Focus replays, by iteration;
         # later iterations copy the questions it holds. Empty after a
         # resume, until Deep Focus or the next iteration runs gold again.
-        self._gold_by_iteration: dict[int, GoldResults] = {}
+        self._gold_by_iteration: dict[int, dict] = {}
 
         existing = load_state(self.output_dir)
         if existing is not None:
+            if existing.run_seed != config.run_seed:
+                raise InvalidStateError(f"the run state has seed {existing.run_seed}, not "
+                                        f"{config.run_seed}; resume with the run's seed")
             self.state = existing
             self.registry = restore_registry(existing.registry_snapshot, self.output_dir)
             logger.info("resuming run at iteration %d", len(self.state.iterations) + 1)
@@ -362,12 +367,9 @@ class Orchestrator:
 
     def _analysis_for(self, agent_id: str, db_id: str) -> str | None:
         key = (agent_id, db_id)
-        if key not in self._analysis_cache:
-            text, note = self._run_tool(self.registry.package(agent_id), db_id)
-            self._analysis_cache[key] = text
-            if note is not None:
-                self._fallback_notes[key] = note
-        return self._analysis_cache[key]
+        if key not in self._analyses:
+            self._analyses[key] = self._run_tool(self.registry.package(agent_id), db_id)
+        return self._analyses[key][0]
 
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
         """Evolve, deep-focus, and register a new agent; None on failure."""
@@ -375,7 +377,6 @@ class Orchestrator:
         # Read from disk, so a resumed run shows evolution the same report.
         report = (self.output_dir / history[-1].report_path).read_text() if history else ""
         context = build_context(self.registry, history, self.strategy_path, report)
-        context.iteration = iteration
         try:
             pkg, _reasoning = evolve_agent(context, self.evo_backend, iter_dir)
         except EvolutionError as exc:
@@ -392,7 +393,12 @@ class Orchestrator:
         self.registry.register(pkg)
         return pkg.id
 
-    def _evaluate(self, packages, questions, analyses, gold: GoldResults):
+    def _gold(self, questions: dict[str, list[QuestionItem]]) -> dict:
+        # Every question the Deep Focus window holds is copied, not run again.
+        return execute_gold(questions, self.config.data_root, self.config.sql_timeout,
+                            held=ChainMap(*self._gold_by_iteration.values()))
+
+    def _evaluate(self, packages, questions, analyses, gold):
         return evaluate_agent(
             packages, questions, self.gen_backend, analyses, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,
@@ -406,11 +412,8 @@ class Orchestrator:
         texts = pool_map(lambda db: self._run_tool(pkg, db)[0], record.databases,
                          self.config.workers)
         analyses = dict(zip(record.databases, texts))
-        gold = self._gold_by_iteration.get(record.iteration)
-        if gold is None:
-            # Only after a resume. Held, so the iteration under way copies it.
-            gold = execute_gold(record.questions, self.config.data_root, self.config.sql_timeout)
-            self._gold_by_iteration[record.iteration] = gold
+        # Held, so that after a resume the iteration under way copies it.
+        gold = self._gold_by_iteration[record.iteration] = self._gold(record.questions)
         evaluation = self._evaluate([pkg], record.questions, {pkg.id: analyses}, gold)[pkg.id]
         matches = {(o.db_id, o.question_id): o.match for o in evaluation.outcomes}
         return evaluation.accuracy, matches
@@ -441,11 +444,9 @@ class Orchestrator:
         analyses_by_agent = {
             agent_id: {db: texts[(agent_id, db)] for db in databases} for agent_id in competitors
         }
-        # Questions the window already holds are not run again. Deep Focus
-        # is done with the gold no later iteration replays, so it is dropped
-        # once this iteration has copied what it needs from it.
-        gold = execute_gold(questions, self.config.data_root, self.config.sql_timeout,
-                            held=self._gold_by_iteration.values())
+        # Deep Focus is done with the gold no later iteration replays, so it
+        # is dropped once this iteration has copied what it needs from it.
+        gold = self._gold(questions)
         self._gold_by_iteration.pop(iteration - self.config.deep_focus_k, None)
         if self.config.deep_focus_k:
             self._gold_by_iteration[iteration] = gold
@@ -495,23 +496,13 @@ class Orchestrator:
                 a: {(o.db_id, o.question_id): o.match for o in ev.outcomes}
                 for a, ev in evaluations.items()
             },
-            excluded_questions=sorted(gold.defective),
+            excluded_questions=sorted(key for key, g in gold.items() if isinstance(g, str)),
             tool_fallbacks={
-                a: {
-                    db: self._fallback_notes[(a, db)]
-                    for db in databases
-                    if (a, db) in self._fallback_notes
-                }
+                a: {db: note for db in databases
+                    if (note := self._analyses[(a, db)][1]) is not None}
                 for a in competitors
             },
-            tokens={
-                a: {
-                    "request": ev.request_tokens,
-                    "response": ev.response_tokens,
-                    "calls": ev.backend_calls,
-                }
-                for a, ev in evaluations.items()
-            },
+            tokens={a: ev.usage() for a, ev in evaluations.items()},
             report_path=str(report_path.relative_to(self.output_dir)),
         )
         return record

@@ -131,15 +131,15 @@ def sanitize_sql(raw: str) -> str:
     return text
 
 
-def _truncate_cell(value) -> str:
-    text = "NULL" if value is None else str(value)
-    return text[:PREVIEW_MAX_CELL]
+def preview_cell(value) -> str:
+    """A result cell as every preview shows it."""
+    return ("NULL" if value is None else str(value))[:PREVIEW_MAX_CELL]
 
 
 def _render_preview(result) -> str:
     if not result.rows:
         return "(0 rows)"
-    lines = [" | ".join(_truncate_cell(cell) for cell in row)
+    lines = [" | ".join(preview_cell(cell) for cell in row)
              for row in result.rows[:PREVIEW_MAX_ROWS]]
     suffix = ", capped" if getattr(result, "truncated", False) else ""
     lines.append(f"({len(result.rows)} rows total{suffix})")

@@ -10,6 +10,7 @@ exactly what an uninterrupted run would have.
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
 
     data_root holds one directory per database (<db_id>/<db_id>.sqlite) and
     a questions.json array of records with question_id, db_id, question,
-    evidence, SQL, difficulty.
+    evidence, SQL, difficulty, unique by (db_id, question_id).
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -91,6 +92,10 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
         raise DataValidationError(
             f"questions reference unknown databases: {', '.join(offenders)}"
         )
+    ids = Counter((rec["db_id"], int(rec["question_id"])) for rec in records)
+    duplicates = sorted(f"{db} q{qid}" for (db, qid), n in ids.items() if n > 1)
+    if duplicates:
+        raise DataValidationError(f"duplicate question ids: {', '.join(duplicates)}")
     for rec in records:
         question_pool[rec["db_id"]].append(
             QuestionItem(

@@ -312,6 +312,25 @@ def test_run_agent_tool_matches_naive_extractor(naive_package_dir, school_db):
     assert result.text == extract_naive_schema(school_db)
 
 
+def test_run_agent_tool_fallback_naive_package_runs_no_tool(tmp_path, school_db):
+    # A fallback_naive package is answered by the naive extractor, and its
+    # tool, which would leave a marker file, never runs.
+    marker = tmp_path / "tool_ran"
+    pkg = load_package(write_package(
+        tmp_path / "pkg",
+        name="naive_mode",
+        execution_mode="fallback_naive",
+        tool_command="python tools/mark.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="x\n",
+        tools={"mark.py": f"open({str(marker)!r}, 'w').close()\n"},
+    ))
+    result = run_agent_tool(pkg, school_db, timeout=60)
+    assert result.text == extract_naive_schema(school_db)
+    assert result.fallback is False and result.reason is None
+    assert not marker.exists()
+
+
 def _flooding_package(root, text: str, repeat: int):
     write_package(
         root,

@@ -1,4 +1,5 @@
-"""HTTP backend retries, scripted with a stand-in for urllib's urlopen."""
+"""HTTP backends (chat retries, the evolution conversation), scripted with a
+stand-in for urllib's urlopen."""
 
 import email.message
 import json
@@ -7,8 +8,16 @@ import urllib.request
 
 import pytest
 
-from evosql.backends import HTTP_RETRIES, RETRY_AFTER_MAX_S, HttpChatBackend, _retry_after_s
+from evosql.backends import (
+    HTTP_RETRIES,
+    RETRY_AFTER_MAX_S,
+    HttpChatBackend,
+    HttpEvolutionBackend,
+    _retry_after_s,
+    render_evolution_request,
+)
 from evosql.errors import BackendError
+from evosql.evolution import EvolutionContext
 
 URL = "http://llm.test/v1"
 
@@ -100,3 +109,51 @@ def test_retry_after_forms():
     assert _retry_after_s(" 12 ") == 12.0
     assert _retry_after_s("Wed, 21 Oct 2015 07:28:00 GMT") == 0.0  # a date in the past
     assert _retry_after_s("soon") is None
+
+
+def _package_text(name: str) -> str:
+    return f"```file=agent.md\n---\nname: {name}\n---\n```\n"
+
+
+def _recorded_messages(monkeypatch) -> list:
+    """Wrap the scripted urlopen so each request's messages are kept."""
+    scripted = urllib.request.urlopen
+    sent = []
+
+    def recording_urlopen(request, timeout):
+        sent.append(json.loads(request.data)["messages"])
+        return scripted(request, timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+    return sent
+
+
+def test_evolution_refine_continues_the_proposal_conversation(monkeypatch):
+    _scripted_backend(monkeypatch, [_reply(_package_text(name))
+                                    for name in ("first", "second", "third")])
+    sent = _recorded_messages(monkeypatch)
+    backend = HttpEvolutionBackend(URL, "model")
+    context = EvolutionContext(iteration=2, leaderboard=[], parent_packages={},
+                               error_report="", strategy="be brief")
+    request = {"role": "user", "content": render_evolution_request(context)}
+
+    assert "name: first" in backend.propose(context).files["agent.md"]
+    assert "name: second" in backend.refine("scored 1/2").files["agent.md"]
+    assert sent[0][0]["role"] == "system" and sent[0][1:] == [request]
+    # The refine request carries the proposal's reply and then the feedback.
+    assert sent[1][1:] == [
+        request,
+        {"role": "assistant", "content": _package_text("first")},
+        {"role": "user", "content": "scored 1/2"},
+    ]
+    # A new proposal starts a new conversation.
+    backend.propose(context)
+    assert sent[2][1:] == [request]
+
+
+def test_evolution_refine_before_propose_raises(monkeypatch):
+    _scripted_backend(monkeypatch, [_reply(_package_text("unused"))])
+    sent = _recorded_messages(monkeypatch)
+    with pytest.raises(BackendError, match="before propose"):
+        HttpEvolutionBackend(URL, "model").refine("scored 0/2")
+    assert sent == []

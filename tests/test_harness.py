@@ -240,16 +240,16 @@ def _plan(data_root, db_ids=("school",), limit=None):
 def test_execute_gold_caches_per_question(data_root):
     plan = _plan(data_root)
     gold = execute_gold(plan, data_root)
-    assert len(gold.results) == len(plan["school"])
-    assert not gold.defective
+    assert len(gold) == len(plan["school"])
+    assert all(isinstance(table, GoldTable) for table in gold.values())
 
 
 def test_execute_gold_flags_defective(data_root):
     plan = _plan(data_root, limit=2)
     plan["school"][0].gold_sql = "SELEC broken"
     gold = execute_gold(plan, data_root)
-    assert ("school", 1) in gold.defective
-    assert ("school", 2) in gold.results
+    assert isinstance(gold[("school", 1)], str)
+    assert isinstance(gold[("school", 2)], GoldTable)
 
 
 def _numbers_root(root, rows: int):
@@ -285,8 +285,8 @@ def test_truncated_gold_is_defective(tmp_path, monkeypatch):
         QuestionItem(2, "numbers", "Small numbers?", gold_sql="SELECT x FROM t WHERE x <= 100"),
     ]
     gold = execute_gold({"numbers": items}, root)
-    assert "ROW_CAP" in gold.defective[("numbers", 1)]
-    assert list(gold.results) == [("numbers", 2)]
+    assert "ROW_CAP" in gold[("numbers", 1)]
+    assert [key for key, g in gold.items() if isinstance(g, GoldTable)] == [("numbers", 2)]
 
 
 def test_scripted_fixture_rejects_reply_list(tmp_path):
@@ -331,7 +331,7 @@ def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
     assert evaluation.accuracy == Fraction(1)
     assert all(o.match for o in evaluation.outcomes)
     assert all(o.failure_kind == "none" for o in evaluation.outcomes)
-    assert evaluation.request_tokens > 0
+    assert evaluation.usage()["request"] > 0
 
 
 def test_evaluate_agent_counts_failures(data_root, naive_package_dir):
@@ -637,5 +637,5 @@ def test_error_report_regenerates_identically():
     outcomes = [_outcome("A", 1, False, "timeout"), _outcome("B", 1, True)]
     first = write_error_analysis(2, outcomes)
     # Rebuild outcomes from their persisted form.
-    reloaded = [QuestionOutcome.from_dict(o.to_dict()) for o in outcomes]
+    reloaded = [QuestionOutcome(**o.to_dict()) for o in outcomes]
     assert write_error_analysis(2, reloaded) == first

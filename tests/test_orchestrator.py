@@ -184,6 +184,17 @@ def test_resume_requires_existing_state(data_root, tmp_path):
         resume(base_config(data_root, tmp_path / "fresh"))
 
 
+def test_resume_with_another_seed_is_refused(data_root, tmp_path):
+    # Sampling follows the seed, so a resume under another seed would
+    # continue a trajectory no uninterrupted run takes.
+    run(base_config(data_root, tmp_path / "halted", iterations=2, run_seed=3))
+    state_file = tmp_path / "halted" / "run_state.json"
+    halted = state_file.read_bytes()
+    with pytest.raises(InvalidStateError, match="seed 3, not 0"):
+        resume(base_config(data_root, tmp_path / "halted", run_seed=0))
+    assert state_file.read_bytes() == halted
+
+
 def test_evolution_failure_degrades_to_none_mode(data_root, tmp_path):
     # No fixtures at all: every evolve draw degrades, the run still finishes.
     config = base_config(data_root, tmp_path / "out", iterations=3)

@@ -1,6 +1,7 @@
 """Tests for task sampling, mode selection, roster rules, and the shared
 roster and settle steps."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from evosql.scheduler import (
     select_competitors,
     settle_iteration,
 )
+from tests.conftest import make_data_root
 
 
 def test_load_question_pool(data_root):
@@ -41,6 +43,19 @@ def test_load_question_pool_unknown_db(tmp_path):
         '[{"question_id": 1, "db_id": "ghost", "question": "?", "SQL": "SELECT 1"}]'
     )
     with pytest.raises(DataValidationError, match="ghost"):
+        load_question_pool(tmp_path)
+
+
+def test_load_question_pool_rejects_duplicate_question_ids(tmp_path):
+    # A second question under the same (db_id, question_id) would take the
+    # first one's gold result.
+    make_data_root(tmp_path)
+    records = json.loads((tmp_path / "questions.json").read_text())
+    first, second = [rec for rec in records if rec["db_id"] == "school"][:2]
+    second["question_id"] = first["question_id"]
+    (tmp_path / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError,
+                       match=f"duplicate question ids: school q{first['question_id']}$"):
         load_question_pool(tmp_path)
 
 
