@@ -703,9 +703,11 @@ def analyze(db_path: str | Path, budget_tokens: int = DEFAULT_TOKEN_BUDGET) -> D
 
 @dataclass
 class ToolRunResult:
-    """Output of one packaged-tool invocation."""
+    """Output of one packaged-tool invocation: the analysis text, or None
+    when the (agent, database) pair is evaluation-blocked. reason says why
+    the tool fell back or the pair is blocked."""
 
-    text: str
+    text: str | None
     fallback: bool = False
     reason: str | None = None
 
@@ -885,7 +887,7 @@ def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: fl
 
 def run_agent_tool(
     pkg: AgentPackage, db_path: str | Path, timeout: float = DEFAULT_TOOL_TIMEOUT,
-    max_bytes: int = -1,
+    token_budget: int = DEFAULT_TOKEN_BUDGET,
 ) -> ToolRunResult:
     """Run a package's analysis tool in an isolated working directory.
 
@@ -894,39 +896,48 @@ def run_agent_tool(
     exit code 0. Its stdin is /dev/null, its stdout is discarded, and only
     the end of its stderr is read, for the fallback reason. Nonzero exit,
     timeout, or a missing output file falls back to the raw-DDL extractor
-    with the result tagged as a fallback; if the fallback itself fails the
-    (agent, database) pair is evaluation-blocked. At most max_bytes (-1:
-    all) of the output file are read, as UTF-8; a caller that sets its
-    limit one byte past its budget sees a longer file as over it.
+    with the result tagged as a fallback. At most token_budget *
+    BYTES_PER_TOKEN + 1 bytes of the output file are read, as UTF-8, so a
+    longer file is over budget. An analysis over budget, or a tool whose
+    naive fallback fails too, blocks the (agent, database) pair: the text is
+    None and the reason says why.
 
     `python|python3 <script>.py [args]` runs in a child forked from a warm
     tool host (toolhost.py); any other command runs as a plain subprocess.
     """
-    if pkg.execution_mode == "fallback_naive":
-        return ToolRunResult(text=extract_naive_schema(db_path))
-
-    argv = shlex.split(pkg.tool_command)
-    # A host that dies is replaced and the run retried once; should the
-    # replacement die too, the tool runs as a plain subprocess. A host's
-    # death never counts as the tool's failure.
-    runners = [_TOOL_HOSTS.run] * 2 if _hosted(argv) else []
-    if argv and argv[0] in ("python", "python3"):
-        argv[0] = sys.executable
-    for runner in runners + [_run_subprocess]:
+    text = reason = None
+    if pkg.execution_mode != "fallback_naive":
+        argv = shlex.split(pkg.tool_command)
+        # A host that dies is replaced and the run retried once; should the
+        # replacement die too, the tool runs as a plain subprocess. A host's
+        # death never counts as the tool's failure.
+        runners = [_TOOL_HOSTS.run] * 2 if _hosted(argv) else []
+        if argv and argv[0] in ("python", "python3"):
+            argv[0] = sys.executable
+        for runner in runners + [_run_subprocess]:
+            try:
+                text, reason = _run_staged(pkg, db_path, argv, runner, timeout,
+                                           token_budget * BYTES_PER_TOKEN + 1)
+                break
+            except _HostDied as exc:
+                logger.warning("tool run of agent %s on %s lost its host (%s); retrying",
+                               pkg.id, db_path, exc)
+        if reason is not None:
+            logger.warning("tool for agent %s failed on %s (%s); using naive fallback",
+                           pkg.id, db_path, reason)
+    fallback = reason is not None
+    if text is None:
         try:
-            text, reason = _run_staged(pkg, db_path, argv, runner, timeout, max_bytes)
-            break
-        except _HostDied as exc:
-            logger.warning("tool run of agent %s on %s lost its host (%s); retrying",
-                           pkg.id, db_path, exc)
-    if reason is None:
-        return ToolRunResult(text=text)
-
-    logger.warning("tool for agent %s failed on %s (%s); using naive fallback",
-                   pkg.id, db_path, reason)
-    try:
-        return ToolRunResult(text=extract_naive_schema(db_path), fallback=True, reason=reason)
-    except AnalysisError as exc:
-        raise AnalysisError(
-            f"agent {pkg.id}: tool failed ({reason}) and naive fallback failed: {exc}"
-        ) from exc
+            text = extract_naive_schema(db_path)
+        except AnalysisError as exc:
+            blocked = (f"agent {pkg.id}: tool failed ({reason}) and naive fallback failed: "
+                       f"{exc}" if fallback else str(exc))
+            logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_path, blocked)
+            return ToolRunResult(None, fallback, blocked)
+    tokens = estimate_tokens(text)
+    if tokens > token_budget:
+        # Oversized analyses would overflow the generation context.
+        logger.error("analysis for (%s, %s) is %d tokens, budget %d",
+                     pkg.id, db_path, tokens, token_budget)
+        return ToolRunResult(None, fallback, f"analysis over token budget ({tokens})")
+    return ToolRunResult(text, fallback, reason)

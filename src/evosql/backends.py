@@ -222,9 +222,11 @@ class HttpChatBackend:
                                attempt + 1, exc, delay)
                 self.sleep(delay)
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = body["choices"][0]["message"]["content"]
+            content.encode("utf-8")  # not a str, or a lone surrogate escape
+        except (KeyError, IndexError, TypeError, AttributeError, UnicodeEncodeError) as exc:
             raise BackendError(f"malformed chat response: {body!r}") from exc
+        return content
 
 
 class ScriptedEvolutionBackend:

@@ -7,9 +7,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import orchestrator, scheduler
-from .analyzer import DEFAULT_TOKEN_BUDGET, DEFAULT_TOOL_TIMEOUT, analyze
-from .harness import evaluate_agent, execute_gold, pool_map
+from . import analyzer, orchestrator, scheduler
+from .analyzer import DEFAULT_TOKEN_BUDGET, analyze
+from .errors import InvalidStateError
+from .harness import AgentEvaluation, evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 
@@ -66,35 +67,26 @@ def cmd_evaluate(args) -> int:
     if unknown:
         raise SystemExit(f"unknown databases: {', '.join(unknown)}")
 
-    rng = scheduler.iteration_rng(args.seed, 1)
-    questions = {
-        db: rng.sample(question_pool[db], min(args.questions_per_db, len(question_pool[db])))
-        for db in databases
-    }
-    results = pool_map(
-        lambda db: orchestrator.bounded_analysis(
-            pkg, args.data_root, db, DEFAULT_TOKEN_BUDGET, DEFAULT_TOOL_TIMEOUT
-        ),
-        databases,
-        args.workers,
-    )
-    analyses = {}
-    for db, (text, note) in zip(databases, results):
-        if text is None:
-            print(f"blocked: {db} ({note}); its questions are skipped")
-        else:
-            analyses[db] = text
-    if not analyses:
-        raise SystemExit("every database is evaluation-blocked")
-    questions = {db: questions[db] for db in analyses}
+    databases, questions = scheduler.sample_iteration_tasks(
+        databases, question_pool, scheduler.iteration_rng(args.seed, 1), len(databases),
+        args.questions_per_db)
+    tools = {}
+
+    def analysis(agent, db):
+        tools[db] = analyzer.run_agent_tool(agent, scheduler.database_path(args.data_root, db))
+        return tools[db].text
+
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
-    gold = execute_gold(questions, args.data_root)
-    if all(isinstance(g, str) for g in gold.values()):
-        raise SystemExit("no scorable question: none sampled, or every gold query is defective")
-    evaluation = evaluate_agent(
-        [pkg], questions, backend, {pkg.id: analyses}, gold, args.data_root,
-        workers=args.workers, backend_concurrency=args.backend_concurrency,
-    )[pkg.id]
+    outcomes = evaluate_agent(
+        [pkg], questions, backend, analysis, execute_gold(questions, args.data_root),
+        args.data_root, workers=args.workers, backend_concurrency=args.backend_concurrency,
+    )[pkg.id].outcomes
+    blocked = [db for db in databases if tools[db].text is None]
+    for db in blocked:
+        print(f"blocked: {db} ({tools[db].reason}); its questions are skipped")
+    evaluation = AgentEvaluation(pkg.id, [o for o in outcomes if o.db_id not in blocked])
+    if not evaluation.outcomes:
+        raise SystemExit("every database is evaluation-blocked")
     print(f"agent: {pkg.id}")
     print(f"accuracy: {evaluation.matches}/{evaluation.total} "
           f"({100 * evaluation.matches / evaluation.total:.1f}%)")
@@ -210,7 +202,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level),
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidStateError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 if __name__ == "__main__":

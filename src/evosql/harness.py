@@ -23,7 +23,7 @@ import sqlite3
 import threading
 import time
 import urllib.parse
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +65,10 @@ class ResultTable:
 def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIMEOUT) -> ResultTable:
     """Run sql read-only and materialize up to ROW_CAP rows.
 
-    Raises SqlError with kind "syntax", "runtime", or "timeout"; the timeout
-    is enforced with a progress handler that interrupts the statement.
+    Raises SqlError with kind "syntax", "runtime", or "timeout", and no
+    other error, also for text that sqlite3 refuses before SQLite sees it
+    (a NUL character, a lone surrogate); the timeout is enforced with a
+    progress handler that interrupts the statement.
     """
     quoted = urllib.parse.quote(str(Path(db_path)))
     try:
@@ -80,7 +82,7 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
         truncated = len(rows) > ROW_CAP
         del rows[ROW_CAP:]
         return ResultTable(rows=rows, truncated=truncated)
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:
         message = str(exc)
         if "interrupted" in message:
             raise SqlError(f"query exceeded {timeout:g}s: {message}", kind="timeout") from exc
@@ -348,7 +350,7 @@ def evaluate_agent(
     packages: list[AgentPackage],
     questions: dict[str, list[QuestionItem]],
     backend,
-    analyses: dict[str, dict[str, str | None]],
+    analysis: Callable[[AgentPackage, str], str | None],
     gold: Mapping[tuple[str, int], GoldTable | str],
     data_root: str | Path,
     *,
@@ -360,9 +362,10 @@ def evaluate_agent(
     """Evaluate every package on every question (by db_id); evaluations
     are keyed by agent id, in the order of packages.
 
-    analyses maps agent id, then db_id, to that agent's database analysis
-    text (None marks an evaluation-blocked database, whose questions count
-    as incorrect with a pipeline_error). gold is execute_gold's mapping; a
+    analysis(pkg, db_id) is that agent's database analysis text (None marks
+    an evaluation-blocked database, whose questions count as incorrect with
+    a pipeline_error); it is called once per (package, database) pair, on
+    workers threads, before any question. gold is execute_gold's mapping; a
     question whose gold is a defect reason is skipped. All agents'
     questions go on one queue of backend_concurrency threads (at most
     workers for an in_process backend), of which at most workers run
@@ -371,27 +374,26 @@ def evaluate_agent(
     """
     if workers < 1 or backend_concurrency < 1:
         raise ValueError("workers and backend_concurrency must be >= 1")
-    tasks = []
-    for pkg in packages:
-        for db_id, items in questions.items():
-            db_file = database_path(data_root, db_id)
-            for item in items:
-                gold_table = gold[(db_id, item.question_id)]
-                if isinstance(gold_table, GoldTable):
-                    tasks.append((pkg, item, analyses[pkg.id].get(db_id), gold_table, db_file))
+    tasks = [(pkg, db_id, item, gold[(db_id, item.question_id)])
+             for pkg in packages for db_id, items in questions.items() for item in items
+             if isinstance(gold[(db_id, item.question_id)], GoldTable)]
     if not tasks:
         raise InvalidStateError(
-            "no scorable questions (no agents, all gold SQL defective or no questions)"
+            "no scorable question: none sampled, or every gold query is defective"
         )
+    pairs = [(pkg, db_id) for pkg in packages for db_id in questions]
+    texts = {(pkg.id, db_id): text for (pkg, db_id), text
+             in zip(pairs, pool_map(lambda pair: analysis(*pair), pairs, workers))}
 
     cpu_slot = threading.Semaphore(workers)
     slotted = _SlotReleasingBackend(backend, cpu_slot)
 
     def run(task) -> QuestionOutcome:
-        pkg, item, analysis, gold_table, db_file = task
+        pkg, db_id, item, gold_table = task
         with cpu_slot:
             return _evaluate_question(
-                pkg, item, analysis, gold_table, slotted, db_file, sql_timeout, max_rounds
+                pkg, item, texts[(pkg.id, db_id)], gold_table, slotted,
+                database_path(data_root, db_id), sql_timeout, max_rounds,
             )
 
     # Threads beyond workers only pay off while tasks wait on the backend;

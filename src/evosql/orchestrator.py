@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analyzer, harness, pipeline, scheduler
-from .analyzer import estimate_tokens, run_agent_tool
+from .analyzer import ToolRunResult, run_agent_tool
 from .backends import (
     HttpChatBackend,
     HttpEvolutionBackend,
@@ -35,9 +35,9 @@ from .backends import (
 )
 from .defaults import DEFAULT_STRATEGY, write_naive_package
 from .elo import MatchRecord
-from .errors import AnalysisError, EvolutionError, InvalidStateError
+from .errors import EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
-from .harness import evaluate_agent, execute_gold, pool_map, write_error_analysis
+from .harness import evaluate_agent, execute_gold, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import QuestionItem, iteration_rng
 
@@ -269,32 +269,6 @@ def build_evolution_backend(spec: str):
     raise ValueError(f"unknown evolution backend spec {spec!r}")
 
 
-def bounded_analysis(pkg, data_root: Path, db_id: str, token_budget: int,
-                     tool_timeout: float) -> tuple[str | None, str | None]:
-    """Run pkg's analysis tool on one database within the token budget.
-
-    Returns (analysis text, or None when the (agent, database) pair is
-    evaluation-blocked; the fallback or blocking note, or None). At most
-    token_budget * BYTES_PER_TOKEN + 1 bytes of the tool's output are read,
-    so a longer output is over budget. An analysis over budget, or a tool
-    whose naive fallback fails too, blocks the pair.
-    """
-    db_file = scheduler.database_path(data_root, db_id)
-    try:
-        result = run_agent_tool(pkg, db_file, tool_timeout,
-                                token_budget * analyzer.BYTES_PER_TOKEN + 1)
-    except AnalysisError as exc:
-        logger.error("analysis blocked for (%s, %s): %s", pkg.id, db_id, exc)
-        return None, str(exc)
-    tokens = estimate_tokens(result.text)
-    if tokens > token_budget:
-        # Oversized analyses would overflow the generation context.
-        logger.error("analysis for (%s, %s) is %d tokens, budget %d",
-                     pkg.id, db_id, tokens, token_budget)
-        return None, f"analysis over token budget ({tokens})"
-    return result.text, (result.reason or "fallback") if result.fallback else None
-
-
 class Orchestrator:
     """Owns the registry and rating state for one run (single writer)."""
 
@@ -308,8 +282,8 @@ class Orchestrator:
         )
         self.evo_backend = evo_backend or build_evolution_backend(config.evo_backend)
         self.strategy_path = self._materialize_strategy()
-        # bounded_analysis's (text, note) by (agent id, db_id).
-        self._analyses: dict[tuple[str, str], tuple[str | None, str | None]] = {}
+        # Tool runs of the iterations' competitors, by (agent id, db_id).
+        self._analyses: dict[tuple[str, str], ToolRunResult] = {}
         # Gold of the latest iterations Deep Focus replays, by iteration;
         # later iterations copy the questions it holds. Empty after a
         # resume, until Deep Focus or the next iteration runs gold again.
@@ -361,15 +335,15 @@ class Orchestrator:
 
     # -- per-iteration pieces -------------------------------------------------
 
-    def _run_tool(self, pkg, db_id: str) -> tuple[str | None, str | None]:
-        return bounded_analysis(pkg, self.config.data_root, db_id,
-                                self.config.token_budget, self.config.tool_timeout)
+    def _run_tool(self, pkg, db_id: str) -> ToolRunResult:
+        return run_agent_tool(pkg, scheduler.database_path(self.config.data_root, db_id),
+                              self.config.tool_timeout, self.config.token_budget)
 
-    def _analysis_for(self, agent_id: str, db_id: str) -> str | None:
-        key = (agent_id, db_id)
+    def _cached_analysis(self, pkg, db_id: str) -> str | None:
+        key = (pkg.id, db_id)
         if key not in self._analyses:
-            self._analyses[key] = self._run_tool(self.registry.package(agent_id), db_id)
-        return self._analyses[key][0]
+            self._analyses[key] = self._run_tool(pkg, db_id)
+        return self._analyses[key].text
 
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
         """Evolve, deep-focus, and register a new agent; None on failure."""
@@ -398,9 +372,9 @@ class Orchestrator:
         return execute_gold(questions, self.config.data_root, self.config.sql_timeout,
                             held=ChainMap(*self._gold_by_iteration.values()))
 
-    def _evaluate(self, packages, questions, analyses, gold):
+    def _evaluate(self, packages, questions, analysis, gold):
         return evaluate_agent(
-            packages, questions, self.gen_backend, analyses, gold, self.config.data_root,
+            packages, questions, self.gen_backend, analysis, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,
             max_rounds=self.config.max_rounds,
             workers=self.config.workers,
@@ -409,12 +383,11 @@ class Orchestrator:
 
     def _deep_focus_eval(self, pkg, record: IterationRecord):
         """Evaluate a candidate package on a past iteration's tasks."""
-        texts = pool_map(lambda db: self._run_tool(pkg, db)[0], record.databases,
-                         self.config.workers)
-        analyses = dict(zip(record.databases, texts))
         # Held, so that after a resume the iteration under way copies it.
         gold = self._gold_by_iteration[record.iteration] = self._gold(record.questions)
-        evaluation = self._evaluate([pkg], record.questions, {pkg.id: analyses}, gold)[pkg.id]
+        # Uncached: a refine rewrites the package under the same id.
+        evaluation = self._evaluate([pkg], record.questions,
+                                    lambda p, db: self._run_tool(p, db).text, gold)[pkg.id]
         matches = {(o.db_id, o.question_id): o.match for o in evaluation.outcomes}
         return evaluation.accuracy, matches
 
@@ -438,12 +411,6 @@ class Orchestrator:
         logger.info("iteration %d: mode=%s databases=%s competitors=%s",
                     iteration, mode, databases, competitors)
 
-        pairs = [(agent_id, db) for agent_id in competitors for db in databases]
-        texts = dict(zip(pairs, pool_map(lambda pair: self._analysis_for(*pair), pairs,
-                                         self.config.workers)))
-        analyses_by_agent = {
-            agent_id: {db: texts[(agent_id, db)] for db in databases} for agent_id in competitors
-        }
         # Deep Focus is done with the gold no later iteration replays, so it
         # is dropped once this iteration has copied what it needs from it.
         gold = self._gold(questions)
@@ -453,7 +420,7 @@ class Orchestrator:
 
         evaluations = self._evaluate(
             [self.registry.package(agent_id) for agent_id in competitors],
-            questions, analyses_by_agent, gold,
+            questions, self._cached_analysis, gold,
         )
         all_outcomes = []
         for agent_id, evaluation in evaluations.items():
@@ -499,7 +466,7 @@ class Orchestrator:
             excluded_questions=sorted(key for key, g in gold.items() if isinstance(g, str)),
             tool_fallbacks={
                 a: {db: note for db in databases
-                    if (note := self._analyses[(a, db)][1]) is not None}
+                    if (note := self._analyses[(a, db)].reason) is not None}
                 for a in competitors
             },
             tokens={a: ev.usage() for a, ev in evaluations.items()},

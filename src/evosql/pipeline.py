@@ -177,7 +177,9 @@ def generate_with_verification(
 
     executor(db_path, sql) must return an object with .rows (list of
     tuples) and .truncated, or raise on failure; failures are summarized
-    into the verification message rather than propagated.
+    into the verification message rather than propagated. The final check
+    asks again for SQL the loop may have run already, so an executor that
+    remembers each text's result runs it once.
 
     Raises PipelineError (carrying the partial transcript) on an empty
     initial generation, and its subclass BackendCallError when the backend
@@ -222,11 +224,9 @@ def generate_with_verification(
     )
 
     accepted = False
-    last_execution: tuple[str, bool, bool] | None = None
     for round_number in range(1, max_rounds + 1):
         summary, is_empty, failed = execute_current(current_sql)
         transcript.attempts[-1].execution = summary
-        last_execution = (summary, is_empty, failed)
 
         conversation.append(
             {"role": "user", "content": _verification_message(question, current_sql, summary)}
@@ -246,18 +246,13 @@ def generate_with_verification(
         transcript.attempts.append(
             Attempt(temperature, current_sql, "(not executed)", VERDICT_REVISED)
         )
-        last_execution = None
 
     if not accepted and transcript.attempts[-1].verdict == VERDICT_REVISED:
         transcript.attempts[-1].verdict = VERDICT_EXHAUSTED
 
-    # Error/null check on the final SQL, reusing the last execution when the
-    # loop already ran it.
-    if last_execution is None:
-        summary, is_empty, failed = execute_current(current_sql)
-        transcript.attempts[-1].execution = summary
-        last_execution = (summary, is_empty, failed)
-    summary, is_empty, failed = last_execution
+    # Error/null check on the final SQL.
+    summary, is_empty, failed = execute_current(current_sql)
+    transcript.attempts[-1].execution = summary
 
     if failed or is_empty:
         problem = f'failed with error: "{summary}"' if failed else "returned an empty result"

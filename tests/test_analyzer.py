@@ -346,23 +346,25 @@ def _flooding_package(root, text: str, repeat: int):
     return load_package(root)
 
 
-def test_run_agent_tool_reads_at_most_max_bytes(tmp_path, school_db):
-    # The tool writes 8 MB; only max_bytes of it are read, so a caller whose
-    # limit is one byte past its budget sees the output as over budget.
+def test_run_agent_tool_reads_one_byte_past_the_budget(tmp_path, school_db):
+    # The tool writes 8 MB; only the budget's 4,000 bytes plus one are read,
+    # 1,001 tokens, so the output is over budget and the pair is blocked.
     pkg = _flooding_package(tmp_path / "flood", "x", 8_000_000)
-    result = run_agent_tool(pkg, school_db, timeout=60, max_bytes=4_001)
+    result = run_agent_tool(pkg, school_db, timeout=60, token_budget=1_000)
     assert result.fallback is False
-    assert result.text == "x" * 4_001
-    assert estimate_tokens(result.text) > 1_000
+    assert result.text is None
+    assert result.reason == "analysis over token budget (1001)"
 
 
 def test_run_agent_tool_bounded_read_splitting_a_character(tmp_path, school_db):
-    # A limit that cuts a two-byte character in half still decodes, and the
-    # decoded text is no shorter in bytes than what was read.
+    # A budget of 2 tokens reads 9 bytes, cutting the fifth two-byte
+    # character in half. The cut still decodes, and the decoded text is no
+    # shorter in bytes than what was read: 4 characters and a replacement
+    # character make 11 bytes, 3 tokens, so it stays over budget.
     pkg = _flooding_package(tmp_path / "flood", "\u00e9", 1_000)
-    result = run_agent_tool(pkg, school_db, timeout=60, max_bytes=11)
-    assert result.text.startswith("\u00e9" * 5)
-    assert len(result.text.encode("utf-8")) >= 11
+    result = run_agent_tool(pkg, school_db, timeout=60, token_budget=2)
+    assert result.text is None
+    assert result.reason == "analysis over token budget (3)"
 
 
 def test_run_agent_tool_nonzero_exit_falls_back(tmp_path, school_db):
@@ -419,8 +421,9 @@ def test_run_agent_tool_fallback_also_fails(tmp_path):
         instructions="x\n",
         tools={"crash.py": "import sys\nsys.exit(1)\n"},
     )
-    with pytest.raises(AnalysisError, match="fallback failed"):
-        run_agent_tool(load_package(tmp_path / "bad"), bogus, timeout=30)
+    result = run_agent_tool(load_package(tmp_path / "bad"), bogus, timeout=30)
+    assert result.text is None
+    assert "tool failed (exit code 1" in result.reason and "fallback failed" in result.reason
 
 
 def test_run_agent_tool_isolated_workdir(tmp_path, school_db):

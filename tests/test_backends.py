@@ -1,5 +1,5 @@
-"""HTTP backends (chat retries, the evolution conversation), scripted with a
-stand-in for urllib's urlopen."""
+"""HTTP backends (chat retries, reply checks, the evolution conversation),
+scripted with a stand-in for urllib's urlopen."""
 
 import email.message
 import json
@@ -18,6 +18,8 @@ from evosql.backends import (
 )
 from evosql.errors import BackendError
 from evosql.evolution import EvolutionContext
+from evosql.orchestrator import RunConfig, run
+from tests.conftest import make_evolution_response
 
 URL = "http://llm.test/v1"
 
@@ -102,6 +104,37 @@ def test_permanent_failures_are_not_retried(monkeypatch, failure):
     with pytest.raises(BackendError):
         _complete(backend)
     assert len(calls) == 1 and delays == []
+
+
+@pytest.mark.parametrize("content", [None, 7, "SELECT \ud800"])
+def test_reply_content_that_is_no_utf8_text_is_a_backend_error(monkeypatch, content):
+    # A JSON null, a number, or a lone surrogate escape, which decodes but
+    # cannot be encoded again.
+    backend, calls, delays = _scripted_backend(monkeypatch, [_reply(content)])
+    with pytest.raises(BackendError, match="malformed chat response"):
+        _complete(backend)
+    assert len(calls) == 1 and delays == []
+
+
+def test_unusable_reply_content_degrades_a_run_instead_of_crashing_it(monkeypatch, data_root,
+                                                                      tmp_path):
+    # Generation replies carry "content": null, and the evolved package's
+    # instructions carry a lone surrogate. The questions fail as backend
+    # errors and the evolve iteration degrades to none-mode.
+    def fake_urlopen(request, timeout):
+        system = json.loads(request.data)["messages"][0]["content"]
+        content = None
+        if system == HttpEvolutionBackend.SYSTEM_PROMPT:
+            content = make_evolution_response("odd").replace("Select only", "Select \ud800only")
+        return _Response(json.dumps(_reply(content)).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    state = run(RunConfig(data_root=data_root, output_dir=tmp_path / "out", iterations=2),
+                gen_backend=HttpChatBackend(URL, "model"),
+                evo_backend=HttpEvolutionBackend(URL, "model"))
+    assert state.iterations[1].mode == "none"
+    outcomes = json.loads((tmp_path / "out" / "iter_2" / "outcomes.json").read_text())
+    assert outcomes and {o["failure_kind"] for o in outcomes} == {"backend_error"}
 
 
 def test_retry_after_forms():

@@ -149,6 +149,20 @@ def test_evaluate_without_a_scorable_question_exits_with_a_message(naive_package
               "--data-root", str(tmp_path / "data")])
 
 
+def test_resume_with_another_seed_exits_with_a_message(data_root, tmp_path):
+    flags = ["--data-root", str(data_root), "--output-dir", str(tmp_path / "out"),
+             "--iterations", "1"]
+    assert main(["run", *flags, "--seed", "7"]) == 0
+    with pytest.raises(SystemExit, match="^the run state has seed 7, not 3; resume with "
+                                         "the run's seed$"):
+        main(["resume", *flags, "--seed", "3"])
+
+
+def test_resume_without_a_state_exits_with_a_message(data_root, tmp_path):
+    with pytest.raises(SystemExit, match="^no run_state.json under .+ to resume$"):
+        main(["resume", "--data-root", str(data_root), "--output-dir", str(tmp_path / "fresh")])
+
+
 def test_run_with_config_file(data_root, tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

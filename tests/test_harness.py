@@ -47,6 +47,18 @@ def test_execute_sql_runtime_error(school_db):
     assert err.value.kind == "runtime"
 
 
+@pytest.mark.parametrize("sql", ["SELECT 1\u0000", "SELECT '\ud800'"])
+def test_execute_sql_text_sqlite3_refuses_is_an_sql_error(school_db, sql):
+    # sqlite3 refuses a NUL character or a lone surrogate before SQLite
+    # sees the text, raising ValueError, sqlite3.Warning, UnicodeEncodeError
+    # or sqlite3.ProgrammingError depending on the Python version. The
+    # per-question memo keeps only SqlError, so anything else would end the
+    # evaluation.
+    with pytest.raises(SqlError) as err:
+        execute_sql(school_db, sql)
+    assert err.value.kind == "runtime"
+
+
 def test_execute_sql_timeout(school_db):
     # A non-terminating recursive CTE must be interrupted and classified.
     with pytest.raises(SqlError) as err:
@@ -305,18 +317,19 @@ def _oracle_backend(data_root):
 
 
 def _analyses_for(pkg, plan, data_root):
+    """An analysis callable answering with pkg's tool output per database,
+    run once here."""
     from evosql.analyzer import run_agent_tool
     from evosql.scheduler import database_path
 
-    return {
-        db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan
-    }
+    texts = {db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan}
+    return lambda _pkg, db: texts[db]
 
 
-def _evaluate_one(pkg, plan, backend, analyses, gold, data_root, **kwargs):
-    """evaluate_agent on one package; analyses maps db_id to its text."""
+def _evaluate_one(pkg, plan, backend, analysis, gold, data_root, **kwargs):
+    """evaluate_agent on one package; analysis(pkg, db_id) is its text."""
     return evaluate_agent(
-        [pkg], plan, backend, {pkg.id: analyses}, gold, data_root, **kwargs
+        [pkg], plan, backend, analysis, gold, data_root, **kwargs
     )[pkg.id]
 
 
@@ -376,12 +389,35 @@ def test_evaluate_agent_all_gold_defective(data_root, naive_package_dir):
         )
 
 
+def test_evaluate_agent_runs_each_analysis_once_and_none_without_a_question(
+        data_root, naive_package_dir):
+    packages = [load_package(naive_package_dir), load_package(naive_package_dir, "twin")]
+    plan = _plan(data_root, db_ids=("school", "films"), limit=2)
+    calls = []
+
+    def analysis(pkg, db):
+        calls.append((pkg.id, db))
+        return "schema"
+
+    evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
+                   execute_gold(plan, data_root), data_root, workers=2)
+    assert sorted(calls) == sorted((pkg.id, db) for pkg in packages for db in plan)
+    calls.clear()
+    for item in plan["school"] + plan["films"]:
+        item.gold_sql = "SELEC broken"
+    with pytest.raises(InvalidStateError, match="^no scorable question: none sampled, or "
+                                                "every gold query is defective$"):
+        evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
+                       execute_gold(plan, data_root), data_root)
+    assert calls == []
+
+
 def test_evaluate_agent_blocked_analysis_counts_incorrect(data_root, naive_package_dir):
     pkg = load_package(naive_package_dir)
     plan = _plan(data_root, limit=3)
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
-        pkg, plan, _oracle_backend(data_root), {"school": None}, gold, data_root
+        pkg, plan, _oracle_backend(data_root), lambda _pkg, _db: None, gold, data_root
     )
     assert evaluation.matches == 0
     assert all(o.failure_kind == "pipeline_error" for o in evaluation.outcomes)
@@ -525,7 +561,7 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
     sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
     try:
         evaluations = evaluate_agent(
-            packages, plan, SleepingBackend(), {pkg.id: text for pkg in packages}, gold,
+            packages, plan, SleepingBackend(), text, gold,
             data_root, workers=workers, backend_concurrency=concurrency,
         )
     finally:
@@ -563,8 +599,8 @@ def test_evaluate_agent_rejects_concurrency_below_one(data_root, naive_package_d
     gold = execute_gold(plan, data_root)
     for bad in ({"workers": 0}, {"backend_concurrency": 0}):
         with pytest.raises(ValueError, match="must be >= 1"):
-            _evaluate_one(pkg, plan, _oracle_backend(data_root), {"school": "schema"}, gold,
-                          data_root, **bad)
+            _evaluate_one(pkg, plan, _oracle_backend(data_root), lambda _pkg, _db: "schema",
+                          gold, data_root, **bad)
 
 
 def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_package_dir):
