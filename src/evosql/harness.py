@@ -15,6 +15,16 @@ backend_concurrency tasks are in flight, but at most workers of them run
 Python, SQL or scoring at once: a task holds a CPU slot except while it
 waits on the generation backend. A backend that answers in-process waits on
 nothing, so its tasks run workers at a time.
+
+Only the row fetch of execute_sql is serialised. Python's sqlite3 releases
+and re-takes the GIL around every row it steps, so threads fetching at once
+would hand the GIL to each other once a row. The first step of a statement,
+where SQLite sorts a GROUP BY, stays parallel; the rows after it are read
+FETCH_CHUNK_ROWS at a time, one chunk per hold of a process-wide lock, and
+all Python work on them runs outside it. A thread that has waited
+FETCH_PATIENCE seconds for the lock is let in before its holder can take it
+back, so a query that is slow per row holds the others off for about one
+chunk, not for its whole timeout.
 """
 
 import logging
@@ -42,6 +52,8 @@ logger = logging.getLogger(__name__)
 ROW_CAP = 100_000
 DEFAULT_SQL_TIMEOUT = 30.0
 REPORT_PREVIEW_ROWS = 5
+FETCH_CHUNK_ROWS = 100
+FETCH_PATIENCE = 0.02
 
 FAILURE_NONE = "none"
 FAILURE_WRONG_RESULT = "wrong_result"
@@ -62,13 +74,41 @@ class ResultTable:
     truncated: bool = False
 
 
+class _FetchLock:
+    """A lock whose releaser may take it straight back, unless another
+    thread has waited FETCH_PATIENCE seconds for it: that thread is let in
+    first. Taking it back keeps one result's fetch in one run, which is what
+    makes serialising pay; a threading.Lock alone lets a long fetch starve
+    every other one, and handing over at every release costs most of the
+    gain."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        # Held by a thread out of patience; everyone else queues behind it.
+        self._turnstile = threading.Lock()
+
+    def __enter__(self):
+        with self._turnstile:
+            pass
+        if not self._lock.acquire(timeout=FETCH_PATIENCE):
+            with self._turnstile:
+                self._lock.acquire()
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+_FETCH_LOCK = _FetchLock()
+
+
 def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIMEOUT) -> ResultTable:
     """Run sql read-only and materialize up to ROW_CAP rows.
 
     Raises SqlError with kind "syntax", "runtime", or "timeout", and no
     other error, also for text that sqlite3 refuses before SQLite sees it
     (a NUL character, a lone surrogate); the timeout is enforced with a
-    progress handler that interrupts the statement.
+    progress handler that interrupts the statement, in its first step or
+    in any chunk of the fetch.
     """
     quoted = urllib.parse.quote(str(Path(db_path)))
     try:
@@ -78,7 +118,15 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
     deadline = time.monotonic() + timeout
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 5000)
     try:
-        rows = conn.execute(sql).fetchmany(ROW_CAP + 1)
+        cursor = conn.execute(sql)
+        rows: list[tuple] = []
+        while len(rows) <= ROW_CAP:
+            wanted = min(FETCH_CHUNK_ROWS, ROW_CAP + 1 - len(rows))
+            with _FETCH_LOCK:
+                chunk = cursor.fetchmany(wanted)
+            rows += chunk
+            if len(chunk) < wanted:
+                break
         truncated = len(rows) > ROW_CAP
         del rows[ROW_CAP:]
         return ResultTable(rows=rows, truncated=truncated)

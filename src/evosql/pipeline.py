@@ -183,7 +183,8 @@ def generate_with_verification(
 
     Raises PipelineError (carrying the partial transcript) on an empty
     initial generation, and its subclass BackendCallError when the backend
-    fails; such questions count as incorrect upstream.
+    fails or replies with something other than UTF-8 text; such questions
+    count as incorrect upstream.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be >= 0")
@@ -198,11 +199,13 @@ def generate_with_verification(
         )
         try:
             reply = backend.complete(system_text, list(conversation), temperature)
+            # Also refuses a reply that is not text or holds a lone surrogate.
+            received = estimate_tokens(reply)
         except Exception as exc:
             raise BackendCallError(f"backend failure: {exc}", transcript=transcript) from exc
         transcript.backend_calls += 1
         transcript.request_tokens += sent
-        transcript.response_tokens += estimate_tokens(reply)
+        transcript.response_tokens += received
         conversation.append({"role": "assistant", "content": reply})
         return reply
 

@@ -7,6 +7,7 @@ immutable after load and safe to share between concurrent evaluators; all
 registry mutations happen on the orchestration thread.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,9 +253,8 @@ class AgentRegistry:
         tests (under-tested agents get exposure first), then id."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        candidates = [a for a in self.records if a not in exclude]
-        candidates.sort(key=self._rank_key)
-        return candidates[:n]
+        candidates = (a for a in self.records if a not in exclude)
+        return heapq.nsmallest(n, candidates, key=self._rank_key)
 
     def pending_winners(self) -> list[str]:
         pending = [a for a, r in self.records.items() if r.pending_winner]

@@ -301,6 +301,128 @@ def test_truncated_gold_is_defective(tmp_path, monkeypatch):
     assert [key for key, g in gold.items() if isinstance(g, GoldTable)] == [("numbers", 2)]
 
 
+# One full scan of t per row: the first row comes at once, the rest slowly.
+_SLOW_PER_ROW_SQL = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                     "SELECT x, (SELECT count(*) FROM t WHERE t.x > c.x % 7) FROM c")
+
+
+class _FetchLockProbe:
+    """Wraps the harness fetch lock, counting its holds and the most
+    threads inside it at once."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.holds = 0
+        self.inside = 0
+        self.most_inside = 0
+        self.fetching = threading.Event()
+
+    def __enter__(self):
+        self._lock.__enter__()
+        self.holds += 1
+        self.inside += 1
+        self.most_inside = max(self.most_inside, self.inside)
+        self.fetching.set()
+
+    def __exit__(self, *exc_info):
+        self.inside -= 1
+        self._lock.__exit__(*exc_info)
+
+
+@pytest.fixture
+def fetch_probe(monkeypatch):
+    import evosql.harness as harness_module
+
+    probe = _FetchLockProbe(harness_module._FETCH_LOCK)
+    monkeypatch.setattr(harness_module, "_FETCH_LOCK", probe)
+    return probe
+
+
+@pytest.mark.parametrize("cap", [8, 10])
+@pytest.mark.parametrize("rows", [0, 3, 4, 5, 7, 8, 9, 10, 11, 12])
+def test_chunked_fetch_keeps_the_row_cap(tmp_path, monkeypatch, cap, rows):
+    # Chunks of 4 rows: 4 and 8 are chunk boundaries, and the cap is one
+    # (8) or falls inside a chunk (10).
+    import evosql.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "ROW_CAP", cap)
+    monkeypatch.setattr(harness_module, "FETCH_CHUNK_ROWS", 4)
+    db = _numbers_root(tmp_path, 12) / "numbers" / "numbers.sqlite"
+    table = execute_sql(db, f"SELECT x FROM t WHERE x <= {rows} ORDER BY x")
+    assert table.rows == [(x,) for x in range(1, min(rows, cap) + 1)]
+    assert table.truncated == (rows > cap)
+
+
+def test_timeout_interrupts_the_fetch_and_frees_the_lock(tmp_path, fetch_probe):
+    db = _numbers_root(tmp_path, 10_000) / "numbers" / "numbers.sqlite"
+    with pytest.raises(SqlError) as err:
+        execute_sql(db, _SLOW_PER_ROW_SQL, timeout=0.3)
+    assert err.value.kind == "timeout"
+    assert fetch_probe.holds > 1  # interrupted after a whole chunk was read
+    results = []
+    other = threading.Thread(
+        target=lambda: results.append(execute_sql(db, "SELECT count(*) FROM t")))
+    other.start()
+    other.join(timeout=10)
+    assert not other.is_alive()
+    assert results[0].rows == [(10_000,)]
+
+
+def test_fetch_slow_per_row_does_not_hold_off_small_queries(tmp_path, fetch_probe):
+    # A threading.Lock alone lets a small query through now and then, by
+    # luck of the wake-up race, but seldom five in a row.
+    db = _numbers_root(tmp_path, 10_000) / "numbers" / "numbers.sqlite"
+    kinds = []
+
+    def slow():
+        with pytest.raises(SqlError) as err:
+            execute_sql(db, _SLOW_PER_ROW_SQL, timeout=2.5)
+        kinds.append(err.value.kind)
+
+    thread = threading.Thread(target=slow)
+    thread.start()
+    assert fetch_probe.fetching.wait(timeout=10)
+    start = time.monotonic()
+    tables = [execute_sql(db, "SELECT x FROM t WHERE x <= 50") for _ in range(5)]
+    took = time.monotonic() - start
+    finished_first = thread.is_alive()
+    thread.join(timeout=10)
+    assert not thread.is_alive() and kinds == ["timeout"]
+    assert [len(table.rows) for table in tables] == [50] * 5
+    assert finished_first and took < 1.0
+
+
+def test_fetches_are_serialised_and_intact_under_contention(tmp_path, fetch_probe, monkeypatch):
+    # Small chunks and almost no patience: threads queue at the lock on
+    # nearly every chunk, and many take the turnstile.
+    import evosql.harness as harness_module
+
+    monkeypatch.setattr(harness_module, "FETCH_CHUNK_ROWS", 7)
+    monkeypatch.setattr(harness_module, "FETCH_PATIENCE", 0.0005)
+    db = _numbers_root(tmp_path, 300) / "numbers" / "numbers.sqlite"
+    wrong = []
+
+    def fetch_many(first):
+        for limit in range(first, 300, 37):
+            table = execute_sql(db, f"SELECT x FROM t WHERE x <= {limit} ORDER BY x")
+            if table.rows != [(x,) for x in range(1, limit + 1)]:
+                wrong.append(limit)
+
+    threads = [threading.Thread(target=fetch_many, args=(first,)) for first in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+    assert fetch_probe.most_inside == 1
+
+
 def test_scripted_fixture_rejects_reply_list(tmp_path):
     # A list consumed call by call would hand replies out in thread order.
     fixture = tmp_path / "replies.json"
@@ -620,6 +742,29 @@ def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_
     empty = _evaluate_one(pkg, plan, ScriptedGenerationBackend(default=["```\n```"]),
                           analyses, gold, data_root)
     assert {o.failure_kind for o in empty.outcomes} == {"pipeline_error"}
+
+
+class _ReplyBackend:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, *_args):
+        return self.reply
+
+
+@pytest.mark.parametrize("backend", [
+    ScriptedGenerationBackend(default=["SELECT '\ud800'"]),
+    _ReplyBackend(None),
+    _ReplyBackend(b"SELECT 1"),
+], ids=["lone-surrogate", "none", "bytes"])
+def test_reply_that_is_not_text_is_a_backend_error(data_root, naive_package_dir, backend):
+    pkg = load_package(naive_package_dir)
+    plan = _plan(data_root, limit=2)
+    gold = execute_gold(plan, data_root)
+    evaluation = _evaluate_one(pkg, plan, backend, _analyses_for(pkg, plan, data_root),
+                               gold, data_root)
+    assert {o.failure_kind for o in evaluation.outcomes} == {"backend_error"}
+    write_error_analysis(1, evaluation.outcomes).encode("utf-8")
 
 
 def test_prompts_identical_across_agents_except_analysis():
