@@ -7,8 +7,9 @@ extractor and the runner for packaged agent tools, which forks Python tools
 from warm tool hosts (toolhost.py).
 
 Everything here is pure given the database file: queries are ordered, sample
-values are the first N distinct values ascending, and no wall-clock state
-leaks into the output, so analyzing the same file twice is byte-identical.
+values are the first N distinct values ascending, facts gathered in parallel
+are merged in table order, and no wall-clock state leaks into the output, so
+analyzing the same file twice is byte-identical, on any number of CPUs.
 """
 
 import atexit
@@ -27,7 +28,7 @@ import tempfile
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import AnalysisError, BudgetExceededError
@@ -134,6 +135,31 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
     return sqlite3.connect(f"file:{quoted}?mode=ro", uri=True)
 
 
+# Page cache of each analysis connection, in KiB. With SQLite's default of
+# 2,000 KiB on each of analyze()'s two connections, the peak RSS of the
+# wide_schema benchmark (2 CPUs) rose from 30.2 to 33.2 MB; 512 KiB gave
+# 30.3-30.4 MB and 256 KiB 29.8-29.9 MB, each as fast as the default.
+ANALYSIS_CACHE_KIB = 256
+
+
+def _analysis_connection(db_path: str | Path) -> sqlite3.Connection:
+    conn = _connect_readonly(db_path)
+    try:
+        conn.execute(f"PRAGMA cache_size = -{ANALYSIS_CACHE_KIB}")
+    except sqlite3.Error:
+        conn.close()
+        raise
+    return conn
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _schema_ddl(conn: sqlite3.Connection) -> str:
     rows = conn.execute(
         "SELECT sql || ';' FROM sqlite_master "
@@ -173,17 +199,15 @@ def _table_columns(conn: sqlite3.Connection, table: str) -> list[tuple]:
     return conn.execute(f"PRAGMA table_info({_qident(table)})").fetchall()
 
 
-def _primary_key_columns(conn: sqlite3.Connection, table: str) -> list[str]:
-    cols = [(c[5], c[1]) for c in _table_columns(conn, table) if c[5] > 0]
-    return [name for _, name in sorted(cols)]
-
-
 @dataclass(frozen=True)
 class _ForeignKey:
     table: str
     from_cols: tuple[str, ...]
     ref_table: str
     to_cols: tuple[str, ...]
+    # Why the parent key does not exist, or None. SQLite accepts such a
+    # declaration while foreign-key enforcement is off, its default.
+    dangling: str | None
 
 
 def _foreign_keys(conn: sqlite3.Connection, table: str) -> list[_ForeignKey]:
@@ -197,13 +221,19 @@ def _foreign_keys(conn: sqlite3.Connection, table: str) -> list[_ForeignKey]:
         ref_table = parts[0][2]
         from_cols = tuple(p[3] for p in parts)
         to_cols = tuple(p[4] for p in parts)
+        parent = _table_columns(conn, ref_table)
         if any(c is None for c in to_cols):
             # FK references the parent's primary key implicitly.
-            pk = _primary_key_columns(conn, ref_table)
+            pk = [name for _, name in sorted((c[5], c[1]) for c in parent if c[5] > 0)]
             if len(pk) != len(from_cols):
                 continue  # malformed; skip rather than guess
             to_cols = tuple(pk)
-        fks.append(_ForeignKey(table, from_cols, ref_table, to_cols))
+        # SQLite folds the case of ASCII letters only in names.
+        parent_names = {c[1].encode().lower() for c in parent}
+        missing = [c for c in to_cols if c.encode().lower() not in parent_names]
+        dangling = (f"no table {ref_table}" if not parent
+                    else f"no column {ref_table}.{missing[0]}" if missing else None)
+        fks.append(_ForeignKey(table, from_cols, ref_table, to_cols, dangling))
     return fks
 
 
@@ -346,52 +376,153 @@ ORDERED_VALUES_MAX = max(
 )
 
 
-class _Snapshot:
-    """All per-database facts, each fetched once; section builders read
-    from it, so re-rendering at a lower tier runs no query it ran before.
+@dataclass
+class _TableFacts:
+    """What _table_facts gathers about one base table, keyed as in _Snapshot."""
 
-    Per table, one aggregate scan gives the row count, every column's
-    non-null count and MIN, and each numeric column's MAX. Per column, a
-    distinct probe without ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1
-    values: the exact distinct count is only needed up to that cutoff. A
-    column's ascending distinct values are fetched at most once, when a
-    section first needs them.
+    row_count: int
+    nonnull_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    min_max: dict[tuple[str, str], tuple] = field(default_factory=dict)
+    distinct_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    mixed_case_enum: bool = False
+    ordered: dict[tuple[str, str], list] = field(default_factory=dict)
+    fk_cardinality: dict[_ForeignKey, str] = field(default_factory=dict)
+    fk_nullable: dict[_ForeignKey, bool] = field(default_factory=dict)
+    orphans: dict[_ForeignKey, int] = field(default_factory=dict)
+
+
+def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
+                 config: FeatureConfig) -> _TableFacts:
+    """Every fact about one base table that a section reads at config's
+    depth, and so at any lower one."""
+    row_count, aggregates = _column_aggregates(conn, table, columns)
+    facts = _TableFacts(row_count)
+    for col in columns:
+        name = col[1]
+        key = (table, name)
+        facts.nonnull_counts[key], lo, hi = aggregates[name]
+        facts.min_max[key] = (lo, hi)
+        probe = _distinct_values(conn, table, name, CATEGORICAL_DISTINCT_MAX + 1, ordered=False)
+        distinct = facts.distinct_counts[key] = len(probe)
+        categorical = 1 <= distinct <= CATEGORICAL_DISTINCT_MAX
+        # Whether a categorical column holds upper case does not depend on
+        # the order its values come in.
+        if categorical and any(isinstance(v, str) and v != v.lower() for v in probe):
+            facts.mixed_case_enum = True
+        # Ascending values are read by samples past the MIN, by enumerated
+        # values and by the format probe of TEXT columns.
+        if (config.samples_per_column > 1 or _affinity(col[2]) == "TEXT"
+                or (categorical and config.enum_value_limit != 0)):
+            facts.ordered[key] = _distinct_values(conn, table, name, ORDERED_VALUES_MAX)
+    for fk in fks:
+        facts.fk_cardinality[fk] = _fk_cardinality(conn, fk)
+        facts.fk_nullable[fk] = _fk_nullable(conn, fk)
+        if config.cross_table_validation != "skip" and fk.dangling is None:
+            facts.orphans[fk] = _fk_orphan_count(conn, fk)
+    return facts
+
+
+def _per_table(conn: sqlite3.Connection, db_path: Path, tables: list[str], step) -> list:
+    """[step(conn, table) for table in tables], run on every CPU.
+
+    The calling thread works on conn. min(len(tables), CPUs) - 1 helper
+    threads join it, each on a read-only connection to db_path that it
+    opens, uses and closes itself. All of them take tables from one
+    iterator, and every helper is joined before this returns. A failing
+    step stops the handing out of tables; the exception of the first
+    failing table in table order is raised.
+    """
+    lock, stop = threading.Lock(), threading.Event()
+    pending = iter(range(len(tables)))
+    results: list = [None] * len(tables)
+    failures: dict[int, Exception] = {}
+
+    def work(own_conn):
+        while not stop.is_set():
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            try:
+                results[index] = step(own_conn, tables[index])
+            except Exception as exc:  # raised again in the calling thread
+                failures[index] = exc
+                stop.set()
+
+    def helper():
+        try:
+            own_conn = _analysis_connection(db_path)
+        except sqlite3.Error:
+            return  # the other threads take its tables
+        try:
+            work(own_conn)
+        finally:
+            own_conn.close()
+
+    helpers = []
+    try:
+        for _ in range(min(len(tables), _cpu_count()) - 1):
+            thread = threading.Thread(target=helper, name="evosql-analyze")
+            thread.start()
+            helpers.append(thread)
+        work(conn)
+    finally:
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+class _Snapshot:
+    """All per-database facts, each fetched once, before any section is
+    built: section builders only read it, so rendering, and re-rendering at
+    a lower tier, runs no statement.
+
+    The facts are those the classified tier reads, gathered by one step per
+    base table (_table_facts) on every CPU (_per_table). Per table, one
+    aggregate scan gives the row count, every column's non-null count and
+    MIN, and each numeric column's MAX. Per column, a distinct probe
+    without ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1 values: the
+    exact distinct count is only needed up to that cutoff. The ascending
+    distinct values are fetched for every column at the Small, Medium and
+    Large tiers and for TEXT columns at Ultra. Each of the table's foreign
+    keys gets its cardinality and nullability, and its orphan count where
+    the tier shows cross-table validation and the parent key exists.
     """
 
-    def __init__(self, conn: sqlite3.Connection):
-        self._conn = conn
+    def __init__(self, conn: sqlite3.Connection, db_path: Path):
         self.tables = _base_tables(conn)
         self.columns = {t: _table_columns(conn, t) for t in self.tables}
         self.total_columns = sum(len(cols) for cols in self.columns.values())
-        self.foreign_keys = [fk for t in self.tables for fk in _foreign_keys(conn, t)]
+        self.tier = classify_size(self.total_columns)
+        fks = {t: _foreign_keys(conn, t) for t in self.tables}
+        self.foreign_keys = [fk for t in self.tables for fk in fks[t]]
 
+        config = TIER_CONFIGS[self.tier.tier]
+        gathered = _per_table(conn, db_path, self.tables, lambda own_conn, table: _table_facts(
+            own_conn, table, self.columns[table], fks[table], config))
         self.row_counts: dict[str, int] = {}
         self.nonnull_counts: dict[tuple[str, str], int] = {}
         self.min_max: dict[tuple[str, str], tuple] = {}
         # Exact up to CATEGORICAL_DISTINCT_MAX; one more stands for "more".
         self.distinct_counts: dict[tuple[str, str], int] = {}
         self.mixed_case_enum = False
-        for table in self.tables:
-            self.row_counts[table], facts = _column_aggregates(conn, table, self.columns[table])
-            for name in facts:
-                key = (table, name)
-                self.nonnull_counts[key], lo, hi = facts[name]
-                self.min_max[key] = (lo, hi)
-                probe = _distinct_values(
-                    conn, table, name, CATEGORICAL_DISTINCT_MAX + 1, ordered=False
-                )
-                self.distinct_counts[key] = len(probe)
-                # Whether a categorical column holds upper case does not
-                # depend on the order its values come in.
-                if len(probe) <= CATEGORICAL_DISTINCT_MAX and any(
-                    isinstance(v, str) and v != v.lower() for v in probe
-                ):
-                    self.mixed_case_enum = True
-
-        self.fk_cardinality = {fk: _fk_cardinality(conn, fk) for fk in self.foreign_keys}
-        self.fk_nullable = {fk: _fk_nullable(conn, fk) for fk in self.foreign_keys}
-        self._orphans: dict[_ForeignKey, int] = {}
         self._ordered: dict[tuple[str, str], list] = {}
+        self.fk_cardinality: dict[_ForeignKey, str] = {}
+        self.fk_nullable: dict[_ForeignKey, bool] = {}
+        self.orphans: dict[_ForeignKey, int] = {}
+        for table, facts in zip(self.tables, gathered):
+            self.row_counts[table] = facts.row_count
+            self.nonnull_counts.update(facts.nonnull_counts)
+            self.min_max.update(facts.min_max)
+            self.distinct_counts.update(facts.distinct_counts)
+            self.mixed_case_enum |= facts.mixed_case_enum
+            self._ordered.update(facts.ordered)
+            self.fk_cardinality.update(facts.fk_cardinality)
+            self.fk_nullable.update(facts.fk_nullable)
+            self.orphans.update(facts.orphans)
 
         # Format probes over text-affinity columns (tier-independent).
         self.format_tags: dict[tuple[str, str], str] = {}
@@ -413,10 +544,7 @@ class _Snapshot:
         """The first limit distinct non-null values of a column, ascending."""
         if limit > ORDERED_VALUES_MAX:
             raise ValueError(f"at most {ORDERED_VALUES_MAX} ordered values per column")
-        key = (table, name)
-        if key not in self._ordered:
-            self._ordered[key] = _distinct_values(self._conn, table, name, ORDERED_VALUES_MAX)
-        return self._ordered[key][:limit]
+        return self._ordered[(table, name)][:limit]
 
     def samples(self, table: str, name: str, limit: int) -> list:
         if limit == 1:
@@ -424,11 +552,6 @@ class _Snapshot:
             lo = self.min_max[(table, name)][0]
             return [] if lo is None else [lo]
         return self.ordered_values(table, name, limit)
-
-    def orphan_count(self, fk: _ForeignKey) -> int:
-        if fk not in self._orphans:
-            self._orphans[fk] = _fk_orphan_count(self._conn, fk)
-        return self._orphans[fk]
 
 
 def _fk_cardinality(conn, fk: _ForeignKey) -> str:
@@ -515,7 +638,9 @@ def _build_sections(
 
     # 4. Foreign-key relationship map with cardinality
     fk_lines = [
-        f"- {_fk_label(fk)} ({snap.fk_cardinality[fk]})" for fk in snap.foreign_keys
+        f"- {_fk_label(fk)} ({snap.fk_cardinality[fk]}"
+        + (f"; dangling: {fk.dangling})" if fk.dangling else ")")
+        for fk in snap.foreign_keys
     ]
     sections.append((SECTION_TITLES[3], "\n".join(fk_lines) or EMPTY_BODY))
 
@@ -595,7 +720,11 @@ def _build_sections(
     else:
         orphan_lines = []
         for fk in snap.foreign_keys:
-            orphans = snap.orphan_count(fk)
+            if fk.dangling:
+                orphan_lines.append(f"- {_fk_label(fk)}: dangling ({fk.dangling}), "
+                                    "orphans not counted")
+                continue
+            orphans = snap.orphans[fk]
             if config.cross_table_validation == "critical" and orphans == 0:
                 continue
             orphan_lines.append(f"- {_fk_label(fk)}: {orphans} orphaned rows")
@@ -651,17 +780,19 @@ def analyze(db_path: str | Path, budget_tokens: int = DEFAULT_TOKEN_BUDGET) -> D
     The tier is classified from the total column count over base tables
     (views are not counted). If the rendered output exceeds budget_tokens,
     the feature depth degrades one tier at a time; if the Ultra depth still
-    overflows, a budget error names the largest section.
+    overflows, a budget error names the largest section. The facts are
+    gathered on every CPU the process may use (see _Snapshot); no thread
+    or connection outlives the call.
     """
     path = Path(db_path)
     if not path.is_file():
         raise AnalysisError(f"no such database file: {path}")
     try:
-        conn = _connect_readonly(path)
+        conn = _analysis_connection(path)
         try:
-            snap = _Snapshot(conn)
+            snap = _Snapshot(conn, path)
             schema_ddl = _schema_ddl(conn)
-            tier = classify_size(snap.total_columns)
+            tier = snap.tier
             tier_index = TIER_ORDER.index(tier.tier)
             while True:
                 effective = TIER_ORDER[tier_index]

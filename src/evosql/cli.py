@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import analyzer, orchestrator, scheduler
 from .analyzer import DEFAULT_TOKEN_BUDGET, analyze
-from .errors import InvalidStateError
+from .errors import EvoSqlError
 from .harness import AgentEvaluation, evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
@@ -202,9 +202,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level),
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    # A bad input (a missing or unreadable file, a database over the budget,
+    # a run state that cannot be resumed) ends in one line, not a traceback.
     try:
         return args.func(args)
-    except InvalidStateError as exc:
+    except (EvoSqlError, FileNotFoundError) as exc:
         raise SystemExit(str(exc)) from exc
 
 

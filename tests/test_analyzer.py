@@ -1,6 +1,9 @@
 """Tests for the size-adaptive database analyzer and tool runner."""
 
 import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
@@ -190,6 +193,38 @@ def test_analyze_self_reference_detected(tmp_path):
     assert "hierarchical self-reference" in body
 
 
+@pytest.mark.parametrize("reference,reason", [
+    ("missing(id)", "no table missing"),
+    ("parent(nope)", "no column parent.nope"),
+])
+def test_analyze_dangling_foreign_key(tmp_path, reference, reason):
+    # SQLite accepts a reference to a parent key that does not exist while
+    # foreign keys are not enforced; the key is shown, not counted.
+    db = make_database(tmp_path / "dangling.sqlite", f"""
+        CREATE TABLE parent (id INTEGER PRIMARY KEY);
+        CREATE TABLE child (id INTEGER PRIMARY KEY, pid INTEGER REFERENCES {reference});
+        INSERT INTO parent VALUES (1);
+        INSERT INTO child VALUES (1, 1), (2, 7);
+        """)
+    sections = dict(analyze(db).sections)
+    label = f"child.pid -> {reference.replace('(', '.').rstrip(')')}"
+    assert f"- {label} (one-to-one; dangling: {reason})" in sections["Foreign Key Relationships"]
+    assert (f"- {label}: dangling ({reason}), orphans not counted"
+            in sections["Cross-Table Validation"])
+
+
+def test_analyze_parent_key_matches_without_case(tmp_path):
+    db = make_database(tmp_path / "case.sqlite", """
+        CREATE TABLE Parent (ID INTEGER PRIMARY KEY);
+        CREATE TABLE child (pid INTEGER REFERENCES parent(id));
+        INSERT INTO Parent VALUES (1);
+        INSERT INTO child VALUES (1), (2);
+        """)
+    sections = dict(analyze(db).sections)
+    assert "dangling" not in sections["Foreign Key Relationships"]
+    assert "child.pid -> parent.id: 1 orphaned rows" in sections["Cross-Table Validation"]
+
+
 def test_analyze_formats_and_ranges(data_root):
     analysis = analyze(data_root / "shop" / "shop.sqlite")
     sections = dict(analysis.sections)
@@ -303,6 +338,58 @@ def test_analyze_degrading_runs_no_further_statement(school_db, monkeypatch):
 def test_analyze_unreadable_file(tmp_path):
     with pytest.raises(AnalysisError):
         analyze(tmp_path / "missing.sqlite")
+
+
+def _failing_aggregates(monkeypatch, fail: dict[str, float]):
+    """Gather on four CPUs, and make the aggregate step of each table in
+    fail raise after sleeping its value in seconds."""
+    aggregates = analyzer._column_aggregates
+
+    def failing(conn, table, columns):
+        if table in fail:
+            time.sleep(fail[table])
+            raise sqlite3.OperationalError(f"no aggregates for {table}")
+        return aggregates(conn, table, columns)
+
+    monkeypatch.setattr(analyzer, "_column_aggregates", failing)
+    monkeypatch.setattr(analyzer, "_cpu_count", lambda: 4)
+
+
+def test_analyze_failing_table_is_an_analysis_error_and_leaves_no_thread(
+        tmp_path, monkeypatch):
+    db = _make_numeric_db(tmp_path / "four.sqlite", 4, 3)
+    _failing_aggregates(monkeypatch, {"t2": 0.0})
+    threads = threading.active_count()
+    with pytest.raises(AnalysisError, match="no aggregates for t2"):
+        analyze(db)
+    assert threading.active_count() == threads
+
+
+def test_analyze_reports_the_first_failing_table_in_table_order(tmp_path, monkeypatch):
+    # t0 fails last in time but first in table order.
+    db = _make_numeric_db(tmp_path / "four.sqlite", 4, 3)
+    _failing_aggregates(monkeypatch, {"t0": 0.2, "t2": 0.0, "t3": 0.0})
+    with pytest.raises(AnalysisError, match="no aggregates for t0$"):
+        analyze(db)
+
+
+def test_analyze_text_does_not_depend_on_the_cpu_count(tmp_path, school_db, monkeypatch):
+    # 8 threads switching every 10 us: a table taken twice or never would
+    # change the text or fail the merge.
+    databases = [school_db, _make_numeric_db(tmp_path / "six.sqlite", 6, 4),
+                 _make_wide_db(tmp_path / "wide.sqlite", 25, 19)]
+    texts = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (1, 4, 8):
+            monkeypatch.setattr(analyzer, "_cpu_count", lambda: cpus)
+            threads = threading.active_count()
+            texts[cpus] = [analyze(db).text for db in databases]
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    assert texts[1] == texts[4] == texts[8]
 
 
 def test_run_agent_tool_matches_naive_extractor(naive_package_dir, school_db):

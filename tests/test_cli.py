@@ -25,6 +25,28 @@ def test_analyze_command_output_file(school_db, tmp_path, capsys):
     assert "## 1. Schema DDL" in target.read_text()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--database", "{tmp}/missing.sqlite"], "^no such database file: .+missing.sqlite$"),
+    (["--database", "{tmp}/junk.txt"], "^cannot analyze .+junk.txt: file is not a database$"),
+    (["--database", "{school}", "--budget", "100"],
+     "^analysis of school needs [0-9]+ tokens, budget is 100; largest section: "),
+])
+def test_analyze_bad_input_exits_with_a_message(school_db, tmp_path, flags, message):
+    (tmp_path / "junk.txt").write_text("not a database\n")
+    argv = [f.format(tmp=tmp_path, school=school_db) for f in flags]
+    with pytest.raises(SystemExit, match=message):
+        main(["analyze", *argv])
+
+
+def test_missing_agent_or_data_exits_with_a_message(data_root, tmp_path):
+    with pytest.raises(SystemExit, match="^no agent.md in .+nonexistent$"):
+        main(["evaluate", "--agent-dir", str(tmp_path / "nonexistent"),
+              "--data-root", str(data_root)])
+    with pytest.raises(SystemExit, match="^no questions.json in .+nonexistent$"):
+        main(["run", "--data-root", str(tmp_path / "nonexistent"),
+              "--output-dir", str(tmp_path / "out")])
+
+
 def test_simulate_command(capsys):
     assert main(["simulate", "--latents", "0.8,0.6,0.4", "--iterations", "50",
                  "--seed", "1"]) == 0
