@@ -8,7 +8,7 @@ from warm tool hosts (toolhost.py).
 
 Everything here is pure given the database file: queries are ordered, sample
 values are the first N distinct values ascending, facts gathered in parallel
-are merged in table order, and no wall-clock state leaks into the output, so
+are kept in table order, and no wall-clock state leaks into the output, so
 analyzing the same file twice is byte-identical, on any number of CPUs.
 """
 
@@ -28,6 +28,8 @@ import tempfile
 import threading
 import time
 import urllib.parse
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,7 +138,7 @@ def _connect_readonly(db_path: str | Path) -> sqlite3.Connection:
 
 
 # Page cache of each analysis connection, in KiB. With SQLite's default of
-# 2,000 KiB on each of analyze()'s two connections, the peak RSS of the
+# 2,000 KiB on each of two concurrent connections, the peak RSS of the
 # wide_schema benchmark (2 CPUs) rose from 30.2 to 33.2 MB; 512 KiB gave
 # 30.3-30.4 MB and 256 KiB 29.8-29.9 MB, each as fast as the default.
 ANALYSIS_CACHE_KIB = 256
@@ -158,6 +160,17 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
+
+
+def pool_map(fn, items, workers: int, executor=ThreadPoolExecutor) -> list:
+    """[fn(item) for item in items], on an executor of workers threads when
+    workers > 1; results keep the order of items. If fn raises, the
+    exception of the first failing item in order is raised, items not yet
+    started are skipped, and every thread has ended."""
+    if workers > 1:
+        with executor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _schema_ddl(conn: sqlite3.Connection) -> str:
@@ -223,9 +236,10 @@ def _foreign_keys(conn: sqlite3.Connection, table: str) -> list[_ForeignKey]:
         to_cols = tuple(p[4] for p in parts)
         parent = _table_columns(conn, ref_table)
         if any(c is None for c in to_cols):
-            # FK references the parent's primary key implicitly.
+            # FK references the parent's primary key implicitly; with no
+            # parent table, its columns are unknown and to_cols is empty.
             pk = [name for _, name in sorted((c[5], c[1]) for c in parent if c[5] > 0)]
-            if len(pk) != len(from_cols):
+            if parent and len(pk) != len(from_cols):
                 continue  # malformed; skip rather than guess
             to_cols = tuple(pk)
         # SQLite folds the case of ASCII letters only in names.
@@ -378,17 +392,34 @@ ORDERED_VALUES_MAX = max(
 
 @dataclass
 class _TableFacts:
-    """What _table_facts gathers about one base table, keyed as in _Snapshot."""
+    """What _table_facts gathers about one base table: column facts keyed
+    by column name, foreign-key facts by the table's _ForeignKey."""
 
     row_count: int
-    nonnull_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    min_max: dict[tuple[str, str], tuple] = field(default_factory=dict)
-    distinct_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    nonnull_counts: dict[str, int] = field(default_factory=dict)
+    min_max: dict[str, tuple] = field(default_factory=dict)
+    # Exact up to CATEGORICAL_DISTINCT_MAX; one more stands for "more".
+    distinct_counts: dict[str, int] = field(default_factory=dict)
     mixed_case_enum: bool = False
-    ordered: dict[tuple[str, str], list] = field(default_factory=dict)
+    ordered: dict[str, list] = field(default_factory=dict)
+    # TEXT columns with a detected format: (tag, example value).
+    formats: dict[str, tuple[str, str]] = field(default_factory=dict)
     fk_cardinality: dict[_ForeignKey, str] = field(default_factory=dict)
     fk_nullable: dict[_ForeignKey, bool] = field(default_factory=dict)
     orphans: dict[_ForeignKey, int] = field(default_factory=dict)
+
+    def ordered_values(self, name: str, limit: int) -> list:
+        """The first limit distinct non-null values of a column, ascending."""
+        if limit > ORDERED_VALUES_MAX:
+            raise ValueError(f"at most {ORDERED_VALUES_MAX} ordered values per column")
+        return self.ordered[name][:limit]
+
+    def samples(self, name: str, limit: int) -> list:
+        if limit == 1:
+            # MIN is the first value an ascending distinct query returns.
+            lo = self.min_max[name][0]
+            return [] if lo is None else [lo]
+        return self.ordered_values(name, limit)
 
 
 def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
@@ -398,12 +429,11 @@ def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
     row_count, aggregates = _column_aggregates(conn, table, columns)
     facts = _TableFacts(row_count)
     for col in columns:
-        name = col[1]
-        key = (table, name)
-        facts.nonnull_counts[key], lo, hi = aggregates[name]
-        facts.min_max[key] = (lo, hi)
+        name, text = col[1], _affinity(col[2]) == "TEXT"
+        facts.nonnull_counts[name], lo, hi = aggregates[name]
+        facts.min_max[name] = (lo, hi)
         probe = _distinct_values(conn, table, name, CATEGORICAL_DISTINCT_MAX + 1, ordered=False)
-        distinct = facts.distinct_counts[key] = len(probe)
+        distinct = facts.distinct_counts[name] = len(probe)
         categorical = 1 <= distinct <= CATEGORICAL_DISTINCT_MAX
         # Whether a categorical column holds upper case does not depend on
         # the order its values come in.
@@ -411,9 +441,14 @@ def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
             facts.mixed_case_enum = True
         # Ascending values are read by samples past the MIN, by enumerated
         # values and by the format probe of TEXT columns.
-        if (config.samples_per_column > 1 or _affinity(col[2]) == "TEXT"
+        if (config.samples_per_column > 1 or text
                 or (categorical and config.enum_value_limit != 0)):
-            facts.ordered[key] = _distinct_values(conn, table, name, ORDERED_VALUES_MAX)
+            facts.ordered[name] = _distinct_values(conn, table, name, ORDERED_VALUES_MAX)
+        if text:  # the format probe does not depend on the tier
+            values = facts.ordered_values(name, FORMAT_PROBE_VALUES)
+            tag = _detect_format(values)
+            if tag:
+                facts.formats[name] = (tag, next(v for v in values if isinstance(v, str) and v))
     for fk in fks:
         facts.fk_cardinality[fk] = _fk_cardinality(conn, fk)
         facts.fk_nullable[fk] = _fk_nullable(conn, fk)
@@ -422,74 +457,23 @@ def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
     return facts
 
 
-def _per_table(conn: sqlite3.Connection, db_path: Path, tables: list[str], step) -> list:
-    """[step(conn, table) for table in tables], run on every CPU.
-
-    The calling thread works on conn. min(len(tables), CPUs) - 1 helper
-    threads join it, each on a read-only connection to db_path that it
-    opens, uses and closes itself. All of them take tables from one
-    iterator, and every helper is joined before this returns. A failing
-    step stops the handing out of tables; the exception of the first
-    failing table in table order is raised.
-    """
-    lock, stop = threading.Lock(), threading.Event()
-    pending = iter(range(len(tables)))
-    results: list = [None] * len(tables)
-    failures: dict[int, Exception] = {}
-
-    def work(own_conn):
-        while not stop.is_set():
-            with lock:
-                index = next(pending, None)
-            if index is None:
-                return
-            try:
-                results[index] = step(own_conn, tables[index])
-            except Exception as exc:  # raised again in the calling thread
-                failures[index] = exc
-                stop.set()
-
-    def helper():
-        try:
-            own_conn = _analysis_connection(db_path)
-        except sqlite3.Error:
-            return  # the other threads take its tables
-        try:
-            work(own_conn)
-        finally:
-            own_conn.close()
-
-    helpers = []
-    try:
-        for _ in range(min(len(tables), _cpu_count()) - 1):
-            thread = threading.Thread(target=helper, name="evosql-analyze")
-            thread.start()
-            helpers.append(thread)
-        work(conn)
-    finally:
-        stop.set()
-        for thread in helpers:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
-    return results
-
-
 class _Snapshot:
     """All per-database facts, each fetched once, before any section is
     built: section builders only read it, so rendering, and re-rendering at
     a lower tier, runs no statement.
 
-    The facts are those the classified tier reads, gathered by one step per
-    base table (_table_facts) on every CPU (_per_table). Per table, one
-    aggregate scan gives the row count, every column's non-null count and
-    MIN, and each numeric column's MAX. Per column, a distinct probe
-    without ORDER BY stops after CATEGORICAL_DISTINCT_MAX + 1 values: the
-    exact distinct count is only needed up to that cutoff. The ascending
-    distinct values are fetched for every column at the Small, Medium and
-    Large tiers and for TEXT columns at Ultra. Each of the table's foreign
-    keys gets its cardinality and nullability, and its orphan count where
-    the tier shows cross-table validation and the parent key exists.
+    The schema is read on the caller's connection. The facts the classified
+    tier reads are gathered by one step per base table (_table_facts), each
+    on a read-only connection it opens and closes itself, on a pool of one
+    thread per CPU. Per table, one aggregate scan gives the row count,
+    every column's non-null count and MIN, and each numeric column's MAX.
+    Per column, a distinct probe without ORDER BY stops after
+    CATEGORICAL_DISTINCT_MAX + 1 values: the exact distinct count is only
+    needed up to that cutoff. The ascending distinct values are fetched for
+    every column at the Small, Medium and Large tiers and for TEXT columns
+    at Ultra. Each of the table's foreign keys gets its cardinality and
+    nullability, and its orphan count where the tier shows cross-table
+    validation and the parent key exists.
     """
 
     def __init__(self, conn: sqlite3.Connection, db_path: Path):
@@ -501,57 +485,13 @@ class _Snapshot:
         self.foreign_keys = [fk for t in self.tables for fk in fks[t]]
 
         config = TIER_CONFIGS[self.tier.tier]
-        gathered = _per_table(conn, db_path, self.tables, lambda own_conn, table: _table_facts(
-            own_conn, table, self.columns[table], fks[table], config))
-        self.row_counts: dict[str, int] = {}
-        self.nonnull_counts: dict[tuple[str, str], int] = {}
-        self.min_max: dict[tuple[str, str], tuple] = {}
-        # Exact up to CATEGORICAL_DISTINCT_MAX; one more stands for "more".
-        self.distinct_counts: dict[tuple[str, str], int] = {}
-        self.mixed_case_enum = False
-        self._ordered: dict[tuple[str, str], list] = {}
-        self.fk_cardinality: dict[_ForeignKey, str] = {}
-        self.fk_nullable: dict[_ForeignKey, bool] = {}
-        self.orphans: dict[_ForeignKey, int] = {}
-        for table, facts in zip(self.tables, gathered):
-            self.row_counts[table] = facts.row_count
-            self.nonnull_counts.update(facts.nonnull_counts)
-            self.min_max.update(facts.min_max)
-            self.distinct_counts.update(facts.distinct_counts)
-            self.mixed_case_enum |= facts.mixed_case_enum
-            self._ordered.update(facts.ordered)
-            self.fk_cardinality.update(facts.fk_cardinality)
-            self.fk_nullable.update(facts.fk_nullable)
-            self.orphans.update(facts.orphans)
 
-        # Format probes over text-affinity columns (tier-independent).
-        self.format_tags: dict[tuple[str, str], str] = {}
-        self.format_examples: dict[tuple[str, str], str] = {}
-        for table in self.tables:
-            for col in self.columns[table]:
-                name, declared = col[1], col[2]
-                if _affinity(declared) != "TEXT":
-                    continue
-                probe = self.ordered_values(table, name, FORMAT_PROBE_VALUES)
-                tag = _detect_format(probe)
-                if tag:
-                    self.format_tags[(table, name)] = tag
-                    self.format_examples[(table, name)] = next(
-                        v for v in probe if isinstance(v, str) and v
-                    )
+        def gather(table: str) -> _TableFacts:
+            with closing(_analysis_connection(db_path)) as own_conn:
+                return _table_facts(own_conn, table, self.columns[table], fks[table], config)
 
-    def ordered_values(self, table: str, name: str, limit: int) -> list:
-        """The first limit distinct non-null values of a column, ascending."""
-        if limit > ORDERED_VALUES_MAX:
-            raise ValueError(f"at most {ORDERED_VALUES_MAX} ordered values per column")
-        return self._ordered[(table, name)][:limit]
-
-    def samples(self, table: str, name: str, limit: int) -> list:
-        if limit == 1:
-            # MIN is the first value an ascending distinct query returns.
-            lo = self.min_max[(table, name)][0]
-            return [] if lo is None else [lo]
-        return self.ordered_values(table, name, limit)
+        workers = min(len(self.tables), _cpu_count())
+        self.facts = dict(zip(self.tables, pool_map(gather, self.tables, workers)))
 
 
 def _fk_cardinality(conn, fk: _ForeignKey) -> str:
@@ -588,19 +528,9 @@ def _fk_nullable(conn, fk: _ForeignKey) -> bool:
 
 def _fk_label(fk: _ForeignKey) -> str:
     frm = ", ".join(fk.from_cols)
-    to = ", ".join(fk.to_cols)
-    return f"{fk.table}.{frm} -> {fk.ref_table}.{to}"
-
-
-def _categorical_columns(snap: _Snapshot) -> list[tuple[str, str, int]]:
-    out = []
-    for table in snap.tables:
-        for col in snap.columns[table]:
-            name = col[1]
-            distinct = snap.distinct_counts[(table, name)]
-            if 1 <= distinct <= CATEGORICAL_DISTINCT_MAX:
-                out.append((table, name, distinct))
-    return out
+    # A missing parent table's implicit key columns are unknown.
+    to = f".{', '.join(fk.to_cols)}" if fk.to_cols else ""
+    return f"{fk.table}.{frm} -> {fk.ref_table}{to}"
 
 
 def _build_sections(
@@ -613,7 +543,7 @@ def _build_sections(
 
     # 2. Table overview with row counts
     overview = [
-        f"- {t}: {snap.row_counts[t]} rows, {len(snap.columns[t])} columns"
+        f"- {t}: {snap.facts[t].row_count} rows, {len(snap.columns[t])} columns"
         for t in snap.tables
     ]
     sections.append((SECTION_TITLES[1], "\n".join(overview) or EMPTY_BODY))
@@ -622,12 +552,13 @@ def _build_sections(
     detail_lines = []
     for table in snap.tables:
         detail_lines.append(f"Table: {table}")
-        rows = snap.row_counts[table]
+        facts = snap.facts[table]
+        rows = facts.row_count
         for col in snap.columns[table]:
             name, declared = col[1], col[2] or "untyped"
-            nonnull = snap.nonnull_counts[(table, name)]
+            nonnull = facts.nonnull_counts[name]
             null_part = f"{(rows - nonnull) / rows * 100:.1f}% null" if rows else "no rows"
-            samples = snap.samples(table, name, config.samples_per_column)
+            samples = facts.samples(name, config.samples_per_column)
             sample_part = (
                 "samples: " + ", ".join(_fmt_value(v) for v in samples)
                 if samples
@@ -638,7 +569,7 @@ def _build_sections(
 
     # 4. Foreign-key relationship map with cardinality
     fk_lines = [
-        f"- {_fk_label(fk)} ({snap.fk_cardinality[fk]}"
+        f"- {_fk_label(fk)} ({snap.facts[fk.table].fk_cardinality[fk]}"
         + (f"; dangling: {fk.dangling})" if fk.dangling else ")")
         for fk in snap.foreign_keys
     ]
@@ -649,16 +580,16 @@ def _build_sections(
         sections.append((SECTION_TITLES[4], OMITTED_STUB))
     else:
         enum_lines = []
-        for table, name, distinct in _categorical_columns(snap):
-            limit = (
-                distinct
-                if config.enum_value_limit is None
-                else min(config.enum_value_limit, distinct)
-            )
-            values = snap.ordered_values(table, name, limit)
-            rendered = ", ".join(_fmt_value(v, max_len=None) for v in values)
-            suffix = f" (showing first {limit} of {distinct})" if limit < distinct else ""
-            enum_lines.append(f"- {table}.{name} ({distinct} distinct): {rendered}{suffix}")
+        for table in snap.tables:
+            facts = snap.facts[table]
+            for name, distinct in facts.distinct_counts.items():
+                if not 1 <= distinct <= CATEGORICAL_DISTINCT_MAX:
+                    continue
+                limit = min(distinct, config.enum_value_limit or distinct)
+                values = facts.ordered_values(name, limit)
+                rendered = ", ".join(_fmt_value(v, max_len=None) for v in values)
+                suffix = f" (showing first {limit} of {distinct})" if limit < distinct else ""
+                enum_lines.append(f"- {table}.{name} ({distinct} distinct): {rendered}{suffix}")
         sections.append((SECTION_TITLES[4], "\n".join(enum_lines) or EMPTY_BODY))
 
     # 6. Min/max ranges for numeric columns
@@ -668,7 +599,7 @@ def _build_sections(
             name, declared = col[1], col[2]
             if _affinity(declared) not in NUMERIC_AFFINITIES:
                 continue
-            lo, hi = snap.min_max[(table, name)]
+            lo, hi = snap.facts[table].min_max[name]
             if lo is None and hi is None:
                 continue
             range_lines.append(f"- {table}.{name}: {_fmt_value(lo)} .. {_fmt_value(hi)}")
@@ -676,8 +607,9 @@ def _build_sections(
 
     # 7. Detected formats (dates, currencies, codes)
     format_lines = [
-        f"- {table}.{name}: {tag} (e.g. {_fmt_value(snap.format_examples[(table, name)])})"
-        for (table, name), tag in sorted(snap.format_tags.items())
+        f"- {table}.{name}: {tag} (e.g. {_fmt_value(example)})"
+        for table in snap.tables
+        for name, (tag, example) in sorted(snap.facts[table].formats.items())
     ]
     sections.append((SECTION_TITLES[6], "\n".join(format_lines) or EMPTY_BODY))
 
@@ -697,7 +629,7 @@ def _build_sections(
                     col[1]
                     for col in snap.columns[table]
                     if _TEMPORAL_NAME_RE.search(col[1])
-                    or str(snap.format_tags.get((table, col[1]), "")).startswith("date")
+                    or snap.facts[table].formats.get(col[1], ("",))[0].startswith("date")
                 ]
                 if len(temporal) >= 2:
                     semantic_lines.append(
@@ -724,7 +656,7 @@ def _build_sections(
                 orphan_lines.append(f"- {_fk_label(fk)}: dangling ({fk.dangling}), "
                                     "orphans not counted")
                 continue
-            orphans = snap.orphans[fk]
+            orphans = snap.facts[fk.table].orphans[fk]
             if config.cross_table_validation == "critical" and orphans == 0:
                 continue
             orphan_lines.append(f"- {_fk_label(fk)}: {orphans} orphaned rows")
@@ -732,24 +664,25 @@ def _build_sections(
 
     # 10. Query guidance from detected features
     guidance = []
-    if snap.mixed_case_enum:
+    if any(facts.mixed_case_enum for facts in snap.facts.values()):
         guidance.append(
             "- String comparisons are case-sensitive; match enumerated values "
             "exactly as listed in the enumerated-values section."
         )
-    nullable_fks = [fk for fk in snap.foreign_keys if snap.fk_nullable[fk]]
+    nullable_fks = [fk for fk in snap.foreign_keys if snap.facts[fk.table].fk_nullable[fk]]
     if nullable_fks:
         labels = ", ".join(_fk_label(fk) for fk in nullable_fks)
         guidance.append(
             f"- Nullable foreign keys ({labels}): inner joins drop rows with "
             "NULL keys; use LEFT JOIN when unmatched rows matter."
         )
-    if any(card == "one-to-many" for card in snap.fk_cardinality.values()):
+    if any(snap.facts[fk.table].fk_cardinality[fk] == "one-to-many"
+           for fk in snap.foreign_keys):
         guidance.append(
             "- One-to-many joins can duplicate parent rows; count with "
             "DISTINCT or aggregate in a subquery before joining."
         )
-    empty_tables = [t for t in snap.tables if snap.row_counts[t] == 0]
+    empty_tables = [t for t in snap.tables if snap.facts[t].row_count == 0]
     if empty_tables:
         guidance.append(
             f"- Empty tables ({', '.join(empty_tables)}): queries touching them "
@@ -788,7 +721,7 @@ def analyze(db_path: str | Path, budget_tokens: int = DEFAULT_TOKEN_BUDGET) -> D
     if not path.is_file():
         raise AnalysisError(f"no such database file: {path}")
     try:
-        conn = _analysis_connection(path)
+        conn = _connect_readonly(path)
         try:
             snap = _Snapshot(conn, path)
             schema_ddl = _schema_ddl(conn)
@@ -802,7 +735,7 @@ def analyze(db_path: str | Path, budget_tokens: int = DEFAULT_TOKEN_BUDGET) -> D
                     "table_count": len(snap.tables),
                     "total_columns": snap.total_columns,
                     "foreign_key_count": len(snap.foreign_keys),
-                    "row_counts": dict(snap.row_counts),
+                    "row_counts": {t: snap.facts[t].row_count for t in snap.tables},
                     "effective_tier": effective,
                     "degraded": effective != tier.tier,
                 }

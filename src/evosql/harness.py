@@ -41,6 +41,7 @@ from itertools import chain
 from operator import ne
 from pathlib import Path
 
+from .analyzer import pool_map
 from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
 from .pipeline import (DEFAULT_MAX_ROUNDS, VerificationTranscript, assemble_prompt,
                        generate_with_verification, preview_cell)
@@ -369,15 +370,6 @@ def _evaluate_question(
     )
 
 
-def pool_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on a pool of workers threads when
-    workers > 1; results keep the order of items."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 class _SlotReleasingBackend:
     """The generation backend, called with the caller's CPU slot given back,
     so other tasks run SQL while this one waits for a reply."""
@@ -430,8 +422,10 @@ def evaluate_agent(
             "no scorable question: none sampled, or every gold query is defective"
         )
     pairs = [(pkg, db_id) for pkg in packages for db_id in questions]
-    texts = {(pkg.id, db_id): text for (pkg, db_id), text
-             in zip(pairs, pool_map(lambda pair: analysis(*pair), pairs, workers))}
+    # Both pools are made from this module's ThreadPoolExecutor, which
+    # perfbench/tracer.py replaces to carry its span context into them.
+    texts = {(pkg.id, db_id): text for (pkg, db_id), text in zip(
+        pairs, pool_map(lambda pair: analysis(*pair), pairs, workers, ThreadPoolExecutor))}
 
     cpu_slot = threading.Semaphore(workers)
     slotted = _SlotReleasingBackend(backend, cpu_slot)
@@ -450,7 +444,8 @@ def evaluate_agent(
     if getattr(backend, "in_process", False):
         in_flight = min(workers, backend_concurrency)
     by_agent: dict[str, list[QuestionOutcome]] = {pkg.id: [] for pkg in packages}
-    for outcome in sorted(pool_map(run, tasks, in_flight), key=lambda o: (o.db_id, o.question_id)):
+    for outcome in sorted(pool_map(run, tasks, in_flight, ThreadPoolExecutor),
+                          key=lambda o: (o.db_id, o.question_id)):
         by_agent[outcome.agent_id].append(outcome)
     return {agent_id: AgentEvaluation(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}
 

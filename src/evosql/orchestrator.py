@@ -275,12 +275,13 @@ class Orchestrator:
     def __init__(self, config: RunConfig, gen_backend=None, evo_backend=None):
         self.config = config
         self.output_dir = config.output_dir
-        self.output_dir.mkdir(parents=True, exist_ok=True)
         self.db_pool, self.question_pool = scheduler.load_question_pool(config.data_root)
         self.gen_backend = gen_backend or build_generation_backend(
             config.gen_backend, self.question_pool
         )
         self.evo_backend = evo_backend or build_evolution_backend(config.evo_backend)
+        # Created once the inputs are known good, so a bad one leaves nothing.
+        self.output_dir.mkdir(parents=True, exist_ok=True)
         self.strategy_path = self._materialize_strategy()
         # Tool runs of the iterations' competitors, by (agent id, db_id).
         self._analyses: dict[tuple[str, str], ToolRunResult] = {}

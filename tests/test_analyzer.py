@@ -213,6 +213,20 @@ def test_analyze_dangling_foreign_key(tmp_path, reference, reason):
             in sections["Cross-Table Validation"])
 
 
+def test_analyze_implicit_key_of_a_missing_table_is_dangling(tmp_path):
+    # With no parent table there is no primary key to pair pid with, so the
+    # parent side is labelled by the table name alone.
+    db = make_database(tmp_path / "implicit.sqlite", """
+        CREATE TABLE child (id INTEGER PRIMARY KEY, pid INTEGER REFERENCES missing);
+        INSERT INTO child VALUES (1, 1), (2, 1);
+        """)
+    sections = dict(analyze(db).sections)
+    assert (sections["Foreign Key Relationships"]
+            == "- child.pid -> missing (one-to-many; dangling: no table missing)")
+    assert (sections["Cross-Table Validation"]
+            == "- child.pid -> missing: dangling (no table missing), orphans not counted")
+
+
 def test_analyze_parent_key_matches_without_case(tmp_path):
     db = make_database(tmp_path / "case.sqlite", """
         CREATE TABLE Parent (ID INTEGER PRIMARY KEY);
@@ -390,6 +404,57 @@ def test_analyze_text_does_not_depend_on_the_cpu_count(tmp_path, school_db, monk
     finally:
         sys.setswitchinterval(interval)
     assert texts[1] == texts[4] == texts[8]
+
+
+def test_analyze_table_connection_that_cannot_open_is_an_analysis_error(
+        tmp_path, monkeypatch):
+    db = _make_numeric_db(tmp_path / "four.sqlite", 4, 3)
+    connect = analyzer._analysis_connection
+    lock, opened = threading.Lock(), []
+
+    def failing_second(path):
+        with lock:
+            opened.append(path)
+            if len(opened) == 2:
+                raise sqlite3.OperationalError("unable to open database file")
+        return connect(path)
+
+    monkeypatch.setattr(analyzer, "_analysis_connection", failing_second)
+    monkeypatch.setattr(analyzer, "_cpu_count", lambda: 4)
+    threads = threading.active_count()
+    with pytest.raises(AnalysisError, match="unable to open database file$"):
+        analyze(db)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_analyze_closes_every_connection_it_opens(tmp_path, monkeypatch, cpus):
+    db = _make_numeric_db(tmp_path / "six.sqlite", 6, 3)
+    connect = analyzer._connect_readonly
+    opened, closed = [], []
+
+    class Counted:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def __getattr__(self, name):
+            return getattr(self.conn, name)
+
+        def close(self):
+            closed.append(self)
+            self.conn.close()
+
+    def counting(path):
+        conn = Counted(connect(path))
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(analyzer, "_connect_readonly", counting)
+    monkeypatch.setattr(analyzer, "_cpu_count", lambda: cpus)
+    analyze(db)
+    # One for the schema and one per table, whatever the CPU count.
+    assert len(opened) == 7
+    assert sorted(map(id, closed)) == sorted(map(id, opened))
 
 
 def test_run_agent_tool_matches_naive_extractor(naive_package_dir, school_db):

@@ -201,3 +201,10 @@ def test_run_with_config_file(data_root, tmp_path, capsys):
 def test_run_requires_paths_without_config():
     with pytest.raises(SystemExit):
         main(["run", "--iterations", "1"])
+
+
+def test_run_with_missing_data_leaves_no_output_dir(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^no questions.json in .+nonexistent$"):
+        main(["run", "--data-root", str(tmp_path / "nonexistent"), "--output-dir", str(out)])
+    assert not out.exists()
