@@ -943,7 +943,10 @@ def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: fl
         if not output_file.is_file():
             return None, f"tool produced no {pkg.tool_output_file}"
         with open(output_file, "rb") as out:
-            return out.read(max_bytes).decode(errors="replace"), None
+            text = out.read(max_bytes).decode(errors="replace")
+        if not text.strip():
+            return None, f"tool wrote an empty {pkg.tool_output_file}"
+        return text, None
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         stderr_path.unlink(missing_ok=True)
@@ -959,12 +962,12 @@ def run_agent_tool(
     package's tools/ directory, and must write its declared output file with
     exit code 0. Its stdin is /dev/null, its stdout is discarded, and only
     the end of its stderr is read, for the fallback reason. Nonzero exit,
-    timeout, or a missing output file falls back to the raw-DDL extractor
-    with the result tagged as a fallback. At most token_budget *
+    timeout, or a missing or blank output file falls back to the raw-DDL
+    extractor with the result tagged as a fallback. At most token_budget *
     BYTES_PER_TOKEN + 1 bytes of the output file are read, as UTF-8, so a
     longer file is over budget. An analysis over budget, or a tool whose
-    naive fallback fails too, blocks the (agent, database) pair: the text is
-    None and the reason says why.
+    naive fallback fails or is blank too, blocks the (agent, database) pair:
+    the text is None and the reason says why.
 
     `python|python3 <script>.py [args]` runs in a child forked from a warm
     tool host (toolhost.py); any other command runs as a plain subprocess.
@@ -993,6 +996,8 @@ def run_agent_tool(
     if text is None:
         try:
             text = extract_naive_schema(db_path)
+            if not text.strip():
+                raise AnalysisError(f"{db_path} has no schema")
         except AnalysisError as exc:
             blocked = (f"agent {pkg.id}: tool failed ({reason}) and naive fallback failed: "
                        f"{exc}" if fallback else str(exc))

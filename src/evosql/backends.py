@@ -35,6 +35,8 @@ HTTP_TIMEOUT = 120.0
 HTTP_RETRIES = 3
 HTTP_BACKOFF_S = 1.0
 RETRY_AFTER_MAX_S = 120.0
+# The evolution backend samples every propose and refine at this temperature.
+EVOLUTION_TEMPERATURE = 0.7
 
 FILE_BLOCK_OPEN = "```file="
 
@@ -178,34 +180,27 @@ class HttpChatBackend:
 
     sleep = staticmethod(time.sleep)
 
-    def __init__(self, base_url: str, model: str, api_key_env: str = API_KEY_ENV,
-                 timeout: float = HTTP_TIMEOUT):
+    def __init__(self, base_url: str, model: str):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
 
-    def build_payload(self, system_text: str, conversation: list[dict], temperature: float) -> dict:
-        return {
+    def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
+        payload = {
             "model": self.model,
             "temperature": temperature,
             "messages": [{"role": "system", "content": system_text}, *conversation],
         }
-
-    def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
-        payload = self.build_payload(system_text, conversation, temperature)
-        api_key = os.environ.get(self.api_key_env, "")
         request = urllib.request.Request(
             f"{self.base_url}/chat/completions",
             data=json.dumps(payload).encode("utf-8"),
             headers={
                 "Content-Type": "application/json",
-                "Authorization": f"Bearer {api_key}",
+                "Authorization": f"Bearer {os.environ.get(API_KEY_ENV, '')}",
             },
         )
         for attempt in range(HTTP_RETRIES + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT) as response:
                     body = json.loads(response.read().decode("utf-8"))
                 break
             except ValueError as exc:
@@ -283,15 +278,13 @@ class HttpEvolutionBackend:
         "manifest runs, and reasoning.md documenting your design."
     )
 
-    def __init__(self, base_url: str, model: str, api_key_env: str = API_KEY_ENV,
-                 temperature: float = 0.7, timeout: float = HTTP_TIMEOUT):
-        self._chat = HttpChatBackend(base_url, model, api_key_env, timeout)
-        self.temperature = temperature
+    def __init__(self, base_url: str, model: str):
+        self._chat = HttpChatBackend(base_url, model)
         self._conversation: list[dict] = []
 
     def _exchange(self, message: str) -> DraftPackage:
         self._conversation.append({"role": "user", "content": message})
-        reply = self._chat.complete(self.SYSTEM_PROMPT, self._conversation, self.temperature)
+        reply = self._chat.complete(self.SYSTEM_PROMPT, self._conversation, EVOLUTION_TEMPERATURE)
         self._conversation.append({"role": "assistant", "content": reply})
         return parse_file_blocks(reply)
 

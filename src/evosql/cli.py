@@ -112,8 +112,7 @@ def cmd_leaderboard(args) -> int:
         raise SystemExit(f"no run state under {args.output_dir}")
     print(orchestrator.leaderboard(state))
     if args.costs:
-        accounting = orchestrator.token_cost_accounting(state)
-        print(json.dumps(accounting, indent=2, sort_keys=True))
+        print(json.dumps(orchestrator.token_totals(state), indent=2, sort_keys=True))
     return 0
 
 
@@ -167,11 +166,13 @@ def main(argv=None) -> int:
     p_eval.add_argument("--agent-dir", type=Path, required=True)
     p_eval.add_argument("--data-root", type=Path, required=True)
     p_eval.add_argument("--databases", help="comma-separated db ids (default: all)")
-    p_eval.add_argument("--questions-per-db", type=int, default=30)
-    p_eval.add_argument("--gen-backend", default="oracle")
+    p_eval.add_argument("--questions-per-db", type=int,
+                        default=scheduler.QUESTIONS_PER_DATABASE)
+    p_eval.add_argument("--gen-backend", default=orchestrator.RunConfig.gen_backend)
     p_eval.add_argument("--workers", type=int, default=1,
                         help="tasks running Python, SQL or tools at once")
-    p_eval.add_argument("--backend-concurrency", type=int, default=6,
+    p_eval.add_argument("--backend-concurrency", type=int,
+                        default=orchestrator.RunConfig.backend_concurrency,
                         help="questions in flight, each waiting on at most one "
                              "generation call")
     p_eval.add_argument("--seed", type=int, default=0)
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
 
     p_board = subparsers.add_parser("leaderboard", help="print standings from a run state")
     p_board.add_argument("--output-dir", type=Path, required=True)
-    p_board.add_argument("--costs", action="store_true", help="also print token/cost totals")
+    p_board.add_argument("--costs", action="store_true", help="also print token and call totals")
     p_board.set_defaults(func=cmd_leaderboard)
 
     p_sim = subparsers.add_parser("simulate", help="synthetic-agent rating dynamics")

@@ -61,17 +61,15 @@ def expected_score(rating_self: float, rating_opp: float) -> float:
     return 1.0 / (1.0 + 10.0 ** ((rating_opp - rating_self) / 400.0))
 
 
-def update_pair(
-    rating_a: float, rating_b: float, score_a: float, k: float = K_FACTOR
-) -> tuple[float, float]:
+def update_pair(rating_a: float, rating_b: float, score_a: float) -> tuple[float, float]:
     """Apply one pairwise result and return the two new ratings.
 
-    The delta k*(score_a - E_a) is computed once and applied with opposite
-    signs, so rating_a + rating_b is preserved exactly.
+    The delta K_FACTOR*(score_a - E_a) is computed once and applied with
+    opposite signs, so rating_a + rating_b is preserved exactly.
     """
     if score_a not in VALID_SCORES:
         raise ValueError(f"score_a must be one of {VALID_SCORES}, got {score_a!r}")
-    delta = k * (score_a - expected_score(rating_a, rating_b))
+    delta = K_FACTOR * (score_a - expected_score(rating_a, rating_b))
     return rating_a + delta, rating_b - delta
 
 
@@ -85,10 +83,10 @@ class EloEngine:
     def __init__(self):
         self.ratings: dict[str, Rating] = {}
 
-    def register(self, agent_id: str, value: float = INITIAL_RATING) -> Rating:
+    def register(self, agent_id: str) -> Rating:
         if agent_id in self.ratings:
             raise DuplicateAgentError(f"agent {agent_id!r} already has a rating")
-        rating = Rating(value=value)
+        rating = Rating()
         self.ratings[agent_id] = rating
         return rating
 

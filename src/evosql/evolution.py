@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from .backends import DraftPackage
-from .errors import EvolutionError, EvoSqlError
+from .errors import EvolutionError, EvoSqlError, ValidationError
 from .registry import (
     INSTRUCTIONS_FILENAME,
     MANIFEST_FILENAME,
@@ -31,7 +31,6 @@ from .registry import (
 logger = logging.getLogger(__name__)
 
 REASONING_FILENAME = "reasoning.md"
-DEFAULT_DEEP_FOCUS_ROUNDS = 1
 
 
 @dataclass
@@ -133,8 +132,6 @@ def validate_draft(draft: DraftPackage) -> list[str]:
         errors.append(f"missing {MANIFEST_FILENAME}")
     if INSTRUCTIONS_FILENAME not in draft.files:
         errors.append(f"missing {INSTRUCTIONS_FILENAME}")
-    elif not draft.files[INSTRUCTIONS_FILENAME].strip():
-        errors.append(f"{INSTRUCTIONS_FILENAME} is empty")
     if errors:
         return errors
 
@@ -150,10 +147,17 @@ def validate_draft(draft: DraftPackage) -> list[str]:
 
 
 def _write_draft_files(draft: DraftPackage, root: Path) -> None:
+    """Write the draft's files under root. Raises ValidationError, having
+    written nothing, when a path is absolute or resolves outside root."""
+    targets = {}
     for rel_path, content in draft.files.items():
         if rel_path == REASONING_FILENAME:
             continue
-        target = root / rel_path
+        target = (root / rel_path).resolve()
+        if Path(rel_path).is_absolute() or not target.is_relative_to(root.resolve()):
+            raise ValidationError(f"file path {rel_path!r} leaves the package")
+        targets[target] = content
+    for target, content in targets.items():
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(content)
 
@@ -259,11 +263,7 @@ def _deep_focus_feedback(
 
 
 def deep_focus(
-    pkg: AgentPackage,
-    backend,
-    history: list,
-    k: int = DEFAULT_DEEP_FOCUS_ROUNDS,
-    eval_fn: Callable | None = None,
+    pkg: AgentPackage, backend, history: list, k: int, eval_fn: Callable
 ) -> AgentPackage:
     """Refine a freshly evolved agent against recent iterations' tasks.
 
@@ -274,12 +274,8 @@ def deep_focus(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    rounds = min(k, len(history))
-    if rounds == 0 or eval_fn is None:
-        return pkg
-
     current = pkg
-    for round_number in range(1, rounds + 1):
+    for round_number in range(1, min(k, len(history)) + 1):
         record = history[-round_number]
         accuracy, matches = eval_fn(current, record)
         uniquely_correct, uniquely_incorrect = _uniqueness_sets(matches, record)

@@ -19,7 +19,7 @@ import json
 import logging
 import shutil
 import time
-from collections import ChainMap
+from collections import ChainMap, Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -530,36 +530,16 @@ def leaderboard(state: RunState) -> str:
     return "\n".join(lines)
 
 
-def token_cost_accounting(
-    state: RunState,
-    price_request_per_1k: float = 0.0,
-    price_response_per_1k: float = 0.0,
-) -> dict:
-    """Aggregate token counts and priced cost per iteration and per agent."""
-
-    def cost(request: int, response: int) -> float:
-        return request / 1000 * price_request_per_1k + response / 1000 * price_response_per_1k
-
+def token_totals(state: RunState) -> dict:
+    """Request and response tokens and generation calls, per iteration, per
+    agent and in total."""
     per_iteration = {}
-    per_agent: dict[str, dict[str, float]] = {}
-    total = {"request": 0, "response": 0, "calls": 0}
+    per_agent: dict[str, Counter] = defaultdict(Counter)
+    total = Counter()
     for record in state.iterations:
-        iteration_totals = {"request": 0, "response": 0, "calls": 0}
+        iteration_totals = per_iteration[record.iteration] = Counter()
         for agent_id, usage in record.tokens.items():
-            iteration_totals["request"] += usage["request"]
-            iteration_totals["response"] += usage["response"]
-            iteration_totals["calls"] += usage["calls"]
-            agent_entry = per_agent.setdefault(
-                agent_id, {"request": 0, "response": 0, "calls": 0}
-            )
-            agent_entry["request"] += usage["request"]
-            agent_entry["response"] += usage["response"]
-            agent_entry["calls"] += usage["calls"]
-        iteration_totals["cost"] = cost(iteration_totals["request"], iteration_totals["response"])
-        per_iteration[record.iteration] = iteration_totals
-        for key in ("request", "response", "calls"):
-            total[key] += iteration_totals[key]
-    for entry in per_agent.values():
-        entry["cost"] = cost(entry["request"], entry["response"])
-    total["cost"] = cost(total["request"], total["response"])
-    return {"per_iteration": per_iteration, "per_agent": per_agent, "total": total}
+            iteration_totals.update(usage)
+            per_agent[agent_id].update(usage)
+        total.update(iteration_totals)
+    return {"per_iteration": per_iteration, "per_agent": dict(per_agent), "total": total}

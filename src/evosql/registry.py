@@ -118,6 +118,9 @@ def load_package(
         raise ValidationError(
             f"{manifest_path}: tool_only packages need tool_command and tool_output_file"
         )
+    eval_instructions = instructions_path.read_text()
+    if not eval_instructions.strip():
+        raise ValidationError(f"{root}: {INSTRUCTIONS_FILENAME} is empty")
     lineage_raw = fields.pop("lineage", "")
     lineage = [part.strip() for part in lineage_raw.split(",") if part.strip()]
     description = fields.pop("description", "")
@@ -130,7 +133,7 @@ def load_package(
         execution_mode=execution_mode,
         tool_command=tool_command,
         tool_output_file=tool_output_file,
-        eval_instructions=instructions_path.read_text(),
+        eval_instructions=eval_instructions,
         lineage=lineage,
         description=description,
         body=body,
@@ -203,8 +206,8 @@ class AgentRegistry:
     applied there are visible through the records here.
     """
 
-    def __init__(self, elo: EloEngine | None = None):
-        self.elo = elo if elo is not None else EloEngine()
+    def __init__(self):
+        self.elo = EloEngine()
         self.records: dict[str, AgentRecord] = {}
         self.packages: dict[str, AgentPackage] = {}
 

@@ -548,6 +548,35 @@ def test_run_agent_tool_missing_output_falls_back(tmp_path, school_db):
     assert "no tool_output/out.txt" in result.reason
 
 
+def _blank_output_package(root):
+    write_package(
+        root,
+        name="blank",
+        tool_command="python tools/blank.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="x\n",
+        tools={"blank.py": "open('tool_output/out.txt', 'w').write(' \\n\\t\\n')\n"},
+    )
+    return load_package(root)
+
+
+def test_run_agent_tool_blank_output_falls_back(tmp_path, school_db):
+    result = run_agent_tool(_blank_output_package(tmp_path / "blank"), school_db, timeout=60)
+    assert result.fallback is True
+    assert result.reason == "tool wrote an empty tool_output/out.txt"
+    assert result.text == extract_naive_schema(school_db)
+
+
+def test_run_agent_tool_blank_naive_fallback_blocks_the_pair(tmp_path):
+    # A database with no schema gives a blank naive extraction too.
+    empty_db = tmp_path / "empty.sqlite"
+    sqlite3.connect(empty_db).close()
+    result = run_agent_tool(_blank_output_package(tmp_path / "blank"), empty_db, timeout=60)
+    assert result.text is None
+    assert "tool failed (tool wrote an empty" in result.reason
+    assert "has no schema" in result.reason
+
+
 def test_run_agent_tool_timeout_falls_back(tmp_path, school_db):
     write_package(
         tmp_path / "slow",

@@ -208,3 +208,17 @@ def test_run_with_missing_data_leaves_no_output_dir(tmp_path):
     with pytest.raises(SystemExit, match="^no questions.json in .+nonexistent$"):
         main(["run", "--data-root", str(tmp_path / "nonexistent"), "--output-dir", str(out)])
     assert not out.exists()
+
+
+def test_run_with_blank_instructions_exits_with_a_message(data_root, tmp_path):
+    agent = write_package(tmp_path / "blank", name="blank", execution_mode="fallback_naive",
+                          instructions="\n")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "data_root": str(data_root),
+        "output_dir": str(tmp_path / "out"),
+        "iterations": 1,
+        "initial_agents": [str(agent)],
+    }))
+    with pytest.raises(SystemExit, match="^.+blank: eval_instructions.md is empty$"):
+        main(["run", "--config", str(config_path)])

@@ -63,6 +63,40 @@ def test_validate_draft_flags_problems():
     assert any("empty" in e for e in validate_draft(empty_instructions))
 
 
+@pytest.fixture
+def staging(tmp_path, monkeypatch):
+    """Stage drafts under tmp_path/staging, so a block that escapes the
+    staging directory lands beside it in tmp_path."""
+    staging = tmp_path / "staging"
+
+    def mkdtemp(prefix):
+        staging.mkdir()
+        return str(staging)
+
+    monkeypatch.setattr(evolution_module.tempfile, "mkdtemp", mkdtemp)
+    return staging
+
+
+def test_validate_draft_refuses_paths_leaving_the_package(tmp_path, staging):
+    for rel_path in (str(tmp_path / "absolute.txt"), "../x"):
+        draft = parse_file_blocks(make_evolution_response("escape"))
+        draft.files[rel_path] = "escaped\n"
+        errors = validate_draft(draft)
+        assert any(rel_path in e and "leaves the package" in e for e in errors), errors
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_agent_rerequests_after_an_escaping_path(naive_package_dir, tmp_path, staging):
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    escaping = make_evolution_response("fixme") + "```file=../x\nescaped\n```\n"
+    backend = ScriptedEvolutionBackend({2: [escaping, make_evolution_response("fixed")]})
+    pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
+    assert pkg.id == "iter2_fixed"
+    assert not (tmp_path / "x").exists() and not (tmp_path / "iter_2" / "x").exists()
+
+
 class _Record:
     """Minimal stand-in for an orchestrator iteration record."""
 

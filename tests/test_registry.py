@@ -60,6 +60,14 @@ def test_unknown_execution_mode(tmp_path):
         load_package(root)
 
 
+def test_blank_instructions_are_refused(tmp_path):
+    root = write_package(tmp_path / "pkg", name="blank", execution_mode="fallback_naive",
+                         instructions=" \n\n")
+    with pytest.raises(ValidationError) as err:
+        load_package(root)
+    assert str(err.value) == f"{root}: eval_instructions.md is empty"
+
+
 def test_round_trip_preserves_everything(tmp_path):
     write_package(
         tmp_path / "pkg",
