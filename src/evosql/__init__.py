@@ -1,6 +1,6 @@
 """evosql: ELO-driven evolutionary tournament for text-to-SQL agent packages."""
 
-from .analyzer import DatabaseAnalysis, analyze, classify_size, extract_naive_schema
+from .analyzer import DatabaseAnalysis, analyze, classify_size
 from .elo import EloEngine, MatchRecord, Rating, expected_score, update_pair
 from .harness import QuestionOutcome, ResultTable, compare_results, execute_sql
 from .orchestrator import RunConfig, RunState, leaderboard, resume, run
@@ -8,6 +8,7 @@ from .pipeline import assemble_prompt, generate_with_verification, sanitize_sql
 from .registry import AgentPackage, AgentRegistry, load_package, write_package
 from .scheduler import QuestionItem, load_question_pool
 from .simulate import SimulationConfig, SyntheticAgent, simulate
+from .toolrun import extract_naive_schema
 
 __version__ = "0.1.0"
 

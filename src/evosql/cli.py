@@ -7,12 +7,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import analyzer, orchestrator, scheduler
-from .analyzer import DEFAULT_TOKEN_BUDGET, analyze
+from . import orchestrator, scheduler, toolrun
+from .analyzer import analyze
 from .errors import EvoSqlError
 from .harness import AgentEvaluation, evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
+from .toolrun import DEFAULT_TOKEN_BUDGET
 
 
 def _add_run_flags(parser):
@@ -73,7 +74,7 @@ def cmd_evaluate(args) -> int:
     tools = {}
 
     def analysis(agent, db):
-        tools[db] = analyzer.run_agent_tool(agent, scheduler.database_path(args.data_root, db))
+        tools[db] = toolrun.run_agent_tool(agent, scheduler.database_path(args.data_root, db))
         return tools[db].text
 
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)

@@ -10,6 +10,7 @@ missed, refining the package in the same session after each round.
 """
 
 import logging
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -126,7 +127,8 @@ def build_context(
 
 
 def validate_draft(draft: DraftPackage) -> list[str]:
-    """Contract checks for a draft package; returns human-readable errors."""
+    """Contract checks for a draft package; returns human-readable errors,
+    which name files relative to the package."""
     errors = []
     if MANIFEST_FILENAME not in draft.files:
         errors.append(f"missing {MANIFEST_FILENAME}")
@@ -135,12 +137,14 @@ def validate_draft(draft: DraftPackage) -> list[str]:
     if errors:
         return errors
 
-    staging = Path(tempfile.mkdtemp(prefix="evosql_draft_"))
+    staging = Path(tempfile.mkdtemp(prefix="evosql_draft_")).resolve()
     try:
         _write_draft_files(draft, staging)
         load_package(staging)
     except (EvoSqlError, OSError) as exc:
-        errors.append(str(exc))
+        # The staging directory differs on every call; the backend sees the
+        # same error for the same draft.
+        errors.append(str(exc).replace(f"{staging}{os.sep}", "").replace(f"{staging}: ", ""))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return errors

@@ -32,7 +32,6 @@ import math
 import sqlite3
 import threading
 import time
-import urllib.parse
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,12 +40,12 @@ from itertools import chain
 from operator import ne
 from pathlib import Path
 
-from .analyzer import pool_map
 from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
 from .pipeline import (DEFAULT_MAX_ROUNDS, VerificationTranscript, assemble_prompt,
                        generate_with_verification, preview_cell)
 from .registry import AgentPackage
 from .scheduler import QuestionItem, database_path
+from .toolrun import connect_readonly
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +110,8 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
     progress handler that interrupts the statement, in its first step or
     in any chunk of the fetch.
     """
-    quoted = urllib.parse.quote(str(Path(db_path)))
     try:
-        conn = sqlite3.connect(f"file:{quoted}?mode=ro", uri=True)
+        conn = connect_readonly(db_path)
     except sqlite3.Error as exc:
         raise SqlError(f"cannot open {db_path}: {exc}", kind="runtime") from exc
     deadline = time.monotonic() + timeout
@@ -370,6 +368,17 @@ def _evaluate_question(
     )
 
 
+def pool_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a ThreadPoolExecutor of workers
+    threads when workers > 1; results keep the order of items. If fn
+    raises, the exception of the first failing item in order is raised,
+    items not yet started are skipped, and every thread has ended."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 class _SlotReleasingBackend:
     """The generation backend, called with the caller's CPU slot given back,
     so other tasks run SQL while this one waits for a reply."""
@@ -422,10 +431,8 @@ def evaluate_agent(
             "no scorable question: none sampled, or every gold query is defective"
         )
     pairs = [(pkg, db_id) for pkg in packages for db_id in questions]
-    # Both pools are made from this module's ThreadPoolExecutor, which
-    # perfbench/tracer.py replaces to carry its span context into them.
     texts = {(pkg.id, db_id): text for (pkg, db_id), text in zip(
-        pairs, pool_map(lambda pair: analysis(*pair), pairs, workers, ThreadPoolExecutor))}
+        pairs, pool_map(lambda pair: analysis(*pair), pairs, workers))}
 
     cpu_slot = threading.Semaphore(workers)
     slotted = _SlotReleasingBackend(backend, cpu_slot)
@@ -444,7 +451,7 @@ def evaluate_agent(
     if getattr(backend, "in_process", False):
         in_flight = min(workers, backend_concurrency)
     by_agent: dict[str, list[QuestionOutcome]] = {pkg.id: [] for pkg in packages}
-    for outcome in sorted(pool_map(run, tasks, in_flight, ThreadPoolExecutor),
+    for outcome in sorted(pool_map(run, tasks, in_flight),
                           key=lambda o: (o.db_id, o.question_id)):
         by_agent[outcome.agent_id].append(outcome)
     return {agent_id: AgentEvaluation(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}

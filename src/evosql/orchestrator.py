@@ -23,8 +23,7 @@ from collections import ChainMap, Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import analyzer, harness, pipeline, scheduler
-from .analyzer import ToolRunResult, run_agent_tool
+from . import harness, pipeline, scheduler, toolrun
 from .backends import (
     HttpChatBackend,
     HttpEvolutionBackend,
@@ -40,6 +39,7 @@ from .evolution import build_context, deep_focus, evolve_agent
 from .harness import evaluate_agent, execute_gold, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import QuestionItem, iteration_rng
+from .toolrun import ToolRunResult, run_agent_tool
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +67,8 @@ class RunConfig:
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
     questions_per_database: int = scheduler.QUESTIONS_PER_DATABASE
     sql_timeout: float = harness.DEFAULT_SQL_TIMEOUT
-    tool_timeout: float = analyzer.DEFAULT_TOOL_TIMEOUT
-    token_budget: int = analyzer.DEFAULT_TOKEN_BUDGET
+    tool_timeout: float = toolrun.DEFAULT_TOOL_TIMEOUT
+    token_budget: int = toolrun.DEFAULT_TOKEN_BUDGET
     max_rounds: int = pipeline.DEFAULT_MAX_ROUNDS
     initial_agents: list[Path] = field(default_factory=list)
 

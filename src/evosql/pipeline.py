@@ -13,8 +13,8 @@ questions may be pipelined concurrently against thread-safe backends.
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from .analyzer import estimate_tokens
 from .errors import BackendCallError, EmptySqlError, PipelineError
+from .toolrun import estimate_tokens
 
 TEMPERATURE_SCHEDULE = (0.0, 0.2, 0.3)
 RETRY_TEMPERATURE = 0.3

@@ -8,6 +8,7 @@ registry mutations happen on the orchestration thread.
 """
 
 import heapq
+import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,7 +90,8 @@ def parse_frontmatter(text: str, source: str = MANIFEST_FILENAME) -> tuple[dict[
 def load_package(
     root_dir: str | Path, agent_id: str | None = None, iteration_created: int = 0
 ) -> AgentPackage:
-    """Load an agent package from disk, validating its manifest.
+    """Load an agent package from disk, validating its manifest: the name
+    is one path component, and tool_command parses as shell words.
 
     The eval-instructions text and the manifest prose body are preserved
     verbatim; unknown manifest keys are kept as opaque metadata.
@@ -106,6 +108,9 @@ def load_package(
     name = fields.pop("name", "").strip()
     if not name:
         raise ValidationError(f"{manifest_path}: manifest has no name")
+    # Agent ids, and so package directories, are made from the name.
+    if Path(name).name != name or name == "..":
+        raise ValidationError(f"{manifest_path}: name {name!r} is not one path component")
     execution_mode = fields.pop("execution_mode", "").strip()
     if execution_mode not in EXECUTION_MODES:
         raise ValidationError(
@@ -118,6 +123,13 @@ def load_package(
         raise ValidationError(
             f"{manifest_path}: tool_only packages need tool_command and tool_output_file"
         )
+    # shlex.split can fail only on a quote or a backslash, and it is slow:
+    # on every command it about doubled the time of a package load.
+    if any(char in tool_command for char in "'\"\\"):
+        try:
+            shlex.split(tool_command)
+        except ValueError as exc:
+            raise ValidationError(f"{manifest_path}: tool_command does not parse: {exc}") from exc
     eval_instructions = instructions_path.read_text()
     if not eval_instructions.strip():
         raise ValidationError(f"{root}: {INSTRUCTIONS_FILENAME} is empty")

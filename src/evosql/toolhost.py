@@ -1,6 +1,6 @@
 """A warm interpreter that runs packaged analysis tools, one fork per run.
 
-analyzer.run_agent_tool starts this file as a script and keeps it for
+toolrun.run_agent_tool starts this file as a script and keeps it for
 later runs. The protocol is one line each way. The parent writes a JSON
 request {"argv": [script, *args], "cwd": ..., "stderr": ...}. The host
 forks a child that runs the script the way `python <script> <args>` would,

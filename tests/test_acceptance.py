@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from evosql.analyzer import TIER_CONFIGS, analyze, classify_size, extract_naive_schema
+from evosql.analyzer import TIER_CONFIGS, analyze, classify_size
 from evosql.backends import ScriptedEvolutionBackend, ScriptedGenerationBackend
 from evosql.elo import EloEngine, K_FACTOR, update_pair
 from evosql.harness import ResultTable, compare_results
@@ -21,6 +21,7 @@ from evosql.orchestrator import RunConfig, leaderboard, run
 from evosql.pipeline import CORRECT_SENTINEL, generate_with_verification
 from evosql.scheduler import MODE_CHALLENGER, MODE_EVOLVE, MODE_NONE, choose_mode
 from evosql.simulate import SimulationConfig, SyntheticAgent, simulate
+from evosql.toolrun import extract_naive_schema
 from tests.conftest import TOY_QUESTIONS, make_database, make_evolution_response
 from tests.test_harness import _oracle_compare
 from tests.test_pipeline import SYSTEM, FakeExecutor

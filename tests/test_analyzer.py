@@ -14,12 +14,10 @@ from evosql.analyzer import (
     TIER_CONFIGS,
     analyze,
     classify_size,
-    estimate_tokens,
-    extract_naive_schema,
-    run_agent_tool,
 )
 from evosql.errors import AnalysisError, BudgetExceededError
 from evosql.registry import load_package, write_package
+from evosql.toolrun import estimate_tokens, extract_naive_schema, run_agent_tool
 from tests.conftest import make_database
 
 

@@ -23,6 +23,7 @@ from evosql.evolution import (
 from evosql.registry import AgentRegistry, load_package
 from evosql.scheduler import QuestionItem
 from tests.conftest import make_evolution_response
+from tests.test_orchestrator import RecordingEvolutionBackend
 
 
 def test_parse_file_blocks():
@@ -63,6 +64,14 @@ def test_validate_draft_flags_problems():
     assert any("empty" in e for e in validate_draft(empty_instructions))
 
 
+def test_validate_draft_names_files_within_the_package():
+    no_name = parse_file_blocks(make_evolution_response("x").replace("name: x\n", ""))
+    assert validate_draft(no_name) == ["agent.md: manifest has no name"]
+    blank = parse_file_blocks(make_evolution_response("blank"))
+    blank.files["eval_instructions.md"] = "  \n"
+    assert validate_draft(blank) == ["eval_instructions.md is empty"]
+
+
 @pytest.fixture
 def staging(tmp_path, monkeypatch):
     """Stage drafts under tmp_path/staging, so a block that escapes the
@@ -95,6 +104,31 @@ def test_evolve_agent_rerequests_after_an_escaping_path(naive_package_dir, tmp_p
     pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
     assert pkg.id == "iter2_fixed"
     assert not (tmp_path / "x").exists() and not (tmp_path / "iter_2" / "x").exists()
+
+
+@pytest.mark.parametrize("line,bad_line,error", [
+    ("name: fixme\n", "name: x/../../../escaped\n", "is not one path component"),
+    ("tool_command: python tools/analyze.py\n",
+     'tool_command: python tools/analyze.py "unclosed\n', "tool_command does not parse"),
+], ids=["name", "tool_command"])
+def test_evolve_agent_rerequests_after_a_bad_manifest(naive_package_dir, tmp_path,
+                                                      line, bad_line, error):
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    bad = make_evolution_response("fixme").replace(line, bad_line)
+    backend = RecordingEvolutionBackend({2: [bad, make_evolution_response("fixme")]})
+    dest = tmp_path / "run" / "iter_2"
+    pkg, _ = evolve_agent(context, backend, dest)
+    assert pkg.id == "iter2_fixme"
+    assert pkg.tool_command == "python tools/analyze.py"
+    (feedback,) = backend.refinements[2]
+    assert f"- agent.md: {bad_line.split(': ', 1)[0]}" in feedback
+    assert error in feedback
+    # Nothing was written outside dest.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "strategy.md"]
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["iter_2"]
+    assert sorted(p.name for p in dest.iterdir()) == ["iter2_fixme", "reasoning.md"]
 
 
 class _Record:

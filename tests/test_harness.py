@@ -441,7 +441,7 @@ def _oracle_backend(data_root):
 def _analyses_for(pkg, plan, data_root):
     """An analysis callable answering with pkg's tool output per database,
     run once here."""
-    from evosql.analyzer import run_agent_tool
+    from evosql.toolrun import run_agent_tool
     from evosql.scheduler import database_path
 
     texts = {db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan}

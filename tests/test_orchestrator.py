@@ -150,24 +150,37 @@ def test_resume_matches_uninterrupted_run(data_root, tmp_path):
 
 
 class RecordingEvolutionBackend(ScriptedEvolutionBackend):
-    """Scripted evolution that keeps each iteration's rendered request."""
+    """Scripted evolution that keeps each iteration's rendered request and
+    the feedback of each of its refine calls."""
 
     def __init__(self, fixtures):
         super().__init__(fixtures)
         self.requests = {}
+        self.refinements = {}
 
     def propose(self, context):
+        self.iteration = context.iteration
         self.requests[context.iteration] = render_evolution_request(context)
         return super().propose(context)
 
+    def refine(self, feedback):
+        self.refinements.setdefault(self.iteration, []).append(feedback)
+        return super().refine(feedback)
+
 
 def test_resume_shows_evolution_the_same_request(data_root, tmp_path):
-    full_backend = RecordingEvolutionBackend(evolution_fixtures(4))
+    def fixtures():
+        # Iteration 3's first draft has no name, so it is re-requested.
+        scripted = evolution_fixtures(4)
+        scripted[3].insert(0, make_evolution_response("gen3").replace("name: gen3\n", ""))
+        return scripted
+
+    full_backend = RecordingEvolutionBackend(fixtures())
     run(base_config(data_root, tmp_path / "full"), evo_backend=full_backend)
 
     run(base_config(data_root, tmp_path / "halted", iterations=2),
-        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
-    resumed_backend = RecordingEvolutionBackend(evolution_fixtures(4))
+        evo_backend=ScriptedEvolutionBackend(fixtures()))
+    resumed_backend = RecordingEvolutionBackend(fixtures())
     resume(base_config(data_root, tmp_path / "halted"), evo_backend=resumed_backend)
 
     # The first evolve after the resume sees the latest error analysis, as
@@ -176,6 +189,11 @@ def test_resume_shows_evolution_the_same_request(data_root, tmp_path):
     assert "## Latest Error Analysis" in resumed_backend.requests[3]
     assert resumed_backend.requests == {
         k: v for k, v in full_backend.requests.items() if k > 2
+    }
+    # The re-request and the Deep Focus feedback are the same text too.
+    assert "- agent.md: manifest has no name" in resumed_backend.refinements[3][0]
+    assert resumed_backend.refinements == {
+        k: v for k, v in full_backend.refinements.items() if k > 2
     }
 
 

@@ -68,6 +68,25 @@ def test_blank_instructions_are_refused(tmp_path):
     assert str(err.value) == f"{root}: eval_instructions.md is empty"
 
 
+@pytest.mark.parametrize("name", ["x/../../../escaped", "a/b", "..", "."])
+def test_name_must_be_one_path_component(tmp_path, name):
+    # Agent ids, and so package directories, are made from the name.
+    root = write_package(tmp_path / "pkg", name=name, execution_mode="fallback_naive",
+                         instructions="x\n")
+    with pytest.raises(ValidationError, match="one path component"):
+        load_package(root)
+
+
+@pytest.mark.parametrize("command", ['python tools/a.py "unclosed', "python tools/a.py 'x",
+                                     "python tools/a.py \\"])
+def test_tool_command_must_parse_as_shell_words(tmp_path, command):
+    root = write_package(tmp_path / "pkg", name="quote", instructions="x\n",
+                         tool_command=command,
+                         tool_output_file="tool_output/out.txt")
+    with pytest.raises(ValidationError, match="tool_command does not parse"):
+        load_package(root)
+
+
 def test_round_trip_preserves_everything(tmp_path):
     write_package(
         tmp_path / "pkg",

@@ -17,16 +17,16 @@ from pathlib import Path
 import pytest
 
 import evosql
-from evosql import analyzer
-from evosql.analyzer import extract_naive_schema, run_agent_tool
+from evosql import toolrun
 from evosql.registry import load_package, write_package
+from evosql.toolrun import extract_naive_schema, run_agent_tool
 
 
 @pytest.fixture
 def hosts(monkeypatch):
     """A fresh host pool for one test, closed afterwards."""
-    pool = analyzer._ToolHosts()
-    monkeypatch.setattr(analyzer, "_TOOL_HOSTS", pool)
+    pool = toolrun._ToolHosts()
+    monkeypatch.setattr(toolrun, "_TOOL_HOSTS", pool)
     yield pool
     pool.close()
 
@@ -45,7 +45,7 @@ def _run_both(hosts, workdir: Path, *args: str, timeout: float = 60) -> dict:
     {path: (exit code, stderr text)}."""
     argv = [sys.executable, "tools/probe.py", *args]
     runs = {}
-    for path, runner in (("host", hosts.run), ("subprocess", analyzer._run_subprocess)):
+    for path, runner in (("host", hosts.run), ("subprocess", toolrun._run_subprocess)):
         stderr_path = workdir.parent / f"{path}.stderr"
         code = runner(argv, workdir, stderr_path, timeout)
         runs[path] = (code, stderr_path.read_text())
@@ -273,7 +273,7 @@ def tool_path(request, hosts, monkeypatch):
     """Run run_agent_tool's python commands on the host or, with the host
     path switched off, as plain subprocesses."""
     if request.param == "subprocess":
-        monkeypatch.setattr(analyzer, "_hosted", lambda argv: False)
+        monkeypatch.setattr(toolrun, "_hosted", lambda argv: False)
     yield request.param
     assert hosts.started == (request.param == "host")
 
@@ -381,12 +381,12 @@ def test_host_dying_mid_run_is_retried_on_a_new_host(hosts, tmp_path, school_db)
 def test_process_exits_promptly_and_leaves_no_host(naive_package_dir, school_db):
     code = (
         "import sys\n"
-        "from evosql import analyzer\n"
+        "from evosql import toolrun\n"
         "from evosql.registry import load_package\n"
-        f"result = analyzer.run_agent_tool(load_package({str(naive_package_dir)!r}), "
+        f"result = toolrun.run_agent_tool(load_package({str(naive_package_dir)!r}), "
         f"{str(school_db)!r}, timeout=60)\n"
         "assert not result.fallback, result.reason\n"
-        "print(*[host.proc.pid for host in analyzer._TOOL_HOSTS._idle])\n"
+        "print(*[host.proc.pid for host in toolrun._TOOL_HOSTS._idle])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
     start = time.monotonic()
@@ -395,7 +395,7 @@ def test_process_exits_promptly_and_leaves_no_host(naive_package_dir, school_db)
     elapsed = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr
     # A host that did not end by itself would hold the exit for HOST_GRACE_S.
-    assert elapsed < analyzer.HOST_GRACE_S
+    assert elapsed < toolrun.HOST_GRACE_S
     (host_pid,) = map(int, proc.stdout.split())
     with pytest.raises(ProcessLookupError):
         os.kill(host_pid, 0)
