@@ -3,8 +3,10 @@
 run_agent_tool runs a package's tool in an isolated working directory and
 returns its analysis text, within a token budget. A Python tool is forked
 from a warm tool host (toolhost.py); any other command runs as a plain
-subprocess. A tool that fails falls back to extract_naive_schema, the raw
-DDL of the database. The run loop, Deep Focus and `evosql evaluate` all run
+subprocess. The tool's database is a hard link to a process-private copy
+of the pool file, made once and reused while no tool has changed it. A
+tool that fails falls back to extract_naive_schema, the raw DDL of the
+database. The run loop, Deep Focus and `evosql evaluate` all run
 tools here; analyzer.py holds the reference analyzer, which none of them
 calls.
 """
@@ -40,6 +42,9 @@ TOOL_HOST_SCRIPT = Path(__file__).with_name("toolhost.py")
 HOST_GRACE_S = 10.0
 # Bytes read from the end of a failed tool's stderr for the fallback reason.
 STDERR_TAIL_BYTES = 4096
+# The mtime staging gives a database copy (2000-01-01 UTC): any later write
+# moves it, however soon after staging it comes.
+STAGED_MTIME_NS = 946_684_800 * 10**9
 
 
 def estimate_tokens(text: str) -> int:
@@ -197,6 +202,103 @@ class _ToolHosts:
 _TOOL_HOSTS = _ToolHosts()
 
 
+class _Copy:
+    """A private copy of one pool database, and its stat as staging left it."""
+
+    def __init__(self, key: tuple, path: Path):
+        self.key = key
+        self.path = path
+        self._stamp = self._stat()
+
+    def _stat(self) -> tuple:
+        st = os.stat(self.path)
+        return st.st_ino, st.st_size, st.st_mtime_ns, st.st_mode, st.st_nlink
+
+    def untouched(self) -> bool:
+        """Whether the copy still has the inode, size, mtime and mode staging
+        gave it, and no link but its own."""
+        try:
+            return self._stat() == self._stamp
+        except OSError:
+            return False
+
+
+class _StagedCopies:
+    """Private copies of pool databases for tool runs. A run checks out a
+    copy no other run holds and returns it; a copy is reused only while no
+    tool has changed it. Copies on disk never outnumber the most runs ever
+    in flight at once: the least recently returned idle copy goes first."""
+
+    def __init__(self):
+        self._idle: list[_Copy] = []
+        self._lock = threading.Lock()
+        self._dir: Path | None = None
+        self._in_flight = 0
+        self.peak = 0
+        self.made = 0
+        atexit.register(self.close)
+
+    def checkout(self, db_path) -> _Copy:
+        st = os.stat(db_path)
+        key = (os.path.realpath(db_path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        with self._lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+            copy = next((c for c in reversed(self._idle) if c.key == key), None)
+            if copy is not None:
+                self._idle.remove(copy)
+        if copy is not None:
+            if copy.untouched():
+                return copy
+            copy.path.unlink(missing_ok=True)
+        try:
+            return self._make(db_path, key)
+        except BaseException:
+            with self._lock:
+                self._in_flight -= 1
+            raise
+
+    def _make(self, db_path, key: tuple) -> _Copy:
+        with self._lock:
+            excess = max(0, len(self._idle) + self._in_flight - self.peak)
+            evicted, self._idle = self._idle[:excess], self._idle[excess:]
+            if self._dir is None:
+                self._dir = Path(tempfile.mkdtemp(prefix="evosql_copies_"))
+            self.made += 1
+            path = self._dir / f"{self.made}.sqlite"
+        for copy in evicted:
+            copy.path.unlink(missing_ok=True)
+        try:
+            shutil.copy(db_path, path)
+            os.utime(path, ns=(STAGED_MTIME_NS, STAGED_MTIME_NS))
+            return _Copy(key, path)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+
+    def checkin(self, copy: _Copy) -> None:
+        # A changed copy is removed while its run still counts as in flight,
+        # so that no new copy can join it on disk past the bound.
+        keep = copy.untouched()
+        if not keep:
+            copy.path.unlink(missing_ok=True)
+        with self._lock:
+            self._in_flight -= 1
+            if keep:
+                self._idle.append(copy)
+
+    def close(self) -> None:
+        """Remove every copy; a run still holding one loses it at checkin."""
+        with self._lock:
+            self._idle = []
+            copies_dir, self._dir = self._dir, None
+        if copies_dir is not None:
+            shutil.rmtree(copies_dir, ignore_errors=True)
+
+
+_STAGED_COPIES = _StagedCopies()
+
+
 def _hosted(argv: list[str]) -> bool:
     """Whether a tool host can run argv: `python|python3 <script>.py [args]`."""
     return (
@@ -231,15 +333,29 @@ def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: fl
                 max_bytes: int) -> tuple[str | None, str | None]:
     """Run the tool once in a fresh working directory: (output, None), or
     (None, why the run failed)."""
-    workdir = Path(tempfile.mkdtemp(prefix="evosql_tool_"))
-    stderr_path = workdir.with_name(workdir.name + ".stderr")
     try:
-        shutil.copy(db_path, workdir / "database.sqlite")
+        workdir = Path(tempfile.mkdtemp(prefix="evosql_tool_"))
+    except OSError as exc:
+        return None, f"cannot make work directory: {exc}"
+    stderr_path = workdir.with_name(workdir.name + ".stderr")
+    copy = None
+    try:
+        try:
+            copy = _STAGED_COPIES.checkout(db_path)
+            try:
+                os.link(copy.path, workdir / "database.sqlite")
+            except OSError:
+                shutil.copy(copy.path, workdir / "database.sqlite")
+        except OSError as exc:
+            return None, f"cannot stage database: {exc}"
         tools_src = pkg.root_dir / TOOLS_DIRNAME
-        if tools_src.is_dir():
-            shutil.copytree(tools_src, workdir / TOOLS_DIRNAME)
-        (workdir / "tool_output").mkdir(exist_ok=True)
-        (workdir / "output").mkdir(exist_ok=True)
+        try:
+            if tools_src.is_dir():
+                shutil.copytree(tools_src, workdir / TOOLS_DIRNAME)
+            (workdir / "tool_output").mkdir(exist_ok=True)
+            (workdir / "output").mkdir(exist_ok=True)
+        except OSError as exc:
+            return None, f"cannot stage tools: {exc}"
         try:
             code = runner(argv, workdir, stderr_path, timeout)
         except subprocess.TimeoutExpired:
@@ -260,6 +376,9 @@ def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: fl
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         stderr_path.unlink(missing_ok=True)
+        # After the work directory's link to the copy is gone.
+        if copy is not None:
+            _STAGED_COPIES.checkin(copy)
 
 
 def run_agent_tool(
@@ -268,16 +387,20 @@ def run_agent_tool(
 ) -> ToolRunResult:
     """Run a package's analysis tool in an isolated working directory.
 
-    The tool sees a copy of the database as ./database.sqlite plus the
+    The tool sees a private copy of the database as ./database.sqlite (a
+    hard link to a copy reused while no tool changes it) plus the
     package's tools/ directory, and must write its declared output file with
     exit code 0. Its stdin is /dev/null, its stdout is discarded, and only
     the end of its stderr is read, for the fallback reason. Nonzero exit,
     timeout, or a missing or blank output file falls back to the raw-DDL
-    extractor with the result tagged as a fallback. At most token_budget *
-    BYTES_PER_TOKEN + 1 bytes of the output file are read, as UTF-8, so a
-    longer file is over budget. An analysis over budget, or a tool whose
-    naive fallback fails or is blank too, blocks the (agent, database) pair:
-    the text is None and the reason says why.
+    extractor with the result tagged as a fallback, and so does a work
+    directory, database or tools/ directory that cannot be staged (reason
+    `cannot make work directory: <error>`, `cannot stage database: <error>`
+    or `cannot stage tools: <error>`). At
+    most token_budget * BYTES_PER_TOKEN + 1 bytes of the output file are
+    read, as UTF-8, so a longer file is over budget. An analysis over
+    budget, or a tool whose naive fallback fails or is blank too, blocks the
+    (agent, database) pair: the text is None and the reason says why.
 
     `python|python3 <script>.py [args]` runs in a child forked from a warm
     tool host (toolhost.py); any other command runs as a plain subprocess.

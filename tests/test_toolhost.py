@@ -378,17 +378,19 @@ def test_host_dying_mid_run_is_retried_on_a_new_host(hosts, tmp_path, school_db)
     assert hosts.started == 2
 
 
-def test_process_exits_promptly_and_leaves_no_host(naive_package_dir, school_db):
+def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, school_db):
     code = (
-        "import sys\n"
+        "import sys, tempfile\n"
         "from evosql import toolrun\n"
         "from evosql.registry import load_package\n"
         f"result = toolrun.run_agent_tool(load_package({str(naive_package_dir)!r}), "
         f"{str(school_db)!r}, timeout=60)\n"
         "assert not result.fallback, result.reason\n"
+        "assert toolrun._STAGED_COPIES._dir.parent.samefile(tempfile.gettempdir())\n"
         "print(*[host.proc.pid for host in toolrun._TOOL_HOSTS._idle])\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1]),
+           "TMPDIR": str(tmp_path)}
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
@@ -399,3 +401,5 @@ def test_process_exits_promptly_and_leaves_no_host(naive_package_dir, school_db)
     (host_pid,) = map(int, proc.stdout.split())
     with pytest.raises(ProcessLookupError):
         os.kill(host_pid, 0)
+    # No work directory and no database copy is left either.
+    assert list(tmp_path.iterdir()) == []
