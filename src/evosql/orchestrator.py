@@ -39,7 +39,7 @@ from .evolution import build_context, deep_focus, evolve_agent
 from .harness import evaluate_agent, execute_gold, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import QuestionItem, iteration_rng
-from .toolrun import ToolRunResult, run_agent_tool
+from .toolrun import ToolRunResult, keep_copies, run_agent_tool
 
 logger = logging.getLogger(__name__)
 
@@ -374,6 +374,8 @@ class Orchestrator:
                             held=ChainMap(*self._gold_by_iteration.values()))
 
     def _evaluate(self, packages, questions, analysis, gold):
+        # Each package's tool runs on each of these databases.
+        keep_copies(scheduler.database_path(self.config.data_root, db) for db in questions)
         return evaluate_agent(
             packages, questions, self.gen_backend, analysis, gold, self.config.data_root,
             sql_timeout=self.config.sql_timeout,

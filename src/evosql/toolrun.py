@@ -12,6 +12,8 @@ calls.
 """
 
 import atexit
+import contextlib
+import fcntl
 import json
 import logging
 import math
@@ -19,6 +21,7 @@ import os
 import select
 import shlex
 import shutil
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -202,6 +205,34 @@ class _ToolHosts:
 _TOOL_HOSTS = _ToolHosts()
 
 
+def _remove(path: Path) -> None:
+    """Unlink path if it can be; a copy that cannot be removed is dropped
+    all the same, and close() tries again."""
+    with contextlib.suppress(OSError):
+        path.unlink()
+
+
+def _opened_elsewhere(path: Path) -> bool:
+    """Whether any open file or mapping but the one this opens refers to
+    path. The kernel grants a write lease only when none does; where it
+    grants none at all, the answer is yes."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return True
+    try:
+        # An open racing the lease would signal this process: SIGURG, which
+        # is ignored by default, rather than SIGIO, which would end it.
+        fcntl.fcntl(fd, fcntl.F_SETSIG, signal.SIGURG)
+        fcntl.fcntl(fd, fcntl.F_SETLEASE, fcntl.F_WRLCK)
+        return False
+    except (OSError, AttributeError):
+        return True
+    finally:
+        # Closing the descriptor releases the lease.
+        os.close(fd)
+
+
 class _Copy:
     """A private copy of one pool database, and its stat as staging left it."""
 
@@ -216,9 +247,9 @@ class _Copy:
 
     def untouched(self) -> bool:
         """Whether the copy still has the inode, size, mtime and mode staging
-        gave it, and no link but its own."""
+        gave it, no link but its own, and no process holding it open."""
         try:
-            return self._stat() == self._stamp
+            return self._stat() == self._stamp and not _opened_elsewhere(self.path)
         except OSError:
             return False
 
@@ -226,17 +257,32 @@ class _Copy:
 class _StagedCopies:
     """Private copies of pool databases for tool runs. A run checks out a
     copy no other run holds and returns it; a copy is reused only while no
-    tool has changed it. Copies on disk never outnumber the most runs ever
-    in flight at once: the least recently returned idle copy goes first."""
+    tool has changed it, and is dropped on return if an idle copy of its
+    database is there already. Copies on disk never outnumber the most runs
+    ever in flight at once plus the databases named by the last keep():
+    past that, the least recently returned idle copy goes first."""
 
     def __init__(self):
         self._idle: list[_Copy] = []
         self._lock = threading.Lock()
         self._dir: Path | None = None
         self._in_flight = 0
+        self._kept: set[str] = set()
         self.peak = 0
         self.made = 0
         atexit.register(self.close)
+
+    def keep(self, db_paths) -> None:
+        """Make room for an idle copy of each of db_paths, the databases a
+        caller is about to run tools on, and remove the idle copies of any
+        other database."""
+        kept = {os.path.realpath(p) for p in db_paths}
+        with self._lock:
+            self._kept = kept
+            dropped = [c for c in self._idle if c.key[0] not in kept]
+            self._idle = [c for c in self._idle if c.key[0] in kept]
+        for copy in dropped:
+            _remove(copy.path)
 
     def checkout(self, db_path) -> _Copy:
         st = os.stat(db_path)
@@ -247,11 +293,11 @@ class _StagedCopies:
             copy = next((c for c in reversed(self._idle) if c.key == key), None)
             if copy is not None:
                 self._idle.remove(copy)
-        if copy is not None:
-            if copy.untouched():
-                return copy
-            copy.path.unlink(missing_ok=True)
         try:
+            if copy is not None:
+                if copy.untouched():
+                    return copy
+                _remove(copy.path)
             return self._make(db_path, key)
         except BaseException:
             with self._lock:
@@ -260,32 +306,36 @@ class _StagedCopies:
 
     def _make(self, db_path, key: tuple) -> _Copy:
         with self._lock:
-            excess = max(0, len(self._idle) + self._in_flight - self.peak)
+            excess = max(0, len(self._idle) + self._in_flight - self.peak - len(self._kept))
             evicted, self._idle = self._idle[:excess], self._idle[excess:]
             if self._dir is None:
                 self._dir = Path(tempfile.mkdtemp(prefix="evosql_copies_"))
             self.made += 1
             path = self._dir / f"{self.made}.sqlite"
         for copy in evicted:
-            copy.path.unlink(missing_ok=True)
+            _remove(copy.path)
         try:
             shutil.copy(db_path, path)
             os.utime(path, ns=(STAGED_MTIME_NS, STAGED_MTIME_NS))
             return _Copy(key, path)
         except BaseException:
-            path.unlink(missing_ok=True)
+            _remove(path)
             raise
 
     def checkin(self, copy: _Copy) -> None:
-        # A changed copy is removed while its run still counts as in flight,
-        # so that no new copy can join it on disk past the bound.
-        keep = copy.untouched()
-        if not keep:
-            copy.path.unlink(missing_ok=True)
-        with self._lock:
-            self._in_flight -= 1
-            if keep:
-                self._idle.append(copy)
+        # A copy that is not kept is removed while its run still counts as in
+        # flight, so that no new copy can join it on disk past the bound.
+        try:
+            with self._lock:
+                spare = any(c.key == copy.key for c in self._idle)
+            if spare or not copy.untouched():
+                _remove(copy.path)
+                copy = None
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+                if copy is not None:
+                    self._idle.append(copy)
 
     def close(self) -> None:
         """Remove every copy; a run still holding one loses it at checkin."""
@@ -297,6 +347,14 @@ class _StagedCopies:
 
 
 _STAGED_COPIES = _StagedCopies()
+
+
+def keep_copies(db_paths) -> None:
+    """Keep an idle copy of each of db_paths between tool runs, and none of
+    any other database, for a caller about to run tools several times on
+    each of these databases. Copies on disk may then number the most runs
+    in flight at once plus these databases."""
+    _STAGED_COPIES.keep(db_paths)
 
 
 def _hosted(argv: list[str]) -> bool:

@@ -4,8 +4,8 @@ A tool run sees ./database.sqlite, a hard link to a process-private copy of
 the pool database. The copy is made once and handed to the next run on that
 database only while no tool has changed it; otherwise the next run gets a
 fresh copy. These tests check that every run sees the pool's bytes, that
-copies on disk never outnumber the most runs in flight at once, and that
-none outlives close(). test_toolhost.py checks that none outlives the
+copies on disk never outnumber the most runs in flight at once plus the
+databases a caller asked to keep copies of, and that none outlives close(). test_toolhost.py checks that none outlives the
 process.
 """
 
@@ -13,6 +13,7 @@ import errno
 import hashlib
 import os
 import shutil
+import signal
 import sqlite3
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,8 +22,11 @@ from pathlib import Path
 import pytest
 
 from evosql import toolrun
+from evosql.backends import ScriptedEvolutionBackend
+from evosql.orchestrator import run
 from evosql.registry import load_package, write_package
 from evosql.toolrun import extract_naive_schema, run_agent_tool
+from tests.test_orchestrator import base_config, evolution_fixtures
 
 # Writes the sha256 and mode of its database, then does what argv[1] says.
 PROBE = """\
@@ -62,18 +66,36 @@ with open('tool_output/out.txt', 'w') as f:
 """
 
 
+# Leaves behind a process that holds its database open, and records its pid
+# in argv[1].
+LINGERER = """\
+import os, subprocess, sys, time
+pid_file = sys.argv[1]
+child = subprocess.Popen(
+    [sys.executable, '-c', 'import sys, time; db = open("database.sqlite", "r+b"); '
+     'open(sys.argv[1], "w").close(); time.sleep(60)', pid_file + '.ready'],
+    start_new_session=True)
+while not os.path.exists(pid_file + '.ready'):
+    time.sleep(0.01)
+with open(pid_file, 'w') as f:
+    f.write(str(child.pid))
+with open('tool_output/out.txt', 'w') as f:
+    f.write('left one running')
+"""
+
+
 @pytest.fixture
 def copies(monkeypatch):
     """A fresh pool of database copies for one test, closed afterwards.
     After every checkout and checkin it checks that copies on disk do not
-    outnumber the most runs in flight at once."""
+    outnumber the most runs in flight at once plus the kept databases."""
     pool = toolrun._StagedCopies()
     checkout, checkin = pool.checkout, pool.checkin
 
     def check_bound():
         on_disk = len(list(pool._dir.iterdir())) if pool._dir else 0
-        assert len(pool._idle) <= pool.peak
-        assert on_disk <= pool.peak
+        assert len(pool._idle) <= pool.peak + len(pool._kept)
+        assert on_disk <= pool.peak + len(pool._kept)
 
     def checked_checkout(db_path):
         copy = checkout(db_path)
@@ -196,6 +218,90 @@ def test_copies_of_several_databases_stay_within_the_bound(copies, tmp_path, sch
     assert copies.peak == 1
     assert copies.made == 4
     assert [c.key[0] for c in copies._idle] == [os.path.realpath(dbs[0])]
+
+
+def test_kept_databases_are_copied_once_each(copies, tmp_path, school_db):
+    pkg = _package(tmp_path / "reader", PROBE, "read")
+    dbs = []
+    for name in "abc":
+        dbs.append(tmp_path / f"{name}.sqlite")
+        shutil.copy(school_db, dbs[-1])
+    toolrun.keep_copies(dbs)
+    for _ in range(3):
+        for db in dbs:
+            assert run_agent_tool(pkg, db, timeout=60).text == _pristine(db)
+    # One run at a time, yet each database keeps its copy between runs.
+    assert copies.peak == 1
+    assert copies.made == 3
+    # Keeping copies of other databases removes these databases' idle copies.
+    toolrun.keep_copies(dbs[:1])
+    assert [c.key[0] for c in copies._idle] == [os.path.realpath(dbs[0])]
+    assert len(list(copies._dir.iterdir())) == 1
+
+
+def test_run_loop_copies_each_database_once(copies, monkeypatch, data_root, tmp_path):
+    runs = []
+    run_staged = toolrun._run_staged
+
+    def counted(*args, **kwargs):
+        runs.append(args[1])
+        return run_staged(*args, **kwargs)
+
+    monkeypatch.setattr(toolrun, "_run_staged", counted)
+    # Every iteration and Deep Focus evaluates on the whole 3-database pool.
+    run(base_config(data_root, tmp_path / "out", workers=1),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+    assert len(set(runs)) == 3
+    assert len(runs) > 3 * 4
+    assert copies.made == 3
+
+
+def test_copy_a_lingering_process_holds_open_is_not_reused(copies, tmp_path, school_db):
+    pid_file = tmp_path / "lingerer.pid"
+    first = run_agent_tool(_package(tmp_path / "lingerer", LINGERER, str(pid_file)),
+                           school_db, timeout=60)
+    try:
+        assert (first.text, first.fallback) == ("left one running", False)
+        # The lingering process keeps the first copy to itself.
+        assert copies._idle == []
+        second = run_agent_tool(_package(tmp_path / "reader", PROBE, "read"), school_db,
+                                timeout=60)
+        assert second.text == _pristine(school_db)
+        assert copies.made == 2
+    finally:
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def test_copy_that_cannot_be_removed_is_dropped(monkeypatch, tmp_path, school_db):
+    # Not the bound-checking fixture: a copy that cannot be removed stays on
+    # disk until close().
+    pool = toolrun._StagedCopies()
+    monkeypatch.setattr(toolrun, "_STAGED_COPIES", pool)
+    unlink = Path.unlink
+
+    def refused(path, missing_ok=False):
+        if path.parent == pool._dir:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return unlink(path, missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", refused)
+    try:
+        run_agent_tool(_package(tmp_path / "reader", PROBE, "read"), school_db, timeout=60)
+        (idle,) = pool._idle
+        with open(idle.path, "r+b") as db:
+            db.seek(2048)
+            db.write(b"\xa5" * 64)
+        # At checkout the written copy is dropped; at checkin, the copy the
+        # tool rewrote.
+        result = run_agent_tool(_package(tmp_path / "changer", PROBE, "rewrite-page"),
+                                school_db, timeout=60)
+        assert (result.text, result.fallback) == (_pristine(school_db), False)
+        assert pool._idle == []
+        assert pool._in_flight == 0
+        assert pool.made == 2
+    finally:
+        pool.close()
+    assert not idle.path.exists()
 
 
 def test_close_removes_every_copy(copies, tmp_path, school_db):
