@@ -112,32 +112,14 @@ class ScriptedGenerationBackend:
         return script[min(index, len(script) - 1)]
 
 
-class OracleGenerationBackend:
-    """Answers with the gold SQL for the question found in the prompt, then
-    accepts on verification. Useful for end-to-end determinism tests and
-    harness smoke runs."""
-
-    in_process = True
-
-    def __init__(self, gold_by_question: dict[str, str]):
-        self._gold = dict(gold_by_question)
+class OracleGenerationBackend(ScriptedGenerationBackend):
+    """Replays each pool question's gold SQL, then accepts on verification.
+    Useful for end-to-end determinism tests and harness smoke runs."""
 
     @classmethod
     def from_question_pool(cls, question_pool) -> "OracleGenerationBackend":
-        gold = {}
-        for items in question_pool.values():
-            for item in items:
-                gold[item.question] = item.gold_sql
-        return cls(gold)
-
-    def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
-        if any(m["role"] == "assistant" for m in conversation):
-            return CORRECT_SENTINEL
-        question = extract_question(system_text)
-        try:
-            return self._gold[question]
-        except KeyError:
-            raise BackendError(f"oracle has no gold SQL for question {question!r}") from None
+        return cls({item.question: [item.gold_sql, CORRECT_SENTINEL]
+                    for items in question_pool.values() for item in items})
 
 
 def _retry_after_s(value: str | None) -> float | None:

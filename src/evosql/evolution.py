@@ -51,18 +51,19 @@ class EvolutionContext:
 
 
 def read_package_files(root_dir: str | Path) -> dict[str, str]:
-    """Full artifact text of a package: manifest, instructions, tools."""
+    """Full artifact text of a package: manifest, instructions, tools. A
+    file that does not decode as text is shown as one line giving its size."""
     root = Path(root_dir)
+    paths = [root / MANIFEST_FILENAME, root / INSTRUCTIONS_FILENAME]
+    if (root / "tools").is_dir():
+        paths += sorted((root / "tools").rglob("*"))
     files = {}
-    for name in (MANIFEST_FILENAME, INSTRUCTIONS_FILENAME):
-        path = root / name
-        if path.is_file():
+    for path in filter(Path.is_file, paths):
+        name = str(path.relative_to(root))
+        try:
             files[name] = path.read_text()
-    tools_dir = root / "tools"
-    if tools_dir.is_dir():
-        for path in sorted(tools_dir.rglob("*")):
-            if path.is_file():
-                files[str(path.relative_to(root))] = path.read_text()
+        except UnicodeDecodeError:
+            files[name] = f"(not text: {path.stat().st_size} bytes)\n"
     return files
 
 

@@ -211,10 +211,10 @@ class QuestionOutcome:
         return {k: v for k, v in vars(self).items() if k != "transcript"}
 
 
-def _run_gold(db_file: Path, sql: str, key: tuple[str, int], timeout: float) -> GoldTable | str:
+def _run_gold(db_file: Path, sql: str, key: tuple[str, int]) -> GoldTable | str:
     """The gold result of one question, or the reason it is a dataset defect."""
     try:
-        table = execute_sql(db_file, sql, timeout)
+        table = execute_sql(db_file, sql)
     except SqlError as exc:
         logger.warning("defective gold SQL for %s q%s: %s", *key, exc)
         return str(exc)
@@ -227,7 +227,6 @@ def _run_gold(db_file: Path, sql: str, key: tuple[str, int], timeout: float) -> 
 def execute_gold(
     questions: dict[str, list[QuestionItem]],
     data_root: str | Path,
-    timeout: float = DEFAULT_SQL_TIMEOUT,
     held: Mapping[tuple[str, int], GoldTable | str] = {},
 ) -> dict[tuple[str, int], GoldTable | str]:
     """Execute the gold query of every question, by database, exactly once.
@@ -243,7 +242,7 @@ def execute_gold(
         db_file = database_path(data_root, db_id)
         for item in items:
             key = (db_id, item.question_id)
-            gold[key] = held[key] if key in held else _run_gold(db_file, item.gold_sql, key, timeout)
+            gold[key] = held[key] if key in held else _run_gold(db_file, item.gold_sql, key)
     return gold
 
 
@@ -281,22 +280,6 @@ def _preview_rows(table: ResultTable) -> list[str]:
     return [" | ".join(map(preview_cell, row)) for row in table.rows[:REPORT_PREVIEW_ROWS]]
 
 
-def _blocked_outcome(agent_id: str, item: QuestionItem, reason: str,
-                     kind: str = FAILURE_PIPELINE) -> QuestionOutcome:
-    return QuestionOutcome(
-        question_id=item.question_id,
-        db_id=item.db_id,
-        agent_id=agent_id,
-        question=item.question,
-        evidence=item.evidence,
-        predicted_sql="",
-        gold_sql=item.gold_sql,
-        match=False,
-        failure_kind=kind,
-        pred_preview=[reason],
-    )
-
-
 def _evaluate_question(
     pkg: AgentPackage,
     item: QuestionItem,
@@ -304,11 +287,17 @@ def _evaluate_question(
     gold_table: GoldTable,
     backend,
     db_file: Path,
-    sql_timeout: float,
     max_rounds: int,
 ) -> QuestionOutcome:
+    # Blocked until generation and scoring say otherwise.
+    outcome = QuestionOutcome(
+        question_id=item.question_id, db_id=item.db_id, agent_id=pkg.id,
+        question=item.question, evidence=item.evidence, predicted_sql="",
+        gold_sql=item.gold_sql, match=False, failure_kind=FAILURE_PIPELINE,
+        pred_preview=["database analysis unavailable"],
+    )
     if analysis is None:
-        return _blocked_outcome(pkg.id, item, "database analysis unavailable")
+        return outcome
 
     prompt = assemble_prompt(analysis, pkg.eval_instructions, item.question, item.evidence)
     runs: dict[str, ResultTable | SqlError] = {}
@@ -317,7 +306,7 @@ def _evaluate_question(
         # Each SQL text runs once per question; scoring reuses the loop's run.
         if sql not in runs:
             try:
-                runs[sql] = execute_sql(path, sql, sql_timeout)
+                runs[sql] = execute_sql(path, sql)
             except SqlError as exc:
                 runs[sql] = exc
         if isinstance(runs[sql], SqlError):
@@ -325,47 +314,34 @@ def _evaluate_question(
         return runs[sql]
 
     try:
-        final_sql, transcript = generate_with_verification(
+        outcome.predicted_sql, outcome.transcript = generate_with_verification(
             backend, prompt, db_file, executor, max_rounds=max_rounds
         )
     except PipelineError as exc:
         # A backend that still fails after its own retries is an outage,
         # reported apart from the agent's faults.
-        kind = FAILURE_BACKEND if isinstance(exc, BackendCallError) else FAILURE_PIPELINE
-        outcome = _blocked_outcome(pkg.id, item, str(exc), kind)
+        if isinstance(exc, BackendCallError):
+            outcome.failure_kind = FAILURE_BACKEND
+        outcome.pred_preview = [str(exc)]
         outcome.transcript = exc.transcript
         return outcome
 
-    match = False
-    failure = FAILURE_NONE
-    pred_preview: list[str] = []
+    outcome.gold_preview = gold_table.preview
     try:
-        pred_table = executor(db_file, final_sql)
+        pred_table = executor(db_file, outcome.predicted_sql)
     except SqlError as exc:
-        failure = FAILURE_TIMEOUT if exc.kind == "timeout" else FAILURE_SQL_ERROR
-        pred_preview = [str(exc)]
+        outcome.failure_kind = FAILURE_TIMEOUT if exc.kind == "timeout" else FAILURE_SQL_ERROR
+        outcome.pred_preview = [str(exc)]
+        return outcome
+    outcome.pred_preview = _preview_rows(pred_table)
+    outcome.match = compare_results(pred_table, gold_table)
+    if outcome.match:
+        outcome.failure_kind = FAILURE_NONE
+    elif (not pred_table.rows) != (not gold_table.row_set):
+        outcome.failure_kind = FAILURE_EMPTY_VS_NONEMPTY
     else:
-        pred_preview = _preview_rows(pred_table)
-        match = compare_results(pred_table, gold_table)
-        if not match:
-            pred_empty = len(pred_table.rows) == 0
-            gold_empty = not gold_table.row_set
-            failure = FAILURE_EMPTY_VS_NONEMPTY if pred_empty != gold_empty else FAILURE_WRONG_RESULT
-
-    return QuestionOutcome(
-        question_id=item.question_id,
-        db_id=item.db_id,
-        agent_id=pkg.id,
-        question=item.question,
-        evidence=item.evidence,
-        predicted_sql=final_sql,
-        gold_sql=item.gold_sql,
-        match=match,
-        failure_kind=failure,
-        pred_preview=pred_preview,
-        gold_preview=gold_table.preview,
-        transcript=transcript,
-    )
+        outcome.failure_kind = FAILURE_WRONG_RESULT
+    return outcome
 
 
 def pool_map(fn, items, workers: int) -> list:
@@ -403,7 +379,6 @@ def evaluate_agent(
     gold: Mapping[tuple[str, int], GoldTable | str],
     data_root: str | Path,
     *,
-    sql_timeout: float = DEFAULT_SQL_TIMEOUT,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     workers: int = 1,
     backend_concurrency: int = 1,
@@ -442,7 +417,7 @@ def evaluate_agent(
         with cpu_slot:
             return _evaluate_question(
                 pkg, item, texts[(pkg.id, db_id)], gold_table, slotted,
-                database_path(data_root, db_id), sql_timeout, max_rounds,
+                database_path(data_root, db_id), max_rounds,
             )
 
     # Threads beyond workers only pay off while tasks wait on the backend;

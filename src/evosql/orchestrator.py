@@ -23,7 +23,7 @@ from collections import ChainMap, Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import harness, pipeline, scheduler, toolrun
+from . import pipeline, scheduler, toolrun
 from .backends import (
     HttpChatBackend,
     HttpEvolutionBackend,
@@ -66,8 +66,6 @@ class RunConfig:
     late_stage_start: int = scheduler.DEFAULT_LATE_STAGE_START
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
     questions_per_database: int = scheduler.QUESTIONS_PER_DATABASE
-    sql_timeout: float = harness.DEFAULT_SQL_TIMEOUT
-    tool_timeout: float = toolrun.DEFAULT_TOOL_TIMEOUT
     token_budget: int = toolrun.DEFAULT_TOKEN_BUDGET
     max_rounds: int = pipeline.DEFAULT_MAX_ROUNDS
     initial_agents: list[Path] = field(default_factory=list)
@@ -338,7 +336,7 @@ class Orchestrator:
 
     def _run_tool(self, pkg, db_id: str) -> ToolRunResult:
         return run_agent_tool(pkg, scheduler.database_path(self.config.data_root, db_id),
-                              self.config.tool_timeout, self.config.token_budget)
+                              token_budget=self.config.token_budget)
 
     def _cached_analysis(self, pkg, db_id: str) -> str | None:
         key = (pkg.id, db_id)
@@ -370,7 +368,7 @@ class Orchestrator:
 
     def _gold(self, questions: dict[str, list[QuestionItem]]) -> dict:
         # Every question the Deep Focus window holds is copied, not run again.
-        return execute_gold(questions, self.config.data_root, self.config.sql_timeout,
+        return execute_gold(questions, self.config.data_root,
                             held=ChainMap(*self._gold_by_iteration.values()))
 
     def _evaluate(self, packages, questions, analysis, gold):
@@ -378,7 +376,6 @@ class Orchestrator:
         keep_copies(scheduler.database_path(self.config.data_root, db) for db in questions)
         return evaluate_agent(
             packages, questions, self.gen_backend, analysis, gold, self.config.data_root,
-            sql_timeout=self.config.sql_timeout,
             max_rounds=self.config.max_rounds,
             workers=self.config.workers,
             backend_concurrency=self.config.backend_concurrency,

@@ -87,6 +87,13 @@ def parse_frontmatter(text: str, source: str = MANIFEST_FILENAME) -> tuple[dict[
     return fields, body
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not text ({exc.reason} at byte {exc.start})") from exc
+
+
 def load_package(
     root_dir: str | Path, agent_id: str | None = None, iteration_created: int = 0
 ) -> AgentPackage:
@@ -104,7 +111,7 @@ def load_package(
     if not instructions_path.is_file():
         raise FileNotFoundError(f"no {INSTRUCTIONS_FILENAME} in {root}")
 
-    fields, body = parse_frontmatter(manifest_path.read_text())
+    fields, body = parse_frontmatter(_read_text(manifest_path))
     name = fields.pop("name", "").strip()
     if not name:
         raise ValidationError(f"{manifest_path}: manifest has no name")
@@ -130,7 +137,7 @@ def load_package(
             shlex.split(tool_command)
         except ValueError as exc:
             raise ValidationError(f"{manifest_path}: tool_command does not parse: {exc}") from exc
-    eval_instructions = instructions_path.read_text()
+    eval_instructions = _read_text(instructions_path)
     if not eval_instructions.strip():
         raise ValidationError(f"{root}: {INSTRUCTIONS_FILENAME} is empty")
     lineage_raw = fields.pop("lineage", "")

@@ -66,7 +66,8 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
 
     data_root holds one directory per database (<db_id>/<db_id>.sqlite) and
     a questions.json array of records with question_id, db_id, question,
-    evidence, SQL, difficulty, unique by (db_id, question_id).
+    evidence, SQL, difficulty, unique by (db_id, question_id). A record
+    without a non-blank question and SQL is refused.
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -97,13 +98,17 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
     if duplicates:
         raise DataValidationError(f"duplicate question ids: {', '.join(duplicates)}")
     for rec in records:
+        for key in ("question", "SQL"):
+            if not isinstance(rec.get(key), str) or not rec[key].strip():
+                raise DataValidationError(f"{QUESTIONS_FILENAME}: {rec['db_id']} "
+                                          f"q{rec['question_id']} has no {key}")
         question_pool[rec["db_id"]].append(
             QuestionItem(
                 question_id=int(rec["question_id"]),
                 db_id=rec["db_id"],
                 question=rec["question"],
                 evidence=rec.get("evidence", "") or "",
-                gold_sql=rec.get("SQL", rec.get("gold_sql", "")),
+                gold_sql=rec["SQL"],
                 difficulty=rec.get("difficulty"),
             )
         )
@@ -148,6 +153,20 @@ def choose_mode(
     return MODE_NONE
 
 
+def _fill_from_top(
+    roster: list[str], size: int, registry: AgentRegistry, rng: random.Random | None
+) -> list[str]:
+    """Seat agents until roster has size of them or nobody is left, each a
+    uniform pick (the first without rng) from the top two by ELO among the
+    agents not yet seated."""
+    while len(roster) < size:
+        candidates = registry.top_by_elo(TOP_POOL_SIZE, exclude=set(roster))
+        if not candidates:
+            break
+        roster.append(rng.choice(candidates) if rng else candidates[0])
+    return roster
+
+
 def select_competitors(
     mode: str,
     registry: AgentRegistry,
@@ -179,13 +198,7 @@ def select_competitors(
             raise InvalidStateError(f"new agent {new_agent_id!r} is not registered")
         roster = [a for a in registry.pending_winners() if a != new_agent_id]
         roster.append(new_agent_id)
-        target = max(EVOLVE_ROSTER_SIZE, len(roster))
-        while len(roster) < target:
-            candidates = registry.top_by_elo(TOP_POOL_SIZE, exclude=set(roster))
-            if not candidates:
-                break
-            roster.append(rng.choice(candidates) if rng else candidates[0])
-        return roster
+        return _fill_from_top(roster, EVOLVE_ROSTER_SIZE, registry, rng)
 
     if mode == MODE_CHALLENGER:
         records = list(registry.records.values())
@@ -202,13 +215,7 @@ def select_competitors(
         return roster
 
     if mode == MODE_NONE:
-        roster: list[str] = []
-        for _ in range(NON_EVOLVE_ROSTER_SIZE):
-            candidates = registry.top_by_elo(TOP_POOL_SIZE, exclude=set(roster))
-            if not candidates:
-                break
-            roster.append(rng.choice(candidates) if rng else candidates[0])
-        return roster
+        return _fill_from_top([], NON_EVOLVE_ROSTER_SIZE, registry, rng)
 
     raise ValueError(f"unknown mode {mode!r}")
 

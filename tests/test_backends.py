@@ -13,12 +13,15 @@ from evosql.backends import (
     RETRY_AFTER_MAX_S,
     HttpChatBackend,
     HttpEvolutionBackend,
+    OracleGenerationBackend,
     _retry_after_s,
     render_evolution_request,
 )
 from evosql.errors import BackendError
 from evosql.evolution import EvolutionContext
 from evosql.orchestrator import RunConfig, run
+from evosql.pipeline import CORRECT_SENTINEL, assemble_prompt
+from evosql.scheduler import QuestionItem
 from tests.conftest import make_evolution_response
 
 URL = "http://llm.test/v1"
@@ -190,3 +193,41 @@ def test_evolution_refine_before_propose_raises(monkeypatch):
     with pytest.raises(BackendError, match="before propose"):
         HttpEvolutionBackend(URL, "model").refine("scored 0/2")
     assert sent == []
+
+
+ORACLE_POOL = {"shop": [QuestionItem(1, "shop", "How many orders?", gold_sql="SELECT 1"),
+                        QuestionItem(2, "shop", "Which skus?", gold_sql="SELECT 2")]}
+
+
+def _prompt(question: str) -> str:
+    return assemble_prompt("-- schema --", "Answer in SQL.", question, "")
+
+
+def test_oracle_answers_gold_then_accepts_on_every_later_turn():
+    oracle = OracleGenerationBackend.from_question_pool(ORACLE_POOL)
+    for item in ORACLE_POOL["shop"]:
+        conversation = [{"role": "user", "content": "Write the query."}]
+        assert oracle.complete(_prompt(item.question), conversation, 0.0) == item.gold_sql
+        for _ in range(4):
+            conversation += [{"role": "assistant", "content": "SELECT 0"},
+                             {"role": "user", "content": "Is it correct?"}]
+            assert oracle.complete(_prompt(item.question), conversation, 0.2) == CORRECT_SENTINEL
+
+
+def test_oracle_refuses_a_question_outside_the_pool():
+    oracle = OracleGenerationBackend.from_question_pool(ORACLE_POOL)
+    with pytest.raises(BackendError, match="Who wrote this"):
+        oracle.complete(_prompt("Who wrote this?"), [], 0.0)
+
+
+def test_oracle_subclass_can_wrap_its_replies():
+    class TaggedOracle(OracleGenerationBackend):
+        def complete(self, system_text, conversation, temperature):
+            reply = super().complete(system_text, conversation, temperature)
+            return reply if reply == CORRECT_SENTINEL else "-- tagged\n" + reply
+
+    oracle = TaggedOracle.from_question_pool(ORACLE_POOL)
+    assert isinstance(oracle, TaggedOracle)
+    prompt = _prompt("Which skus?")
+    assert oracle.complete(prompt, [], 0.0) == "-- tagged\nSELECT 2"
+    assert oracle.complete(prompt, [{"role": "assistant", "content": "x"}], 0.0) == CORRECT_SENTINEL

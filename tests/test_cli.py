@@ -1,6 +1,7 @@
 """CLI surface tests driven through main()."""
 
 import json
+import re
 
 import pytest
 
@@ -222,3 +223,22 @@ def test_run_with_blank_instructions_exits_with_a_message(data_root, tmp_path):
     }))
     with pytest.raises(SystemExit, match="^.+blank: eval_instructions.md is empty$"):
         main(["run", "--config", str(config_path)])
+
+
+def test_run_refuses_a_question_without_sql(tmp_path):
+    make_database(tmp_path / "data" / "one" / "one.sqlite", "CREATE TABLE t (x INTEGER);")
+    (tmp_path / "data" / "questions.json").write_text(json.dumps([
+        {"question_id": 7, "db_id": "one", "question": "How many?", "evidence": ""},
+    ]))
+    with pytest.raises(SystemExit, match="^questions.json: one q7 has no SQL$"):
+        main(["run", "--data-root", str(tmp_path / "data"), "--output-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_refuses_a_manifest_that_is_not_text(data_root, tmp_path):
+    root = write_package(tmp_path / "pkg", name="latin", execution_mode="fallback_naive",
+                         instructions="Answer in SQL.\n")
+    manifest = root / "agent.md"
+    manifest.write_bytes(manifest.read_bytes() + b"description: caf\xe9\n")
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(manifest))}: not text "):
+        main(["evaluate", "--agent-dir", str(root), "--data-root", str(data_root)])

@@ -1,5 +1,6 @@
 """Tests for evolution context, dispatch, draft validation, and Deep Focus."""
 
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from evosql.evolution import (
     build_context,
     deep_focus,
     evolve_agent,
+    read_package_files,
     validate_draft,
 )
 from evosql.registry import AgentRegistry, load_package
@@ -387,3 +389,16 @@ def test_deep_focus_feedback_contains_uniqueness_sets(tmp_path):
     assert "only the new agent answered correctly" in feedback
     assert "school q2" in feedback.split("incorrectly")[0]
     assert "school q1" in feedback.split("incorrectly")[1]
+
+
+def test_read_package_files_shows_a_file_that_is_not_text_by_its_size(naive_package_dir):
+    before = read_package_files(naive_package_dir)
+    cache = naive_package_dir / "tools" / "__pycache__"
+    cache.mkdir()
+    try:
+        (cache / "extract_schema.cpython-311.pyc").write_bytes(b"\xa7\r\r\n\x00\xff")
+        files = read_package_files(naive_package_dir)
+    finally:
+        shutil.rmtree(cache)
+    assert files.pop("tools/__pycache__/extract_schema.cpython-311.pyc") == "(not text: 6 bytes)\n"
+    assert files == before

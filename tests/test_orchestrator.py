@@ -1,6 +1,7 @@
 """End-to-end orchestrator tests: run shape, determinism, resume, reports."""
 
 import json
+import shutil
 import time
 
 import pytest
@@ -507,3 +508,15 @@ def test_config_from_file(tmp_path, data_root):
     config = RunConfig.from_file(cfg_path, iterations=7)
     assert config.iterations == 7  # override wins
     assert config.run_seed == 5
+
+
+def test_initial_agent_with_a_pyc_file_evolves(data_root, naive_package_dir, tmp_path):
+    source = tmp_path / "seed"
+    shutil.copytree(naive_package_dir, source)
+    (source / "tools" / "__pycache__").mkdir()
+    (source / "tools" / "__pycache__" / "extract_schema.pyc").write_bytes(b"\x00\xff\xfe")
+    backend = RecordingEvolutionBackend(evolution_fixtures(2))
+    state = run(base_config(data_root, tmp_path / "out", iterations=2, initial_agents=[source]),
+                evo_backend=backend)
+    assert state.iterations[1].new_agent == "iter2_gen2"
+    assert "(not text: 3 bytes)" in backend.requests[2]

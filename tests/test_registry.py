@@ -1,5 +1,7 @@
 """Tests for agent package loading and registry bookkeeping."""
 
+import re
+
 import pytest
 
 from evosql.errors import DuplicateAgentError, ManifestError, UnknownAgentError, ValidationError
@@ -226,3 +228,13 @@ def test_unknown_agent_lookup():
     registry = _registry_with(["A"])
     with pytest.raises(UnknownAgentError):
         registry.get("missing")
+
+
+@pytest.mark.parametrize("filename", ["agent.md", "eval_instructions.md"])
+def test_package_file_that_is_not_text_is_refused(tmp_path, filename):
+    root = write_package(tmp_path / "pkg", name="latin", execution_mode="fallback_naive",
+                         instructions="Answer in SQL.\n")
+    path = root / filename
+    path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not text "):
+        load_package(root)

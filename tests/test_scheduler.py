@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from evosql.errors import DataValidationError, InvalidStateError
 from evosql.registry import AgentRegistry
@@ -315,3 +316,42 @@ def test_settle_equals_the_inline_rating_sequence():
         }
 
     assert snapshot(shared) == snapshot(inline)
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"question": "How many?"}, "SQL"),  # as in BIRD's test split
+    ({"question": "How many?", "SQL": " \n"}, "SQL"),
+    ({"question": "How many?", "gold_sql": "SELECT 1"}, "SQL"),  # no alias
+    ({"question": "", "SQL": "SELECT 1"}, "question"),
+    ({"SQL": "SELECT 1"}, "question"),
+])
+def test_load_question_pool_refuses_a_record_without_question_or_sql(tmp_path, record, field):
+    root = make_data_root(tmp_path / "data")
+    records = json.loads((root / "questions.json").read_text())
+    records.append({"question_id": 99, "db_id": "shop", "evidence": "", **record})
+    (root / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError) as err:
+        load_question_pool(root)
+    assert str(err.value) == f"questions.json: shop q99 has no {field}"
+
+
+@given(
+    spec=st.lists(st.tuples(st.sampled_from([1400, 1500, 1510, 1600]), st.integers(0, 3),
+                            st.booleans()), min_size=1, max_size=8),
+    new_index=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_and_none_rosters_seat_top_two_picks(spec, new_index, seed):
+    registry = _registry([(f"a{i}", *entry) for i, entry in enumerate(spec)])
+    new_agent = f"a{new_index % len(spec)}"
+    seated = [a for a in registry.pending_winners() if a != new_agent] + [new_agent]
+    for mode, prefix, size in [
+        (MODE_NONE, [], min(4, len(spec))),
+        (MODE_EVOLVE, seated, max(len(seated), min(3, len(spec)))),
+    ]:
+        roster = select_competitors(mode, registry, new_agent, random.Random(seed))
+        assert len(roster) == size
+        assert len(set(roster)) == len(roster)
+        assert roster[:len(prefix)] == prefix
+        for seat in range(len(prefix), size):
+            assert roster[seat] in registry.top_by_elo(2, exclude=set(roster[:seat]))
