@@ -17,6 +17,11 @@ class DataValidationError(ValidationError):
     """The question/database pool on disk is inconsistent."""
 
 
+class ConfigError(EvoSqlError, ValueError):
+    """A run configuration is invalid: an unknown key, a value out of range,
+    a backend spec that names no backend."""
+
+
 class DuplicateAgentError(EvoSqlError):
     """An agent id was registered twice."""
 

@@ -6,9 +6,12 @@ wall-clock timeout; results are compared as sets of canonicalized row tuples
 as exact counts, never accumulated floats. Each gold query is executed and
 canonicalized once per question within the Deep Focus window and shared
 across agents and iterations; questions whose gold SQL is itself broken are
-excluded from the denominator as dataset defects. Within one question, each
-distinct SQL text runs once: scoring reads the final SQL's result from the
-verification loop's executions.
+excluded from the denominator as dataset defects. Predicted SQL shares the
+same lifetime: each distinct SQL text runs once per question for every
+agent, iteration and Deep Focus round that asks it while the question's gold
+is held. The gold keeps, by SQL text, the run's verification summary, report
+preview and match against the gold, or its error's kind and message, but
+never its rows; the verification loop and scoring both read that entry.
 
 Every (agent, question) task of an evaluation shares one queue. Up to
 backend_concurrency tasks are in flight, but at most workers of them run
@@ -42,7 +45,7 @@ from pathlib import Path
 
 from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
 from .pipeline import (DEFAULT_MAX_ROUNDS, VerificationTranscript, assemble_prompt,
-                       generate_with_verification, preview_cell)
+                       generate_with_verification, preview_cell, render_preview)
 from .registry import AgentPackage
 from .scheduler import QuestionItem, database_path
 from .toolrun import connect_readonly
@@ -167,13 +170,40 @@ def _canonical_rows(rows) -> set:
     return row_set
 
 
+@dataclass(frozen=True, slots=True)
+class SqlRun:
+    """What one run of a SQL text yields for one question: the verification
+    summary, whether the result is empty, the report preview and the match
+    against the question's gold. For a failed run, error_kind is the
+    SqlError's kind and summary its message. It holds no result rows, and
+    no exception, whose traceback would keep its frames alive."""
+
+    summary: str
+    empty: bool = False
+    preview: tuple[str, ...] = ()
+    match: bool = False
+    error_kind: str | None = None
+
+
 @dataclass
 class GoldTable:
     """What scoring reads of one gold result: its canonical row set (empty
-    exactly when the result is) and its report preview."""
+    exactly when the result is) and its report preview; and, by SQL text,
+    what each predicted query run against the question yielded, shared by
+    every agent and round that asks the question while its gold is held."""
 
     row_set: set
     preview: list[str]
+    runs: dict[str, SqlRun] = field(default_factory=dict, repr=False, compare=False)
+
+    def run(self, db_file: Path, sql: str) -> SqlRun:
+        """sql's entry, from running it on db_file the first time it is
+        asked for. Tasks racing on one text may both run it; all of them
+        read the entry stored first."""
+        entry = self.runs.get(sql)
+        if entry is None:
+            entry = self.runs.setdefault(sql, _run_prediction(db_file, sql, self))
+        return entry
 
 
 def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
@@ -187,6 +217,15 @@ def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
     # none either; only an unequal one needs the NaN probe.
     pred_rows = set(map(tuple, pred.rows))
     return pred_rows == gold_rows or _canonical_rows(pred_rows) == gold_rows
+
+
+def _run_prediction(db_file: Path, sql: str, gold: GoldTable) -> SqlRun:
+    try:
+        table = execute_sql(db_file, sql)
+    except SqlError as exc:
+        return SqlRun(str(exc), error_kind=exc.kind)
+    return SqlRun(render_preview(table), not table.rows, tuple(_preview_rows(table)),
+                  compare_results(table, gold))
 
 
 @dataclass
@@ -300,18 +339,13 @@ def _evaluate_question(
         return outcome
 
     prompt = assemble_prompt(analysis, pkg.eval_instructions, item.question, item.evidence)
-    runs: dict[str, ResultTable | SqlError] = {}
 
-    def executor(path, sql: str) -> ResultTable:
-        # Each SQL text runs once per question; scoring reuses the loop's run.
-        if sql not in runs:
-            try:
-                runs[sql] = execute_sql(path, sql)
-            except SqlError as exc:
-                runs[sql] = exc
-        if isinstance(runs[sql], SqlError):
-            raise runs[sql]
-        return runs[sql]
+    def executor(path, sql: str) -> tuple[str, bool]:
+        # A fresh error on every ask: the memo keeps only its kind and text.
+        entry = gold_table.run(path, sql)
+        if entry.error_kind is not None:
+            raise SqlError(entry.summary, kind=entry.error_kind)
+        return entry.summary, entry.empty
 
     try:
         outcome.predicted_sql, outcome.transcript = generate_with_verification(
@@ -327,17 +361,18 @@ def _evaluate_question(
         return outcome
 
     outcome.gold_preview = gold_table.preview
-    try:
-        pred_table = executor(db_file, outcome.predicted_sql)
-    except SqlError as exc:
-        outcome.failure_kind = FAILURE_TIMEOUT if exc.kind == "timeout" else FAILURE_SQL_ERROR
-        outcome.pred_preview = [str(exc)]
+    # Scoring reads the run the verification loop made of the final SQL.
+    pred = gold_table.run(db_file, outcome.predicted_sql)
+    if pred.error_kind is not None:
+        timed_out = pred.error_kind == "timeout"
+        outcome.failure_kind = FAILURE_TIMEOUT if timed_out else FAILURE_SQL_ERROR
+        outcome.pred_preview = [pred.summary]
         return outcome
-    outcome.pred_preview = _preview_rows(pred_table)
-    outcome.match = compare_results(pred_table, gold_table)
+    outcome.pred_preview = list(pred.preview)
+    outcome.match = pred.match
     if outcome.match:
         outcome.failure_kind = FAILURE_NONE
-    elif (not pred_table.rows) != (not gold_table.row_set):
+    elif pred.empty != (not gold_table.row_set):
         outcome.failure_kind = FAILURE_EMPTY_VS_NONEMPTY
     else:
         outcome.failure_kind = FAILURE_WRONG_RESULT

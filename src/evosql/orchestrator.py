@@ -34,7 +34,7 @@ from .backends import (
 )
 from .defaults import DEFAULT_STRATEGY, write_naive_package
 from .elo import MatchRecord
-from .errors import EvolutionError, InvalidStateError
+from .errors import ConfigError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
 from .harness import evaluate_agent, execute_gold, write_error_analysis
 from .registry import AgentRegistry, load_package
@@ -77,22 +77,25 @@ class RunConfig:
             self.strategy_path = Path(self.strategy_path)
         self.initial_agents = [Path(p) for p in self.initial_agents]
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
         if self.late_stage_start < 2:
-            raise ValueError("late_stage_start must be >= 2")
+            raise ConfigError("late_stage_start must be >= 2")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         if self.backend_concurrency < 1:
-            raise ValueError("backend_concurrency must be >= 1")
+            raise ConfigError("backend_concurrency must be >= 1")
         if self.deep_focus_k < 0:
-            raise ValueError("deep_focus_k must be >= 0")
+            raise ConfigError("deep_focus_k must be >= 0")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
-        data = json.loads(Path(path).read_text())
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+            raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -233,7 +236,7 @@ def _http_backend(backend_class, rest: str):
     """backend_class for the "<model>@<base_url>" part of an http: spec."""
     model, _, base_url = rest.partition("@")
     if not model or not base_url:
-        raise ValueError("http backend spec must be http:<model>@<base_url>")
+        raise ConfigError("http backend spec must be http:<model>@<base_url>")
     return backend_class(base_url, model)
 
 
@@ -252,7 +255,7 @@ def build_generation_backend(spec: str, question_pool=None):
         return ScriptedGenerationBackend.from_fixture(rest)
     if scheme == "http":
         return _http_backend(HttpChatBackend, rest)
-    raise ValueError(f"unknown generation backend spec {spec!r}")
+    raise ConfigError(f"unknown generation backend spec {spec!r}")
 
 
 def build_evolution_backend(spec: str):
@@ -264,7 +267,7 @@ def build_evolution_backend(spec: str):
         return ScriptedEvolutionBackend.from_fixture(rest)
     if scheme == "http":
         return _http_backend(HttpEvolutionBackend, rest)
-    raise ValueError(f"unknown evolution backend spec {spec!r}")
+    raise ConfigError(f"unknown evolution backend spec {spec!r}")
 
 
 class Orchestrator:

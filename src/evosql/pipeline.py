@@ -136,12 +136,14 @@ def preview_cell(value) -> str:
     return ("NULL" if value is None else str(value))[:PREVIEW_MAX_CELL]
 
 
-def _render_preview(result) -> str:
+def render_preview(result) -> str:
+    """A result as the verification message shows it: at most
+    PREVIEW_MAX_ROWS rows, then the row count."""
     if not result.rows:
         return "(0 rows)"
     lines = [" | ".join(preview_cell(cell) for cell in row)
              for row in result.rows[:PREVIEW_MAX_ROWS]]
-    suffix = ", capped" if getattr(result, "truncated", False) else ""
+    suffix = ", capped" if result.truncated else ""
     lines.append(f"({len(result.rows)} rows total{suffix})")
     return "\n".join(lines)
 
@@ -175,11 +177,12 @@ def generate_with_verification(
 ) -> tuple[str, VerificationTranscript]:
     """Run the generate/verify/retry loop for one question.
 
-    executor(db_path, sql) must return an object with .rows (list of
-    tuples) and .truncated, or raise on failure; failures are summarized
-    into the verification message rather than propagated. The final check
-    asks again for SQL the loop may have run already, so an executor that
-    remembers each text's result runs it once.
+    executor(db_path, sql) must return (summary, is_empty): the result as
+    render_preview shows it and whether it has no rows. It raises on
+    failure; failures are summarized into the verification message rather
+    than propagated. The final check asks again for SQL the loop may have
+    run already, so an executor that remembers each text's result runs it
+    once.
 
     Raises PipelineError (carrying the partial transcript) on an empty
     initial generation, and its subclass BackendCallError when the backend
@@ -212,10 +215,10 @@ def generate_with_verification(
     def execute_current(sql: str) -> tuple[str, bool, bool]:
         """Returns (summary, is_empty, failed)."""
         try:
-            result = executor(db_path, sql)
+            summary, is_empty = executor(db_path, sql)
         except Exception as exc:
             return f"SQL error: {exc}", False, True
-        return _render_preview(result), len(result.rows) == 0, False
+        return summary, is_empty, False
 
     reply = call_backend(TEMPERATURE_SCHEDULE[0])
     try:

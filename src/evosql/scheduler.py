@@ -67,7 +67,8 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
     data_root holds one directory per database (<db_id>/<db_id>.sqlite) and
     a questions.json array of records with question_id, db_id, question,
     evidence, SQL, difficulty, unique by (db_id, question_id). A record
-    without a non-blank question and SQL is refused.
+    without a db_id, an integer question_id, or a non-blank question and
+    SQL is refused.
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -85,6 +86,15 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
         db_pool.append(child.name)
 
     records = json.loads(questions_file.read_text())
+    for index, rec in enumerate(records):
+        where = f"{QUESTIONS_FILENAME}: record at index {index}"
+        for key in ("db_id", "question_id"):
+            if not isinstance(rec, dict) or key not in rec:
+                raise DataValidationError(f"{where} has no {key}")
+        qid = rec["question_id"]
+        if not isinstance(qid, int) or isinstance(qid, bool):
+            raise DataValidationError(f"{where} ({rec['db_id']}) has question_id {qid!r}, "
+                                      "not an integer")
     question_pool: dict[str, list[QuestionItem]] = {db: [] for db in db_pool}
     offenders = sorted(
         {rec["db_id"] for rec in records if rec["db_id"] not in question_pool}
@@ -93,7 +103,7 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
         raise DataValidationError(
             f"questions reference unknown databases: {', '.join(offenders)}"
         )
-    ids = Counter((rec["db_id"], int(rec["question_id"])) for rec in records)
+    ids = Counter((rec["db_id"], rec["question_id"]) for rec in records)
     duplicates = sorted(f"{db} q{qid}" for (db, qid), n in ids.items() if n > 1)
     if duplicates:
         raise DataValidationError(f"duplicate question ids: {', '.join(duplicates)}")
@@ -104,7 +114,7 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
                                           f"q{rec['question_id']} has no {key}")
         question_pool[rec["db_id"]].append(
             QuestionItem(
-                question_id=int(rec["question_id"]),
+                question_id=rec["question_id"],
                 db_id=rec["db_id"],
                 question=rec["question"],
                 evidence=rec.get("evidence", "") or "",

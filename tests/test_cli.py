@@ -104,9 +104,26 @@ def test_run_resume_leaderboard_and_evaluate(data_root, tmp_path, capsys):
 
 
 def test_run_rejects_backend_concurrency_below_one(data_root, tmp_path):
-    with pytest.raises(ValueError, match="backend_concurrency"):
+    with pytest.raises(SystemExit, match="backend_concurrency"):
         main(["run", "--data-root", str(data_root), "--output-dir", str(tmp_path / "out"),
               "--backend-concurrency", "0"])
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--workers", "0"], None, "^workers must be >= 1$"),
+    (["--gen-backend", "bogus"], None, "^unknown generation backend spec 'bogus'$"),
+    ([], {"workerz": 2}, "^config file .+config.json has unknown keys: workerz$"),
+    ([], "{", "^config file .+config.json is not JSON: "),
+])
+def test_run_config_error_exits_with_a_message(data_root, tmp_path, flags, config, message):
+    argv = ["run", "--data-root", str(data_root), "--output-dir", str(tmp_path / "out"), *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(path)]
+    with pytest.raises(SystemExit, match=message):
+        main(argv)
+    assert not (tmp_path / "out").exists()
 
 
 class _RecordingOracle:

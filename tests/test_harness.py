@@ -5,10 +5,12 @@ import random
 import sys
 import threading
 import time
+from dataclasses import fields
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evosql.backends import OracleGenerationBackend, ScriptedGenerationBackend
 from evosql.errors import BackendError, InvalidStateError, SqlError
@@ -24,6 +26,7 @@ from evosql.harness import (
     execute_sql,
     write_error_analysis,
 )
+from evosql.pipeline import CORRECT_SENTINEL
 from evosql.registry import load_package
 from evosql.scheduler import QuestionItem, load_question_pool
 from tests.conftest import make_database
@@ -613,6 +616,177 @@ def test_failing_sql_executes_once_per_text(data_root, naive_package_dir, monkey
     assert outcome.predicted_sql == "SELECT 999"
     assert outcome.failure_kind == "wrong_result"
     assert calls == ["SELEC 1", "SELECT 999"]
+
+
+def test_agents_asking_one_sql_text_run_it_once(data_root, naive_package_dir, monkeypatch):
+    # The memo lives on the question's gold: a text one agent ran for a
+    # question is read, not run, by every other agent and by a repeated
+    # evaluation over the same gold.
+    packages = [load_package(naive_package_dir), load_package(naive_package_dir, "twin")]
+    plan = _plan(data_root, limit=2)
+    gold = execute_gold(plan, data_root)
+    backend = ScriptedGenerationBackend(default=["SELECT 999", CORRECT_SENTINEL])
+    calls = _count_sql(monkeypatch)
+
+    def outcomes():
+        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
+                                     gold, data_root)
+        return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
+
+    first = outcomes()
+    assert calls == ["SELECT 999"] * len(plan["school"])
+    assert {o["failure_kind"] for o in first} == {"wrong_result"}
+    calls.clear()
+    assert outcomes() == first
+    assert calls == []
+
+
+def test_repeated_syntax_error_keeps_each_outcome_and_no_exception(
+        data_root, naive_package_dir, monkeypatch):
+    # Three agents end on the same broken text: each outcome reads as if it
+    # had run the text itself, and the memo keeps its kind and message only.
+    packages = [load_package(naive_package_dir, agent) for agent in ("one", "two", "three")]
+    plan = _plan(data_root, limit=1)
+    gold = execute_gold(plan, data_root)
+    with pytest.raises(SqlError) as err:
+        execute_sql(data_root / "school" / "school.sqlite", "SELEC 1")
+    backend = ScriptedGenerationBackend(default=["SELEC 1", CORRECT_SENTINEL, "SELEC 1"])
+    calls = _count_sql(monkeypatch)
+    evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
+                                 gold, data_root)
+    assert calls == ["SELEC 1"]
+    outcomes = [ev.outcomes[0] for ev in evaluations.values()]
+    assert [(o.failure_kind, o.pred_preview) for o in outcomes] == \
+        [("sql_error", [str(err.value)])] * 3
+    assert {a.execution for o in outcomes for a in o.transcript.attempts} == \
+        {f"SQL error: {err.value}"}
+    (table,) = gold.values()
+    assert list(table.runs) == ["SELEC 1"]
+    assert not [getattr(entry, f.name) for entry in table.runs.values() for f in fields(entry)
+                if isinstance(getattr(entry, f.name), BaseException)]
+
+
+def test_memo_keeps_every_text_under_contention(data_root, naive_package_dir, monkeypatch):
+    # Eight agents on eight threads, switching as often as possible, ask
+    # for the same texts of each question at once. An insert lost to a race
+    # would leave a text out of the memo, and the repeat would run it.
+    packages = [load_package(naive_package_dir, f"agent{i}") for i in range(8)]
+    plan = _plan(data_root)
+    gold = execute_gold(plan, data_root)
+    backend = ScriptedGenerationBackend(default=["SELECT 999", "SELECT 998", CORRECT_SENTINEL])
+
+    def evaluate(workers):
+        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
+                                     gold, data_root, workers=workers)
+        return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = evaluate(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(set(table.runs) == {"SELECT 999", "SELECT 998"} for table in gold.values())
+    calls = _count_sql(monkeypatch)
+    assert evaluate(1) == concurrent
+    assert calls == []
+
+
+# Gold SQL of the memo property's questions over t holding 1..5, with
+# ROW_CAP at 3: two rows, one row, an empty result, NaN (which SQLite
+# returns as NULL), and a result past the cap, which is a defect.
+_MEMO_GOLD = (
+    "SELECT x FROM t WHERE x <= 2",
+    "SELECT COUNT(*) FROM t",
+    "SELECT x FROM t WHERE x > 100",
+    "SELECT 0.0 / 0.0",
+    "SELECT x FROM t",
+)
+_MEMO_REPLIES = (
+    *_MEMO_GOLD,
+    "SELECT x FROM t WHERE x < 3 ORDER BY x DESC",
+    "SELECT NULL",
+    "SELECT x, x FROM t",  # past ROW_CAP
+    "SELEC 1",
+    "SELECT * FROM nowhere",
+    "```\n```",  # no SQL
+    CORRECT_SENTINEL,
+)
+
+
+class _PerAgentScripts:
+    """Each agent's own scripted backend, told apart by the analysis text,
+    which is the agent's id."""
+
+    in_process = True
+
+    def __init__(self, scripts: dict[str, ScriptedGenerationBackend]):
+        self.scripts = scripts
+
+    def complete(self, system_text, conversation, temperature):
+        agent = system_text.split("\n")[1]
+        return self.scripts[agent].complete(system_text, conversation, temperature)
+
+
+@pytest.fixture(scope="module")
+def numbers_root(tmp_path_factory):
+    return _numbers_root(tmp_path_factory.mktemp("numbers"), 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(
+    st.lists(st.lists(st.sampled_from(_MEMO_REPLIES), min_size=1, max_size=4),
+             min_size=len(_MEMO_GOLD), max_size=len(_MEMO_GOLD)),
+    min_size=2, max_size=3,
+))
+def test_shared_memo_outcomes_equal_one_agent_at_a_time(numbers_root, naive_package_dir,
+                                                         scripts):
+    import evosql.harness as harness_module
+
+    plan = {"numbers": [QuestionItem(qid, "numbers", f"Question {qid}?", gold_sql=sql)
+                        for qid, sql in enumerate(_MEMO_GOLD, start=1)]}
+    packages = [load_package(naive_package_dir, f"agent{i}") for i in range(len(scripts))]
+    backend = _PerAgentScripts({
+        pkg.id: ScriptedGenerationBackend(
+            {item.question: replies for item, replies in zip(plan["numbers"], script)})
+        for pkg, script in zip(packages, scripts)
+    })
+
+    def outcomes(evaluations):
+        return {agent: [(o.to_dict(), o.transcript) for o in ev.outcomes]
+                for agent, ev in evaluations.items()}
+
+    def evaluate(pkgs, workers):
+        return outcomes(evaluate_agent(
+            pkgs, plan, backend, lambda pkg, _db: pkg.id, execute_gold(plan, numbers_root),
+            numbers_root, workers=workers, backend_concurrency=workers,
+        ))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness_module, "ROW_CAP", 3)
+        alone = {}
+        for pkg in packages:
+            alone.update(evaluate([pkg], 1))
+        for workers in (1, 4):
+            assert evaluate(packages, workers) == alone
+        # Each final SQL, run afresh and scored against its own question's
+        # gold, scores as the memo said.
+        gold = execute_gold(plan, numbers_root)
+        db = numbers_root / "numbers" / "numbers.sqlite"
+        for outcome, _ in chain.from_iterable(alone.values()):
+            if outcome["failure_kind"] in ("pipeline_error", "backend_error"):
+                continue
+            try:
+                table = execute_sql(db, outcome["predicted_sql"])
+            except SqlError as exc:
+                assert (outcome["failure_kind"], outcome["pred_preview"]) == \
+                    ("sql_error", [str(exc)])
+                continue
+            gold_table = gold[("numbers", outcome["question_id"])]
+            match = compare_results(table, gold_table)
+            kind = ("none" if match else "empty_vs_nonempty"
+                    if (not table.rows) != (not gold_table.row_set) else "wrong_result")
+            assert (outcome["match"], outcome["failure_kind"]) == (match, kind)
 
 
 def test_evaluate_agent_workers_match_sequential(data_root, naive_package_dir):

@@ -13,6 +13,7 @@ from evosql.pipeline import (
     assemble_prompt,
     extract_question,
     generate_with_verification,
+    render_preview,
     sanitize_sql,
 )
 
@@ -74,8 +75,13 @@ class SequenceBackend:
         return self.replies.pop(0)
 
 
+def _summarized(table):
+    """What an executor returns for table."""
+    return render_preview(table), not table.rows
+
+
 class FakeExecutor:
-    """Executor stub returning canned tables or raising per SQL text."""
+    """Executor stub summarizing canned tables or raising per SQL text."""
 
     def __init__(self, table=None, errors=(), empty=()):
         self.table = table if table is not None else ResultTable([(1,)])
@@ -87,9 +93,7 @@ class FakeExecutor:
         self.calls.append(sql)
         if sql in self.errors:
             raise RuntimeError(f"no such table touched by {sql!r}")
-        if sql in self.empty:
-            return ResultTable([])
-        return self.table
+        return _summarized(ResultTable([]) if sql in self.empty else self.table)
 
 
 SYSTEM = assemble_prompt("schema here", "rules here", "How many rows?", "")
@@ -216,7 +220,7 @@ def test_preview_bounds(school_db):
     # A real execution path: wide result preview is row- and cell-bounded.
     backend = SequenceBackend(["SELECT name FROM students;", CORRECT_SENTINEL])
     final, transcript = generate_with_verification(
-        backend, SYSTEM, school_db, lambda db, sql: execute_sql(db, sql)
+        backend, SYSTEM, school_db, lambda db, sql: _summarized(execute_sql(db, sql))
     )
     assert final == "SELECT name FROM students;"
     preview = transcript.attempts[-1].execution

@@ -335,6 +335,32 @@ def test_load_question_pool_refuses_a_record_without_question_or_sql(tmp_path, r
     assert str(err.value) == f"questions.json: shop q99 has no {field}"
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"db_id": "shop"}, "has no question_id"),
+    ({"question_id": 99}, "has no db_id"),
+    ({"db_id": "shop", "question_id": "q99"}, "(shop) has question_id 'q99', not an integer"),
+    ({"db_id": "shop", "question_id": "99"}, "(shop) has question_id '99', not an integer"),
+    ({"db_id": "shop", "question_id": 9.5}, "(shop) has question_id 9.5, not an integer"),
+    ({"db_id": "shop", "question_id": True}, "(shop) has question_id True, not an integer"),
+])
+def test_load_question_pool_refuses_a_record_without_its_ids(tmp_path, record, message):
+    root = make_data_root(tmp_path / "data")
+    records = json.loads((root / "questions.json").read_text())
+    records.append({"question": "How many?", "SQL": "SELECT 1", **record})
+    (root / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError) as err:
+        load_question_pool(root)
+    assert str(err.value) == f"questions.json: record at index {len(records) - 1} {message}"
+
+
+def test_load_question_pool_refuses_a_record_that_is_not_an_object(tmp_path):
+    root = make_data_root(tmp_path / "data")
+    (root / "questions.json").write_text('["SELECT 1"]')
+    with pytest.raises(DataValidationError,
+                       match=r"^questions.json: record at index 0 has no db_id$"):
+        load_question_pool(root)
+
+
 @given(
     spec=st.lists(st.tuples(st.sampled_from([1400, 1500, 1510, 1600]), st.integers(0, 3),
                             st.booleans()), min_size=1, max_size=8),
