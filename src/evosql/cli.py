@@ -4,13 +4,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import orchestrator, scheduler, toolrun
 from .analyzer import analyze
 from .errors import EvoSqlError
-from .harness import AgentEvaluation, evaluate_agent, execute_gold
+from .harness import evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 from .toolrun import DEFAULT_TOKEN_BUDGET
@@ -67,25 +67,25 @@ def cmd_evaluate(args) -> int:
     unknown = [db for db in databases if db not in db_pool]
     if unknown:
         raise SystemExit(f"unknown databases: {', '.join(unknown)}")
+    if args.questions_per_db < 1:
+        raise SystemExit("--questions-per-db must be >= 1")
 
     databases, questions = scheduler.sample_iteration_tasks(
         databases, question_pool, scheduler.iteration_rng(args.seed, 1), len(databases),
         args.questions_per_db)
-    tools = {}
-
-    def analysis(agent, db):
-        tools[db] = toolrun.run_agent_tool(agent, scheduler.database_path(args.data_root, db))
-        return tools[db].text
-
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
-    outcomes = evaluate_agent(
-        [pkg], questions, backend, analysis, execute_gold(questions, args.data_root),
-        args.data_root, workers=args.workers, backend_concurrency=args.backend_concurrency,
-    )[pkg.id].outcomes
-    blocked = [db for db in databases if tools[db].text is None]
+    evaluation = evaluate_agent(
+        [pkg], questions, backend,
+        lambda agent, db: toolrun.run_agent_tool(
+            agent, scheduler.database_path(args.data_root, db)),
+        execute_gold(questions, args.data_root),
+        workers=args.workers, backend_concurrency=args.backend_concurrency,
+    )[pkg.id]
+    blocked = [db for db in databases if evaluation.tools[db].text is None]
     for db in blocked:
-        print(f"blocked: {db} ({tools[db].reason}); its questions are skipped")
-    evaluation = AgentEvaluation(pkg.id, [o for o in outcomes if o.db_id not in blocked])
+        print(f"blocked: {db} ({evaluation.tools[db].reason}); its questions are skipped")
+    evaluation = replace(evaluation,
+                         outcomes=[o for o in evaluation.outcomes if o.db_id not in blocked])
     if not evaluation.outcomes:
         raise SystemExit("every database is evaluation-blocked")
     print(f"agent: {pkg.id}")

@@ -9,9 +9,10 @@ across agents and iterations; questions whose gold SQL is itself broken are
 excluded from the denominator as dataset defects. Predicted SQL shares the
 same lifetime: each distinct SQL text runs once per question for every
 agent, iteration and Deep Focus round that asks it while the question's gold
-is held. The gold keeps, by SQL text, the run's verification summary, report
-preview and match against the gold, or its error's kind and message, but
-never its rows; the verification loop and scoring both read that entry.
+is held. The gold knows its database file and keeps, by SQL text, the run's
+verification summary, report preview and match against the gold, or its
+error's kind and message, but never its rows; the verification loop and
+scoring both read that entry.
 
 Every (agent, question) task of an evaluation shares one queue. Up to
 backend_concurrency tasks are in flight, but at most workers of them run
@@ -43,12 +44,12 @@ from itertools import chain
 from operator import ne
 from pathlib import Path
 
-from .errors import BackendCallError, InvalidStateError, PipelineError, SqlError
+from .errors import BackendCallError, ConfigError, InvalidStateError, PipelineError, SqlError
 from .pipeline import (DEFAULT_MAX_ROUNDS, VerificationTranscript, assemble_prompt,
                        generate_with_verification, preview_cell, render_preview)
 from .registry import AgentPackage
 from .scheduler import QuestionItem, database_path
-from .toolrun import connect_readonly
+from .toolrun import ToolRunResult, connect_readonly
 
 logger = logging.getLogger(__name__)
 
@@ -188,21 +189,23 @@ class SqlRun:
 @dataclass
 class GoldTable:
     """What scoring reads of one gold result: its canonical row set (empty
-    exactly when the result is) and its report preview; and, by SQL text,
-    what each predicted query run against the question yielded, shared by
-    every agent and round that asks the question while its gold is held."""
+    exactly when the result is), its report preview and the database it
+    ran on; and, by SQL text, what each predicted query run against the
+    question yielded, shared by every agent and round that asks the
+    question while its gold is held."""
 
     row_set: set
     preview: list[str]
+    db_file: Path
     runs: dict[str, SqlRun] = field(default_factory=dict, repr=False, compare=False)
 
-    def run(self, db_file: Path, sql: str) -> SqlRun:
-        """sql's entry, from running it on db_file the first time it is
-        asked for. Tasks racing on one text may both run it; all of them
-        read the entry stored first."""
+    def run(self, sql: str) -> SqlRun:
+        """sql's entry, from running it on the gold's database the first
+        time it is asked for. Tasks racing on one text may both run it; all
+        of them read the entry stored first."""
         entry = self.runs.get(sql)
         if entry is None:
-            entry = self.runs.setdefault(sql, _run_prediction(db_file, sql, self))
+            entry = self.runs.setdefault(sql, _run_prediction(self, sql))
         return entry
 
 
@@ -219,9 +222,9 @@ def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
     return pred_rows == gold_rows or _canonical_rows(pred_rows) == gold_rows
 
 
-def _run_prediction(db_file: Path, sql: str, gold: GoldTable) -> SqlRun:
+def _run_prediction(gold: GoldTable, sql: str) -> SqlRun:
     try:
-        table = execute_sql(db_file, sql)
+        table = execute_sql(gold.db_file, sql)
     except SqlError as exc:
         return SqlRun(str(exc), error_kind=exc.kind)
     return SqlRun(render_preview(table), not table.rows, tuple(_preview_rows(table)),
@@ -260,7 +263,7 @@ def _run_gold(db_file: Path, sql: str, key: tuple[str, int]) -> GoldTable | str:
     if table.truncated:
         logger.warning("gold SQL for %s q%s returns more than ROW_CAP rows", *key)
         return f"gold result exceeds ROW_CAP ({ROW_CAP} rows)"
-    return GoldTable(_canonical_rows(table.rows), _preview_rows(table))
+    return GoldTable(_canonical_rows(table.rows), _preview_rows(table), db_file)
 
 
 def execute_gold(
@@ -288,14 +291,20 @@ def execute_gold(
 @dataclass
 class AgentEvaluation:
     """One agent's outcomes over one iteration's questions, ordered by
-    (db_id, question_id); every total is read from them."""
+    (db_id, question_id), every total read from them; and its tool run on
+    each database, by db_id."""
 
     agent_id: str
     outcomes: list[QuestionOutcome]
+    tools: dict[str, ToolRunResult]
 
     @property
     def matches(self) -> int:
         return sum(o.match for o in self.outcomes)
+
+    @property
+    def question_matches(self) -> dict[tuple[str, int], bool]:
+        return {(o.db_id, o.question_id): o.match for o in self.outcomes}
 
     @property
     def total(self) -> int:
@@ -325,7 +334,6 @@ def _evaluate_question(
     analysis: str | None,
     gold_table: GoldTable,
     backend,
-    db_file: Path,
     max_rounds: int,
 ) -> QuestionOutcome:
     # Blocked until generation and scoring say otherwise.
@@ -339,17 +347,9 @@ def _evaluate_question(
         return outcome
 
     prompt = assemble_prompt(analysis, pkg.eval_instructions, item.question, item.evidence)
-
-    def executor(path, sql: str) -> tuple[str, bool]:
-        # A fresh error on every ask: the memo keeps only its kind and text.
-        entry = gold_table.run(path, sql)
-        if entry.error_kind is not None:
-            raise SqlError(entry.summary, kind=entry.error_kind)
-        return entry.summary, entry.empty
-
     try:
         outcome.predicted_sql, outcome.transcript = generate_with_verification(
-            backend, prompt, db_file, executor, max_rounds=max_rounds
+            backend, prompt, gold_table.run, max_rounds
         )
     except PipelineError as exc:
         # A backend that still fails after its own retries is an outage,
@@ -362,7 +362,7 @@ def _evaluate_question(
 
     outcome.gold_preview = gold_table.preview
     # Scoring reads the run the verification loop made of the final SQL.
-    pred = gold_table.run(db_file, outcome.predicted_sql)
+    pred = gold_table.run(outcome.predicted_sql)
     if pred.error_kind is not None:
         timed_out = pred.error_kind == "timeout"
         outcome.failure_kind = FAILURE_TIMEOUT if timed_out else FAILURE_SQL_ERROR
@@ -410,9 +410,8 @@ def evaluate_agent(
     packages: list[AgentPackage],
     questions: dict[str, list[QuestionItem]],
     backend,
-    analysis: Callable[[AgentPackage, str], str | None],
+    analysis: Callable[[AgentPackage, str], ToolRunResult],
     gold: Mapping[tuple[str, int], GoldTable | str],
-    data_root: str | Path,
     *,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     workers: int = 1,
@@ -421,18 +420,19 @@ def evaluate_agent(
     """Evaluate every package on every question (by db_id); evaluations
     are keyed by agent id, in the order of packages.
 
-    analysis(pkg, db_id) is that agent's database analysis text (None marks
-    an evaluation-blocked database, whose questions count as incorrect with
-    a pipeline_error); it is called once per (package, database) pair, on
-    workers threads, before any question. gold is execute_gold's mapping; a
-    question whose gold is a defect reason is skipped. All agents'
-    questions go on one queue of backend_concurrency threads (at most
-    workers for an in_process backend), of which at most workers run
-    outside the backend at once. Each agent's outcomes are ordered by
-    (db_id, question_id), so nothing depends on completion order.
+    analysis(pkg, db_id) is that agent's tool run on the database, kept in
+    its evaluation's tools; a run with no text marks an evaluation-blocked
+    database, whose questions count as incorrect with a pipeline_error. It
+    is called once per (package, database) pair, on workers threads, before
+    any question. gold is execute_gold's mapping; a question whose gold is a
+    defect reason is skipped. All agents' questions go on one queue of
+    backend_concurrency threads (at most workers for an in_process backend),
+    of which at most workers run outside the backend at once. Each agent's
+    outcomes are ordered by (db_id, question_id), so nothing depends on
+    completion order.
     """
     if workers < 1 or backend_concurrency < 1:
-        raise ValueError("workers and backend_concurrency must be >= 1")
+        raise ConfigError("workers and backend_concurrency must be >= 1")
     tasks = [(pkg, db_id, item, gold[(db_id, item.question_id)])
              for pkg in packages for db_id, items in questions.items() for item in items
              if isinstance(gold[(db_id, item.question_id)], GoldTable)]
@@ -441,8 +441,8 @@ def evaluate_agent(
             "no scorable question: none sampled, or every gold query is defective"
         )
     pairs = [(pkg, db_id) for pkg in packages for db_id in questions]
-    texts = {(pkg.id, db_id): text for (pkg, db_id), text in zip(
-        pairs, pool_map(lambda pair: analysis(*pair), pairs, workers))}
+    tool_runs = iter(pool_map(lambda pair: analysis(*pair), pairs, workers))
+    tools = {pkg.id: {db_id: next(tool_runs) for db_id in questions} for pkg in packages}
 
     cpu_slot = threading.Semaphore(workers)
     slotted = _SlotReleasingBackend(backend, cpu_slot)
@@ -450,10 +450,8 @@ def evaluate_agent(
     def run(task) -> QuestionOutcome:
         pkg, db_id, item, gold_table = task
         with cpu_slot:
-            return _evaluate_question(
-                pkg, item, texts[(pkg.id, db_id)], gold_table, slotted,
-                database_path(data_root, db_id), max_rounds,
-            )
+            return _evaluate_question(pkg, item, tools[pkg.id][db_id].text, gold_table,
+                                      slotted, max_rounds)
 
     # Threads beyond workers only pay off while tasks wait on the backend;
     # each costs a malloc arena (about 0.3 MB) and slot handoffs.
@@ -464,7 +462,8 @@ def evaluate_agent(
     for outcome in sorted(pool_map(run, tasks, in_flight),
                           key=lambda o: (o.db_id, o.question_id)):
         by_agent[outcome.agent_id].append(outcome)
-    return {agent_id: AgentEvaluation(agent_id, outcomes) for agent_id, outcomes in by_agent.items()}
+    return {agent_id: AgentEvaluation(agent_id, outcomes, tools[agent_id])
+            for agent_id, outcomes in by_agent.items()}
 
 
 def write_error_analysis(iteration: int, outcomes: list[QuestionOutcome]) -> str:

@@ -76,16 +76,16 @@ class RunConfig:
         if self.strategy_path is not None:
             self.strategy_path = Path(self.strategy_path)
         self.initial_agents = [Path(p) for p in self.initial_agents]
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.late_stage_start < 2:
-            raise ConfigError("late_stage_start must be >= 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.backend_concurrency < 1:
-            raise ConfigError("backend_concurrency must be >= 1")
-        if self.deep_focus_k < 0:
-            raise ConfigError("deep_focus_k must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
+        minima = dict(iterations=1, late_stage_start=2, workers=1, backend_concurrency=1,
+                      deep_focus_k=0, databases_per_iteration=1, questions_per_database=1,
+                      token_budget=1, max_rounds=0)
+        for name, least in minima.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
@@ -284,7 +284,8 @@ class Orchestrator:
         # Created once the inputs are known good, so a bad one leaves nothing.
         self.output_dir.mkdir(parents=True, exist_ok=True)
         self.strategy_path = self._materialize_strategy()
-        # Tool runs of the iterations' competitors, by (agent id, db_id).
+        # Tool runs of the iterations' competitors, by (agent id, db_id),
+        # reused by every later iteration that seats the pair again.
         self._analyses: dict[tuple[str, str], ToolRunResult] = {}
         # Gold of the latest iterations Deep Focus replays, by iteration;
         # later iterations copy the questions it holds. Empty after a
@@ -341,11 +342,11 @@ class Orchestrator:
         return run_agent_tool(pkg, scheduler.database_path(self.config.data_root, db_id),
                               token_budget=self.config.token_budget)
 
-    def _cached_analysis(self, pkg, db_id: str) -> str | None:
+    def _cached_tool_run(self, pkg, db_id: str) -> ToolRunResult:
         key = (pkg.id, db_id)
         if key not in self._analyses:
             self._analyses[key] = self._run_tool(pkg, db_id)
-        return self._analyses[key].text
+        return self._analyses[key]
 
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
         """Evolve, deep-focus, and register a new agent; None on failure."""
@@ -378,7 +379,7 @@ class Orchestrator:
         # Each package's tool runs on each of these databases.
         keep_copies(scheduler.database_path(self.config.data_root, db) for db in questions)
         return evaluate_agent(
-            packages, questions, self.gen_backend, analysis, gold, self.config.data_root,
+            packages, questions, self.gen_backend, analysis, gold,
             max_rounds=self.config.max_rounds,
             workers=self.config.workers,
             backend_concurrency=self.config.backend_concurrency,
@@ -389,10 +390,8 @@ class Orchestrator:
         # Held, so that after a resume the iteration under way copies it.
         gold = self._gold_by_iteration[record.iteration] = self._gold(record.questions)
         # Uncached: a refine rewrites the package under the same id.
-        evaluation = self._evaluate([pkg], record.questions,
-                                    lambda p, db: self._run_tool(p, db).text, gold)[pkg.id]
-        matches = {(o.db_id, o.question_id): o.match for o in evaluation.outcomes}
-        return evaluation.accuracy, matches
+        evaluation = self._evaluate([pkg], record.questions, self._run_tool, gold)[pkg.id]
+        return evaluation.accuracy, evaluation.question_matches
 
     def run_iteration(self, iteration: int) -> IterationRecord:
         rng = iteration_rng(self.config.run_seed, iteration)
@@ -423,7 +422,7 @@ class Orchestrator:
 
         evaluations = self._evaluate(
             [self.registry.package(agent_id) for agent_id in competitors],
-            questions, self._cached_analysis, gold,
+            questions, self._cached_tool_run, gold,
         )
         all_outcomes = []
         for agent_id, evaluation in evaluations.items():
@@ -462,15 +461,11 @@ class Orchestrator:
             accuracies={a: (ev.matches, ev.total) for a, ev in evaluations.items()},
             winners=sorted(winners),
             match_records=match_records,
-            matches={
-                a: {(o.db_id, o.question_id): o.match for o in ev.outcomes}
-                for a, ev in evaluations.items()
-            },
+            matches={a: ev.question_matches for a, ev in evaluations.items()},
             excluded_questions=sorted(key for key, g in gold.items() if isinstance(g, str)),
             tool_fallbacks={
-                a: {db: note for db in databases
-                    if (note := self._analyses[(a, db)].reason) is not None}
-                for a in competitors
+                a: {db: tool.reason for db, tool in ev.tools.items() if tool.reason is not None}
+                for a, ev in evaluations.items()
             },
             tokens={a: ev.usage() for a, ev in evaluations.items()},
             report_path=str(report_path.relative_to(self.output_dir)),

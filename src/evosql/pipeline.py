@@ -6,7 +6,9 @@ Generation starts at temperature 0.0; each verification round executes the
 current SQL, shows the model a bounded result preview, and asks for the
 acceptance sentinel or an improved query at temperature 0.2 then 0.3. If the
 final SQL errors or returns nothing, one extra alert-driven retry at 0.3 is
-issued. Each question runs as one independent conversation, so many
+issued. The loop runs SQL only through its caller's run(sql), and reads the
+entry it returns: the summary, whether the result is empty, and the kind of
+error, if any. Each question runs as one independent conversation, so many
 questions may be pipelined concurrently against thread-safe backends.
 """
 
@@ -171,17 +173,17 @@ def _alert_message(question: str, sql: str, problem: str) -> str:
 def generate_with_verification(
     backend: GenerationBackend,
     system_text: str,
-    db_path,
-    executor: Callable,
+    run: Callable,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> tuple[str, VerificationTranscript]:
     """Run the generate/verify/retry loop for one question.
 
-    executor(db_path, sql) must return (summary, is_empty): the result as
-    render_preview shows it and whether it has no rows. It raises on
-    failure; failures are summarized into the verification message rather
-    than propagated. The final check asks again for SQL the loop may have
-    run already, so an executor that remembers each text's result runs it
+    run(sql) returns the entry of a run of sql: its summary (the result as
+    render_preview shows it, or the error message), whether the result is
+    empty, and error_kind, None unless the SQL failed. A failed SQL is shown
+    to the model as "SQL error: <summary>"; an exception from run is not
+    SQL's and propagates. The final check asks again for SQL the loop may
+    have run already, so a run that remembers each text's entry runs it
     once.
 
     Raises PipelineError (carrying the partial transcript) on an empty
@@ -212,13 +214,13 @@ def generate_with_verification(
         conversation.append({"role": "assistant", "content": reply})
         return reply
 
-    def execute_current(sql: str) -> tuple[str, bool, bool]:
-        """Returns (summary, is_empty, failed)."""
-        try:
-            summary, is_empty = executor(db_path, sql)
-        except Exception as exc:
-            return f"SQL error: {exc}", False, True
-        return summary, is_empty, False
+    def execute_current(sql: str) -> tuple[str, str | None]:
+        """The result as the model is shown it, and what is wrong with it."""
+        entry = run(sql)
+        if entry.error_kind is not None:
+            summary = f"SQL error: {entry.summary}"
+            return summary, f'failed with error: "{summary}"'
+        return entry.summary, "returned an empty result" if entry.empty else None
 
     reply = call_backend(TEMPERATURE_SCHEDULE[0])
     try:
@@ -231,7 +233,7 @@ def generate_with_verification(
 
     accepted = False
     for round_number in range(1, max_rounds + 1):
-        summary, is_empty, failed = execute_current(current_sql)
+        summary, _ = execute_current(current_sql)
         transcript.attempts[-1].execution = summary
 
         conversation.append(
@@ -257,11 +259,10 @@ def generate_with_verification(
         transcript.attempts[-1].verdict = VERDICT_EXHAUSTED
 
     # Error/null check on the final SQL.
-    summary, is_empty, failed = execute_current(current_sql)
+    summary, problem = execute_current(current_sql)
     transcript.attempts[-1].execution = summary
 
-    if failed or is_empty:
-        problem = f'failed with error: "{summary}"' if failed else "returned an empty result"
+    if problem is not None:
         conversation.append(
             {"role": "user", "content": _alert_message(question, current_sql, problem)}
         )

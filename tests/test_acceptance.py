@@ -170,7 +170,7 @@ def test_verification_loop_shape():
 
             executor = FakeExecutor(errors={"SELECT broken;"}, empty={"SELECT none;"})
             _, transcript = generate_with_verification(
-                _Backend(script), SYSTEM, "db", executor
+                _Backend(script), SYSTEM, executor
             )
             temps = [a.temperature for a in transcript.attempts]
             retries = [a for a in transcript.attempts if a.verdict == "error_retry"]

@@ -177,6 +177,19 @@ def test_evaluate_blocks_oversized_analysis(data_root, tmp_path, monkeypatch, ca
     assert not any("FLOOD" in text for text in backend.system_texts)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--workers", "0"], "workers and backend_concurrency must be >= 1"),
+    (["--backend-concurrency", "0"], "workers and backend_concurrency must be >= 1"),
+    (["--questions-per-db", "-1"], "--questions-per-db must be >= 1"),
+])
+def test_evaluate_count_below_one_exits_with_a_message(data_root, naive_package_dir, flags,
+                                                       message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--agent-dir", str(naive_package_dir), "--data-root", str(data_root),
+              *flags])
+    assert exit_info.value.code == message
+
+
 def test_evaluate_without_a_scorable_question_exits_with_a_message(naive_package_dir,
                                                                   tmp_path):
     make_database(tmp_path / "data" / "one" / "one.sqlite", "CREATE TABLE t (x INTEGER);")

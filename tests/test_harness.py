@@ -29,6 +29,7 @@ from evosql.harness import (
 from evosql.pipeline import CORRECT_SENTINEL
 from evosql.registry import load_package
 from evosql.scheduler import QuestionItem, load_question_pool
+from evosql.toolrun import ToolRunResult
 from tests.conftest import make_database
 
 
@@ -153,7 +154,7 @@ def test_compare_agrees_with_per_cell_canonicalization(rows, other, rng):
     # match exactly when their per-cell canonical sets are equal.
     copy = [tuple(float("nan") if cell != cell else cell for cell in row) for row in rows]
     rng.shuffle(copy)
-    gold = GoldTable(_canonical_rows(rows), [])
+    gold = GoldTable(_canonical_rows(rows), [], None)
     assert compare_results(_table(copy), _table(rows))
     assert compare_results(_table(copy), gold)
     expected = _per_cell(other) == _per_cell(rows)
@@ -442,19 +443,19 @@ def _oracle_backend(data_root):
 
 
 def _analyses_for(pkg, plan, data_root):
-    """An analysis callable answering with pkg's tool output per database,
+    """An analysis callable answering with pkg's tool run per database,
     run once here."""
     from evosql.toolrun import run_agent_tool
     from evosql.scheduler import database_path
 
-    texts = {db: run_agent_tool(pkg, database_path(data_root, db)).text for db in plan}
-    return lambda _pkg, db: texts[db]
+    runs = {db: run_agent_tool(pkg, database_path(data_root, db)) for db in plan}
+    return lambda _pkg, db: runs[db]
 
 
-def _evaluate_one(pkg, plan, backend, analysis, gold, data_root, **kwargs):
-    """evaluate_agent on one package; analysis(pkg, db_id) is its text."""
+def _evaluate_one(pkg, plan, backend, analysis, gold, **kwargs):
+    """evaluate_agent on one package; analysis(pkg, db_id) is its tool run."""
     return evaluate_agent(
-        [pkg], plan, backend, analysis, gold, data_root, **kwargs
+        [pkg], plan, backend, analysis, gold, **kwargs
     )[pkg.id]
 
 
@@ -464,7 +465,7 @@ def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
-        gold, data_root,
+        gold,
     )
     assert evaluation.accuracy == Fraction(1)
     assert all(o.match for o in evaluation.outcomes)
@@ -482,7 +483,7 @@ def test_evaluate_agent_counts_failures(data_root, naive_package_dir):
         default=["SELECT 999", "SELECT 999", "SELECT 999", "SELECT 999"]
     )
     evaluation = _evaluate_one(
-        pkg, plan, backend, _analyses_for(pkg, plan, data_root), gold, data_root
+        pkg, plan, backend, _analyses_for(pkg, plan, data_root), gold
     )
     assert evaluation.matches < evaluation.total
     kinds = {o.failure_kind for o in evaluation.outcomes if not o.match}
@@ -496,7 +497,7 @@ def test_evaluate_agent_excludes_defective_gold(data_root, naive_package_dir):
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
         pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
-        gold, data_root,
+        gold,
     )
     assert evaluation.total == 2  # defective question excluded from denominator
 
@@ -510,7 +511,7 @@ def test_evaluate_agent_all_gold_defective(data_root, naive_package_dir):
     with pytest.raises(InvalidStateError):
         _evaluate_one(
             pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
-            gold, data_root,
+            gold,
         )
 
 
@@ -522,10 +523,10 @@ def test_evaluate_agent_runs_each_analysis_once_and_none_without_a_question(
 
     def analysis(pkg, db):
         calls.append((pkg.id, db))
-        return "schema"
+        return ToolRunResult("schema")
 
     evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
-                   execute_gold(plan, data_root), data_root, workers=2)
+                   execute_gold(plan, data_root), workers=2)
     assert sorted(calls) == sorted((pkg.id, db) for pkg in packages for db in plan)
     calls.clear()
     for item in plan["school"] + plan["films"]:
@@ -533,7 +534,7 @@ def test_evaluate_agent_runs_each_analysis_once_and_none_without_a_question(
     with pytest.raises(InvalidStateError, match="^no scorable question: none sampled, or "
                                                 "every gold query is defective$"):
         evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
-                       execute_gold(plan, data_root), data_root)
+                       execute_gold(plan, data_root))
     assert calls == []
 
 
@@ -542,7 +543,7 @@ def test_evaluate_agent_blocked_analysis_counts_incorrect(data_root, naive_packa
     plan = _plan(data_root, limit=3)
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
-        pkg, plan, _oracle_backend(data_root), lambda _pkg, _db: None, gold, data_root
+        pkg, plan, _oracle_backend(data_root), lambda _pkg, _db: ToolRunResult(None), gold
     )
     assert evaluation.matches == 0
     assert all(o.failure_kind == "pipeline_error" for o in evaluation.outcomes)
@@ -567,7 +568,7 @@ def test_gold_executed_once_regardless_of_agent_count(data_root, naive_package_d
     backend = ScriptedGenerationBackend(default=["SELECT 12345"])
     analyses = _analyses_for(pkg, plan, data_root)
     for _ in range(3):  # three agents sharing one iteration's gold cache
-        _evaluate_one(pkg, plan, backend, analyses, gold, data_root)
+        _evaluate_one(pkg, plan, backend, analyses, gold)
     assert calls["gold"] == len(plan["school"])
 
 
@@ -594,7 +595,7 @@ def test_accepted_question_executes_sql_once(data_root, naive_package_dir, monke
     gold = execute_gold(plan, data_root)
     analyses = _analyses_for(pkg, plan, data_root)
     calls = _count_sql(monkeypatch)
-    evaluation = _evaluate_one(pkg, plan, _oracle_backend(data_root), analyses, gold, data_root)
+    evaluation = _evaluate_one(pkg, plan, _oracle_backend(data_root), analyses, gold)
     (outcome,) = evaluation.outcomes
     assert outcome.match
     assert outcome.transcript.attempts[-1].verdict == "accepted_correct"
@@ -611,7 +612,7 @@ def test_failing_sql_executes_once_per_text(data_root, naive_package_dir, monkey
     analyses = _analyses_for(pkg, plan, data_root)
     backend = ScriptedGenerationBackend(default=["SELEC 1", "SELEC 1", "CORRECT", "SELECT 999"])
     calls = _count_sql(monkeypatch)
-    evaluation = _evaluate_one(pkg, plan, backend, analyses, gold, data_root)
+    evaluation = _evaluate_one(pkg, plan, backend, analyses, gold)
     (outcome,) = evaluation.outcomes
     assert outcome.predicted_sql == "SELECT 999"
     assert outcome.failure_kind == "wrong_result"
@@ -629,8 +630,8 @@ def test_agents_asking_one_sql_text_run_it_once(data_root, naive_package_dir, mo
     calls = _count_sql(monkeypatch)
 
     def outcomes():
-        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
-                                     gold, data_root)
+        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                                     gold)
         return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
 
     first = outcomes()
@@ -652,8 +653,8 @@ def test_repeated_syntax_error_keeps_each_outcome_and_no_exception(
         execute_sql(data_root / "school" / "school.sqlite", "SELEC 1")
     backend = ScriptedGenerationBackend(default=["SELEC 1", CORRECT_SENTINEL, "SELEC 1"])
     calls = _count_sql(monkeypatch)
-    evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
-                                 gold, data_root)
+    evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                                 gold)
     assert calls == ["SELEC 1"]
     outcomes = [ev.outcomes[0] for ev in evaluations.values()]
     assert [(o.failure_kind, o.pred_preview) for o in outcomes] == \
@@ -676,8 +677,8 @@ def test_memo_keeps_every_text_under_contention(data_root, naive_package_dir, mo
     backend = ScriptedGenerationBackend(default=["SELECT 999", "SELECT 998", CORRECT_SENTINEL])
 
     def evaluate(workers):
-        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: "schema",
-                                     gold, data_root, workers=workers)
+        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                                     gold, workers=workers)
         return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
 
     interval = sys.getswitchinterval()
@@ -758,8 +759,8 @@ def test_shared_memo_outcomes_equal_one_agent_at_a_time(numbers_root, naive_pack
 
     def evaluate(pkgs, workers):
         return outcomes(evaluate_agent(
-            pkgs, plan, backend, lambda pkg, _db: pkg.id, execute_gold(plan, numbers_root),
-            numbers_root, workers=workers, backend_concurrency=workers,
+            pkgs, plan, backend, lambda pkg, _db: ToolRunResult(pkg.id),
+            execute_gold(plan, numbers_root), workers=workers, backend_concurrency=workers,
         ))
 
     with pytest.MonkeyPatch.context() as patch:
@@ -795,10 +796,10 @@ def test_evaluate_agent_workers_match_sequential(data_root, naive_package_dir):
     gold = execute_gold(plan, data_root)
     analyses = _analyses_for(pkg, plan, data_root)
     sequential = _evaluate_one(
-        pkg, plan, _oracle_backend(data_root), analyses, gold, data_root, workers=1
+        pkg, plan, _oracle_backend(data_root), analyses, gold, workers=1
     )
     concurrent = _evaluate_one(
-        pkg, plan, _oracle_backend(data_root), analyses, gold, data_root, workers=4,
+        pkg, plan, _oracle_backend(data_root), analyses, gold, workers=4,
         backend_concurrency=8,
     )
     assert [o.to_dict() for o in sequential.outcomes] == [o.to_dict() for o in concurrent.outcomes]
@@ -858,7 +859,7 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
     try:
         evaluations = evaluate_agent(
             packages, plan, SleepingBackend(), text, gold,
-            data_root, workers=workers, backend_concurrency=concurrency,
+            workers=workers, backend_concurrency=concurrency,
         )
     finally:
         sys.setswitchinterval(interval)
@@ -884,7 +885,7 @@ def test_in_process_backend_runs_workers_tasks_at_a_time(data_root, naive_packag
 
     _, question_pool = load_question_pool(data_root)
     evaluation = _evaluate_one(pkg, plan, CountingOracle.from_question_pool(question_pool),
-                               analyses, gold, data_root, workers=2, backend_concurrency=8)
+                               analyses, gold, workers=2, backend_concurrency=8)
     assert evaluation.matches == evaluation.total
     assert 1 <= len(threads) <= 2
 
@@ -895,8 +896,8 @@ def test_evaluate_agent_rejects_concurrency_below_one(data_root, naive_package_d
     gold = execute_gold(plan, data_root)
     for bad in ({"workers": 0}, {"backend_concurrency": 0}):
         with pytest.raises(ValueError, match="must be >= 1"):
-            _evaluate_one(pkg, plan, _oracle_backend(data_root), lambda _pkg, _db: "schema",
-                          gold, data_root, **bad)
+            _evaluate_one(pkg, plan, _oracle_backend(data_root),
+                          lambda _pkg, _db: ToolRunResult("schema"), gold, **bad)
 
 
 def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_package_dir):
@@ -909,12 +910,12 @@ def test_backend_outage_is_reported_apart_from_pipeline_errors(data_root, naive_
         def complete(self, *_args):
             raise BackendError("chat endpoint failure (attempt 4): HTTP Error 503")
 
-    down = _evaluate_one(pkg, plan, Down(), analyses, gold, data_root)
+    down = _evaluate_one(pkg, plan, Down(), analyses, gold)
     assert {o.failure_kind for o in down.outcomes} == {"backend_error"}
     assert "Failures: backend_error: 3" in write_error_analysis(1, down.outcomes)
     # An empty first generation is the agent's, not the backend's, failure.
     empty = _evaluate_one(pkg, plan, ScriptedGenerationBackend(default=["```\n```"]),
-                          analyses, gold, data_root)
+                          analyses, gold)
     assert {o.failure_kind for o in empty.outcomes} == {"pipeline_error"}
 
 
@@ -936,7 +937,7 @@ def test_reply_that_is_not_text_is_a_backend_error(data_root, naive_package_dir,
     plan = _plan(data_root, limit=2)
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(pkg, plan, backend, _analyses_for(pkg, plan, data_root),
-                               gold, data_root)
+                               gold)
     assert {o.failure_kind for o in evaluation.outcomes} == {"backend_error"}
     write_error_analysis(1, evaluation.outcomes).encode("utf-8")
 

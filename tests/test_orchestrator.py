@@ -13,7 +13,7 @@ from evosql.backends import (
     ScriptedEvolutionBackend,
     render_evolution_request,
 )
-from evosql.errors import InvalidStateError
+from evosql.errors import ConfigError, InvalidStateError
 from evosql.orchestrator import (
     RunConfig,
     RunState,
@@ -271,6 +271,64 @@ def test_oversized_tool_output_blocks_evaluation(data_root, tmp_path):
     assert notes and all(note == "analysis over token budget (1001)" for note in notes.values())
 
 
+def test_tool_fallbacks_are_read_from_each_evaluations_tool_runs(data_root, tmp_path,
+                                                                naive_package_dir, monkeypatch):
+    # The picky tool fails on school, so its naive fallback is used, floods
+    # its output past the budget on films, so that pair is blocked, and
+    # writes the schema on shop.
+    picky = write_package(
+        tmp_path / "picky",
+        name="picky",
+        tool_command="python tools/picky.py",
+        tool_output_file="tool_output/out.txt",
+        instructions="Answer with SQL.\n",
+        tools={"picky.py": (
+            "import sqlite3, sys\n"
+            "conn = sqlite3.connect('database.sqlite')\n"
+            "names = {r[0] for r in conn.execute('SELECT name FROM sqlite_master')}\n"
+            "if 'students' in names:\n"
+            "    sys.exit('picky refuses school')\n"
+            "with open('tool_output/out.txt', 'w') as f:\n"
+            "    f.write('x' * 8_000_000 if 'films' in names else 'schema')\n"
+        )},
+    )
+    evaluations, tool_runs = [], []
+    real_evaluate = orchestrator_module.evaluate_agent
+    real_tool = orchestrator_module.run_agent_tool
+
+    def recording_evaluate(*args, **kwargs):
+        evaluations.append(real_evaluate(*args, **kwargs))
+        return evaluations[-1]
+
+    def recording_tool(*args, **kwargs):
+        tool_runs.append(real_tool(*args, **kwargs))
+        return tool_runs[-1]
+
+    monkeypatch.setattr(orchestrator_module, "evaluate_agent", recording_evaluate)
+    monkeypatch.setattr(orchestrator_module, "run_agent_tool", recording_tool)
+    config = base_config(data_root, tmp_path / "out", iterations=1, token_budget=1_000,
+                         databases_per_iteration=3, initial_agents=[picky, naive_package_dir])
+    run(config)
+    (by_agent,) = evaluations
+    # One run per (agent, database), each the very run the tool made.
+    assert sorted(by_agent) == ["naive", "picky"]
+    assert all(set(ev.tools) == {"school", "shop", "films"} for ev in by_agent.values())
+    held = [tool for ev in by_agent.values() for tool in ev.tools.values()]
+    assert sorted(map(id, held)) == sorted(map(id, tool_runs))
+    picky_tools = by_agent["picky"].tools
+    assert picky_tools["school"].fallback and picky_tools["school"].text
+    assert picky_tools["films"].text is None
+    state = json.loads((tmp_path / "out" / "run_state.json").read_text())
+    fallbacks = state["iterations"][0]["tool_fallbacks"]
+    assert fallbacks == {
+        agent: {db: tool.reason for db, tool in ev.tools.items() if tool.reason is not None}
+        for agent, ev in by_agent.items()
+    }
+    assert fallbacks["naive"] == {} and sorted(fallbacks["picky"]) == ["films", "school"]
+    assert "picky refuses school" in fallbacks["picky"]["school"]
+    assert fallbacks["picky"]["films"] == "analysis over token budget (1001)"
+
+
 class TaggedOracleBackend(OracleGenerationBackend):
     """The oracle with a comment in front of its SQL, so predictions never
     share gold's SQL text."""
@@ -495,6 +553,23 @@ def test_config_validation():
         RunConfig(data_root=".", output_dir=".", workers=0)
     with pytest.raises(ValueError, match="backend_concurrency"):
         RunConfig(data_root=".", output_dir=".", backend_concurrency=0)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"workers": "4"}, "^workers must be an integer, not '4'$"),
+    ({"iterations": True}, "^iterations must be an integer, not True$"),
+    ({"token_budget": 1000.0}, "^token_budget must be an integer, not 1000.0$"),
+    ({"run_seed": None}, "^run_seed must be an integer, not None$"),
+    ({"max_rounds": -1}, "^max_rounds must be >= 0$"),
+    ({"databases_per_iteration": 0}, "^databases_per_iteration must be >= 1$"),
+    ({"databases_per_iteration": -1}, "^databases_per_iteration must be >= 1$"),
+    ({"questions_per_database": 0}, "^questions_per_database must be >= 1$"),
+    ({"questions_per_database": -2}, "^questions_per_database must be >= 1$"),
+    ({"token_budget": 0}, "^token_budget must be >= 1$"),
+])
+def test_config_refuses_a_value_of_the_wrong_type_or_out_of_range(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(data_root=".", output_dir=".", **settings)
 
 
 def test_config_from_file(tmp_path, data_root):
