@@ -10,7 +10,7 @@ from pathlib import Path
 from . import orchestrator, scheduler, toolrun
 from .analyzer import analyze
 from .errors import EvoSqlError
-from .harness import evaluate_agent, execute_gold
+from .harness import TaskPool, evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 from .toolrun import DEFAULT_TOKEN_BUDGET
@@ -74,13 +74,13 @@ def cmd_evaluate(args) -> int:
         databases, question_pool, scheduler.iteration_rng(args.seed, 1), len(databases),
         args.questions_per_db)
     backend = orchestrator.build_generation_backend(args.gen_backend, question_pool)
-    evaluation = evaluate_agent(
-        [pkg], questions, backend,
-        lambda agent, db: toolrun.run_agent_tool(
-            agent, scheduler.database_path(args.data_root, db)),
-        execute_gold(questions, args.data_root),
-        workers=args.workers, backend_concurrency=args.backend_concurrency,
-    )[pkg.id]
+    with TaskPool(backend, args.workers, args.backend_concurrency) as pool:
+        evaluation = evaluate_agent(
+            [pkg], questions,
+            lambda agent, db: toolrun.run_agent_tool(
+                agent, scheduler.database_path(args.data_root, db)),
+            execute_gold(questions, args.data_root), pool,
+        )[pkg.id]
     blocked = [db for db in databases if evaluation.tools[db].text is None]
     for db in blocked:
         print(f"blocked: {db} ({evaluation.tools[db].reason}); its questions are skipped")

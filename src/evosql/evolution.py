@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .backends import DraftPackage
-from .errors import EvolutionError, EvoSqlError, ValidationError
+from .errors import BackendError, EvolutionError, EvoSqlError, ManifestError, ValidationError
 from .registry import (
     INSTRUCTIONS_FILENAME,
     MANIFEST_FILENAME,
@@ -274,8 +274,10 @@ def deep_focus(
 
     Runs min(k, len(history)) rounds, newest iteration first. eval_fn(pkg,
     record) must return (accuracy, matches) where matches maps (db_id,
-    question_id) to a boolean. Refinement is best-effort: a failing or
-    invalid refine keeps the pre-round package and stops.
+    question_id) to a boolean. Refinement is best-effort: a refine that
+    fails as a refine can (a backend error, an invalid draft, a file that
+    cannot be written) keeps the pre-round package and stops. Any other
+    exception propagates.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -300,7 +302,7 @@ def deep_focus(
             current = _install_draft(
                 draft, current.root_dir, current.id, current.iteration_created, current.lineage
             )
-        except Exception as exc:
+        except (BackendError, EvolutionError, ManifestError, ValidationError, OSError) as exc:
             logger.info("deep focus round %d kept prior package: %s", round_number, exc)
             break
     return current

@@ -14,11 +14,14 @@ verification summary, report preview and match against the gold, or its
 error's kind and message, but never its rows; the verification loop and
 scoring both read that entry.
 
-Every (agent, question) task of an evaluation shares one queue. Up to
-backend_concurrency tasks are in flight, but at most workers of them run
-Python, SQL or scoring at once: a task holds a CPU slot except while it
-waits on the generation backend. A backend that answers in-process waits on
-nothing, so its tasks run workers at a time.
+Evaluations queue their tool runs and (agent, question) pairs as tasks on a
+TaskPool, which several evaluations may share. Up to backend_concurrency
+tasks are in flight, but at most workers of them run Python, a tool, SQL or
+scoring at once: a task holds a CPU slot except while it waits on the
+generation backend. A backend that answers in-process waits on nothing, so
+its tasks run workers at a time. A free thread takes an urgent task before
+any other, so an evaluation on the critical path goes first and the others
+fill the slots it leaves idle.
 
 Only the row fetch of execute_sql is serialised. Python's sqlite3 releases
 and re-takes the GIL around every row it steps, so threads fetching at once
@@ -31,16 +34,19 @@ back, so a query that is slow per row holds the others off for about one
 chunk, not for its whole timeout.
 """
 
+import contextvars
+import heapq
 import logging
 import math
 import sqlite3
 import threading
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, count
 from operator import ne
 from pathlib import Path
 
@@ -406,16 +412,110 @@ class _SlotReleasingBackend:
             self._slot.acquire()
 
 
+class TaskPool:
+    """Threads that run the queued tasks of one or more evaluations, the
+    most urgent first.
+
+    Up to backend_concurrency tasks are in flight (at most workers for a
+    backend that answers in-process, which waits on nothing), and at most
+    workers of them run Python, SQL, scoring or a tool at once: a task
+    holds one of workers CPU slots except while it waits on backend, which
+    the pool's tasks call as pool.backend. A thread that frees up takes the
+    most urgent pending task: urgent tasks before the others, and each kind
+    in the order it was queued. A task runs in a copy of the context it
+    was queued from, so context variables follow the task, not the thread
+    that takes it. Leaving the pool's with block drops the tasks not yet
+    started and waits for every thread the pool started.
+    """
+
+    def __init__(self, backend, workers: int = 1, backend_concurrency: int = 1):
+        if workers < 1 or backend_concurrency < 1:
+            raise ConfigError("workers and backend_concurrency must be >= 1")
+        # Threads beyond workers only pay off while tasks wait on the
+        # backend; each costs a malloc arena (about 0.3 MB) and slot handoffs.
+        threads = backend_concurrency
+        if getattr(backend, "in_process", False):
+            threads = min(workers, backend_concurrency)
+        self._cpu_slot = threading.Semaphore(workers)
+        self.backend = _SlotReleasingBackend(backend, self._cpu_slot)
+        self._threads = ThreadPoolExecutor(max_workers=threads)
+        self._beside = ThreadPoolExecutor(max_workers=1)
+        self._lock = threading.Lock()
+        self._pending: list = []  # heap of (not urgent, queued, future, context, fn)
+        self._queued = count()
+        self._closed = False
+
+    def __enter__(self) -> "TaskPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._closed = True
+            for _urgency, _queued, future, *_ in self._pending:
+                future.cancel()
+        self._beside.shutdown()
+        self._threads.shutdown()
+
+    def submit(self, fn: Callable[[], object], urgent: bool = False) -> Future:
+        """Queue fn() as a task. Raises CancelledError once the pool is left."""
+        future = Future()
+        with self._lock:
+            if self._closed:
+                raise CancelledError
+            heapq.heappush(self._pending, (not urgent, next(self._queued), future,
+                                           contextvars.copy_context(), fn))
+        # One runner per task, so each runner finds a task to take.
+        self._threads.submit(self._run_next)
+        return future
+
+    def _run_next(self) -> None:
+        with self._lock:
+            *_, future, context, fn = heapq.heappop(self._pending)
+        if not future.set_running_or_notify_cancel():
+            return
+        try:
+            with self._cpu_slot:
+                result = context.run(fn)
+        except BaseException as exc:
+            # Raised again in the thread that reads the future, as an
+            # executor's task does.
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+
+    def map(self, fn, items, urgent: bool = False, queued: Callable[[], object] | None = None
+            ) -> list:
+        """[fn(item) for item in items], each a task; results keep the order
+        of items. queued(), if given, is called once every item is queued,
+        before the wait for them. If fn raises, the exception of the first
+        failing item in order is raised, and the items not yet started are
+        dropped."""
+        futures = [self.submit(partial(fn, item), urgent) for item in items]
+        try:
+            if queued is not None:
+                queued()
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def beside(self, fn, *args, **kwargs) -> Future:
+        """Run fn(*args, **kwargs) on a thread of its own, not as a task, so
+        that it can queue tasks and wait for them beside the caller. It runs
+        in a copy of the caller's context."""
+        return self._beside.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+
+
 def evaluate_agent(
     packages: list[AgentPackage],
     questions: dict[str, list[QuestionItem]],
-    backend,
     analysis: Callable[[AgentPackage, str], ToolRunResult],
     gold: Mapping[tuple[str, int], GoldTable | str],
+    pool: TaskPool,
     *,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    workers: int = 1,
-    backend_concurrency: int = 1,
+    urgent: bool = False,
+    queued: Callable[[], object] | None = None,
 ) -> dict[str, AgentEvaluation]:
     """Evaluate every package on every question (by db_id); evaluations
     are keyed by agent id, in the order of packages.
@@ -423,16 +523,15 @@ def evaluate_agent(
     analysis(pkg, db_id) is that agent's tool run on the database, kept in
     its evaluation's tools; a run with no text marks an evaluation-blocked
     database, whose questions count as incorrect with a pipeline_error. It
-    is called once per (package, database) pair, on workers threads, before
-    any question. gold is execute_gold's mapping; a question whose gold is a
-    defect reason is skipped. All agents' questions go on one queue of
-    backend_concurrency threads (at most workers for an in_process backend),
-    of which at most workers run outside the backend at once. Each agent's
-    outcomes are ordered by (db_id, question_id), so nothing depends on
-    completion order.
+    is called once per (package, database) pair, each a task on pool,
+    before any question. gold is execute_gold's mapping; a question whose
+    gold is a defect reason is skipped. Each (agent, question) pair is a
+    task on pool too, urgent or not as the evaluation is, and generates
+    through pool.backend. queued(), if given, is called once these tasks
+    are queued, so that a caller can queue less urgent work behind them.
+    Each agent's outcomes are ordered by (db_id, question_id), so nothing
+    depends on completion order.
     """
-    if workers < 1 or backend_concurrency < 1:
-        raise ConfigError("workers and backend_concurrency must be >= 1")
     tasks = [(pkg, db_id, item, gold[(db_id, item.question_id)])
              for pkg in packages for db_id, items in questions.items() for item in items
              if isinstance(gold[(db_id, item.question_id)], GoldTable)]
@@ -441,25 +540,16 @@ def evaluate_agent(
             "no scorable question: none sampled, or every gold query is defective"
         )
     pairs = [(pkg, db_id) for pkg in packages for db_id in questions]
-    tool_runs = iter(pool_map(lambda pair: analysis(*pair), pairs, workers))
+    tool_runs = iter(pool.map(lambda pair: analysis(*pair), pairs, urgent))
     tools = {pkg.id: {db_id: next(tool_runs) for db_id in questions} for pkg in packages}
-
-    cpu_slot = threading.Semaphore(workers)
-    slotted = _SlotReleasingBackend(backend, cpu_slot)
 
     def run(task) -> QuestionOutcome:
         pkg, db_id, item, gold_table = task
-        with cpu_slot:
-            return _evaluate_question(pkg, item, tools[pkg.id][db_id].text, gold_table,
-                                      slotted, max_rounds)
+        return _evaluate_question(pkg, item, tools[pkg.id][db_id].text, gold_table,
+                                  pool.backend, max_rounds)
 
-    # Threads beyond workers only pay off while tasks wait on the backend;
-    # each costs a malloc arena (about 0.3 MB) and slot handoffs.
-    in_flight = backend_concurrency
-    if getattr(backend, "in_process", False):
-        in_flight = min(workers, backend_concurrency)
     by_agent: dict[str, list[QuestionOutcome]] = {pkg.id: [] for pkg in packages}
-    for outcome in sorted(pool_map(run, tasks, in_flight),
+    for outcome in sorted(pool.map(run, tasks, urgent, queued),
                           key=lambda o: (o.db_id, o.question_id)):
         by_agent[outcome.agent_id].append(outcome)
     return {agent_id: AgentEvaluation(agent_id, outcomes, tools[agent_id])

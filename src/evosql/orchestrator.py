@@ -2,11 +2,15 @@
 
 One run executes N iterations. Iteration 1 evaluates the initial agent set
 in id order; from iteration 2 on, the mode (evolve/challenger/none) decides
-whether a new agent is evolved (with Deep Focus refinement) before
+whether a new agent is evolved and registered before
 scheduler.roster_for_iteration selects the roster. Each iteration samples
 databases and questions, runs every competitor's analysis tool, evaluates
-all competitors on identical prompts in one shared queue of (agent,
-question) tasks, and scheduler.settle_iteration rates and records them.
+all competitors on identical prompts, and scheduler.settle_iteration rates
+and records them. All of an iteration's tool runs and (agent, question)
+tasks share one task pool. In an evolve iteration, Deep Focus refines the
+new agent once the roster is seated, and its rounds and then the new
+agent's questions are urgent tasks; the incumbents' evaluation runs beside
+them and fills the slots they leave idle.
 
 State is one JSON file plus per-iteration artifact directories. Artifact
 paths inside the state are relative to the output directory and no clocks
@@ -17,10 +21,12 @@ resumes onto exactly the trajectory of an uninterrupted one.
 
 import json
 import logging
+import os
 import shutil
 import time
 from collections import ChainMap, Counter, defaultdict
 from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
 
 from . import pipeline, scheduler, toolrun
@@ -36,7 +42,7 @@ from .defaults import DEFAULT_STRATEGY, write_naive_package
 from .elo import MatchRecord
 from .errors import ConfigError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
-from .harness import evaluate_agent, execute_gold, write_error_analysis
+from .harness import TaskPool, evaluate_agent, execute_gold, write_error_analysis
 from .registry import AgentRegistry, load_package
 from .scheduler import QuestionItem, iteration_rng
 from .toolrun import ToolRunResult, keep_copies, run_agent_tool
@@ -47,6 +53,22 @@ STATE_SCHEMA_VERSION = 1
 STATE_FILENAME = "run_state.json"
 AGENTS_DIRNAME = "agents"
 STRATEGY_FILENAME = "strategy.md"
+
+
+def _is_path(value) -> bool:
+    return isinstance(value, (str, os.PathLike))
+
+
+# What a value of each RunConfig annotation may be, and how a refusal names
+# it. A bool is not an integer, and a string is not a list of paths.
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Path: ("a path", _is_path),
+    Path | None: ("a path or null", lambda v: v is None or _is_path(v)),
+    list[Path]: ("a list of paths",
+                 lambda v: isinstance(v, (list, tuple)) and all(map(_is_path, v))),
+}
 
 
 @dataclass
@@ -71,15 +93,16 @@ class RunConfig:
     initial_agents: list[Path] = field(default_factory=list)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, fits = _FIELD_TYPES[f.type]
+            if not fits(value):
+                raise ConfigError(f"{f.name} must be {kind}, not {value!r}")
         self.data_root = Path(self.data_root)
         self.output_dir = Path(self.output_dir)
         if self.strategy_path is not None:
             self.strategy_path = Path(self.strategy_path)
         self.initial_agents = [Path(p) for p in self.initial_agents]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, not {value!r}")
         minima = dict(iterations=1, late_stage_start=2, workers=1, backend_concurrency=1,
                       deep_focus_k=0, databases_per_iteration=1, questions_per_database=1,
                       token_budget=1, max_rounds=0)
@@ -349,7 +372,8 @@ class Orchestrator:
         return self._analyses[key]
 
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
-        """Evolve, deep-focus, and register a new agent; None on failure."""
+        """Evolve and register a new agent; None on failure. Deep Focus
+        refines it once the roster is seated."""
         history = self.state.iterations
         # Read from disk, so a resumed run shows evolution the same report.
         report = (self.output_dir / history[-1].report_path).read_text() if history else ""
@@ -360,13 +384,6 @@ class Orchestrator:
             logger.warning("iteration %d: evolution failed (%s); degrading to none-mode",
                            iteration, exc)
             return None
-        pkg = deep_focus(
-            pkg,
-            self.evo_backend,
-            history,
-            k=self.config.deep_focus_k,
-            eval_fn=self._deep_focus_eval,
-        )
         self.registry.register(pkg)
         return pkg.id
 
@@ -375,23 +392,30 @@ class Orchestrator:
         return execute_gold(questions, self.config.data_root,
                             held=ChainMap(*self._gold_by_iteration.values()))
 
-    def _evaluate(self, packages, questions, analysis, gold):
-        # Each package's tool runs on each of these databases.
-        keep_copies(scheduler.database_path(self.config.data_root, db) for db in questions)
-        return evaluate_agent(
-            packages, questions, self.gen_backend, analysis, gold,
-            max_rounds=self.config.max_rounds,
-            workers=self.config.workers,
-            backend_concurrency=self.config.backend_concurrency,
-        )
+    def _evaluate(self, packages, questions, analysis, gold, pool, urgent=False, queued=None):
+        return evaluate_agent(packages, questions, analysis, gold, pool,
+                              max_rounds=self.config.max_rounds, urgent=urgent, queued=queued)
 
-    def _deep_focus_eval(self, pkg, record: IterationRecord):
-        """Evaluate a candidate package on a past iteration's tasks."""
-        # Held, so that after a resume the iteration under way copies it.
-        gold = self._gold_by_iteration[record.iteration] = self._gold(record.questions)
-        # Uncached: a refine rewrites the package under the same id.
-        evaluation = self._evaluate([pkg], record.questions, self._run_tool, gold)[pkg.id]
-        return evaluation.accuracy, evaluation.question_matches
+    def _refine_and_evaluate(self, agent_id: str, questions, gold, pool, queued) -> dict:
+        """Deep Focus on the new agent, then its evaluation on the
+        iteration's questions: the critical path, so every task is urgent.
+        queued() follows the queuing of each evaluation's questions. The
+        refined package replaces the proposal under the same id."""
+
+        def deep_focus_eval(pkg, record: IterationRecord):
+            # Held, so that after a resume later iterations copy it.
+            replay_gold = self._gold_by_iteration[record.iteration] = self._gold(record.questions)
+            # Uncached: a refine rewrites the package under the same id.
+            evaluation = self._evaluate([pkg], record.questions, self._run_tool, replay_gold,
+                                        pool, urgent=True, queued=queued)[pkg.id]
+            return evaluation.accuracy, evaluation.question_matches
+
+        pkg = deep_focus(self.registry.package(agent_id), self.evo_backend,
+                         self.state.iterations, k=self.config.deep_focus_k,
+                         eval_fn=deep_focus_eval)
+        self.registry.packages[agent_id] = pkg
+        return self._evaluate([pkg], questions, self._cached_tool_run, gold, pool,
+                              urgent=True, queued=queued)
 
     def run_iteration(self, iteration: int) -> IterationRecord:
         rng = iteration_rng(self.config.run_seed, iteration)
@@ -413,17 +437,38 @@ class Orchestrator:
         logger.info("iteration %d: mode=%s databases=%s competitors=%s",
                     iteration, mode, databases, competitors)
 
-        # Deep Focus is done with the gold no later iteration replays, so it
-        # is dropped once this iteration has copied what it needs from it.
+        # The iteration's gold joins the Deep Focus window before Deep Focus
+        # copies from it.
+        k = self.config.deep_focus_k
         gold = self._gold(questions)
-        self._gold_by_iteration.pop(iteration - self.config.deep_focus_k, None)
-        if self.config.deep_focus_k:
+        if k:
             self._gold_by_iteration[iteration] = gold
+        replayed = self.state.iterations[-k:] if new_agent and k else []
+        # Tools run on the iteration's databases and on Deep Focus's, side
+        # by side, so an idle copy of each is kept.
+        keep_copies(scheduler.database_path(self.config.data_root, db)
+                    for db in {*questions, *(db for r in replayed for db in r.questions)})
 
-        evaluations = self._evaluate(
-            [self.registry.package(agent_id) for agent_id in competitors],
-            questions, self._cached_tool_run, gold,
-        )
+        with TaskPool(self.gen_backend, self.config.workers,
+                      self.config.backend_concurrency) as pool:
+            if new_agent is None:
+                evaluations = self._evaluate([self.registry.package(a) for a in competitors],
+                                             questions, self._cached_tool_run, gold, pool)
+            else:
+                # The incumbents do not wait for the new agent. Queued right
+                # after its first questions, their tasks fill the slots that
+                # Deep Focus and refines leave idle.
+                incumbents = cache(partial(
+                    pool.beside, self._evaluate,
+                    [self.registry.package(a) for a in competitors if a != new_agent],
+                    questions, self._cached_tool_run, gold, pool))
+                evaluations = self._refine_and_evaluate(new_agent, questions, gold, pool,
+                                                        incumbents)
+                evaluations.update(incumbents().result())
+        evaluations = {agent_id: evaluations[agent_id] for agent_id in competitors}
+        # Deep Focus is done with the gold no later iteration replays.
+        self._gold_by_iteration.pop(iteration - k, None)
+
         all_outcomes = []
         for agent_id, evaluation in evaluations.items():
             all_outcomes.extend(evaluation.outcomes)

@@ -13,7 +13,7 @@ from evosql.backends import (
     render_evolution_request,
 )
 from evosql.defaults import DEFAULT_STRATEGY
-from evosql.errors import BackendError, EvolutionError
+from evosql.errors import BackendError, EvolutionError, ManifestError, ValidationError
 from evosql.evolution import (
     EvolutionContext,
     build_context,
@@ -364,6 +364,57 @@ def test_deep_focus_refine_failure_keeps_package(tmp_path):
 
     result = deep_focus(pkg, ScriptedEvolutionBackend({}), _history_records(), k=1, eval_fn=eval_fn)
     assert (result.root_dir / "agent.md").read_text() == before
+
+
+class _RefineScript:
+    """An evolution session whose refine replies with draft, or raises it
+    when it is an exception."""
+
+    def __init__(self, draft):
+        self.draft = draft
+
+    def refine(self, feedback):
+        if isinstance(self.draft, BaseException):
+            raise self.draft
+        return self.draft
+
+
+@pytest.mark.parametrize("draft, install_error", [
+    (BackendError("chat endpoint failure (attempt 4): HTTP Error 503"), None),
+    (DraftPackage({"agent.md": "---\nname: broken\n---\n"}), None),
+    (parse_file_blocks(make_evolution_response("cand")), PermissionError("read-only")),
+    (parse_file_blocks(make_evolution_response("cand")), ValidationError("not one path component")),
+    (parse_file_blocks(make_evolution_response("cand")), ManifestError("no closing delimiter")),
+], ids=["backend-error", "invalid-draft", "unwritable", "invalid-install", "bad-manifest"])
+def test_deep_focus_keeps_the_package_when_a_refine_fails(tmp_path, monkeypatch, draft,
+                                                          install_error):
+    pkg = _installed_pkg(tmp_path)
+    before = (pkg.root_dir / "agent.md").read_text()
+    if install_error is not None:
+        def install(*_args):
+            raise install_error
+
+        monkeypatch.setattr(evolution_module, "_install_draft", install)
+
+    def eval_fn(candidate, record):
+        return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
+
+    assert deep_focus(pkg, _RefineScript(draft), _history_records(), k=2, eval_fn=eval_fn) is pkg
+    assert (pkg.root_dir / "agent.md").read_text() == before
+
+
+@pytest.mark.parametrize("fault", [TypeError("unsupported operand"), KeyError("files")],
+                         ids=["type-error", "key-error"])
+def test_deep_focus_lets_an_error_no_refine_makes_propagate(tmp_path, fault):
+    # A programming error is not a failed refine: it is not logged away as
+    # "kept prior package".
+    pkg = _installed_pkg(tmp_path)
+
+    def eval_fn(candidate, record):
+        return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
+
+    with pytest.raises(type(fault)):
+        deep_focus(pkg, _RefineScript(fault), _history_records(), k=1, eval_fn=eval_fn)
 
 
 def test_deep_focus_feedback_contains_uniqueness_sets(tmp_path):

@@ -1,10 +1,12 @@
 """Tests for SQL execution, set-based comparison, and agent evaluation."""
 
+import contextvars
 import json
 import random
 import sys
 import threading
 import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
 from itertools import chain
@@ -18,6 +20,7 @@ from evosql.harness import (
     GoldTable,
     QuestionOutcome,
     ResultTable,
+    TaskPool,
     _canonical_cell,
     _canonical_rows,
     compare_results,
@@ -452,11 +455,16 @@ def _analyses_for(pkg, plan, data_root):
     return lambda _pkg, db: runs[db]
 
 
+def _evaluate(packages, plan, backend, analysis, gold, **kwargs):
+    """evaluate_agent on a TaskPool of its own over backend; kwargs are the
+    pool's workers and backend_concurrency."""
+    with TaskPool(backend, **kwargs) as pool:
+        return evaluate_agent(packages, plan, analysis, gold, pool)
+
+
 def _evaluate_one(pkg, plan, backend, analysis, gold, **kwargs):
     """evaluate_agent on one package; analysis(pkg, db_id) is its tool run."""
-    return evaluate_agent(
-        [pkg], plan, backend, analysis, gold, **kwargs
-    )[pkg.id]
+    return _evaluate([pkg], plan, backend, analysis, gold, **kwargs)[pkg.id]
 
 
 def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
@@ -464,7 +472,7 @@ def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
     plan = _plan(data_root)
     gold = execute_gold(plan, data_root)
     evaluation = _evaluate_one(
-        pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
+   pkg, plan, _oracle_backend(data_root), _analyses_for(pkg, plan, data_root),
         gold,
     )
     assert evaluation.accuracy == Fraction(1)
@@ -525,16 +533,16 @@ def test_evaluate_agent_runs_each_analysis_once_and_none_without_a_question(
         calls.append((pkg.id, db))
         return ToolRunResult("schema")
 
-    evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
-                   execute_gold(plan, data_root), workers=2)
+    _evaluate(packages, plan, _oracle_backend(data_root), analysis,
+              execute_gold(plan, data_root), workers=2)
     assert sorted(calls) == sorted((pkg.id, db) for pkg in packages for db in plan)
     calls.clear()
     for item in plan["school"] + plan["films"]:
         item.gold_sql = "SELEC broken"
     with pytest.raises(InvalidStateError, match="^no scorable question: none sampled, or "
                                                 "every gold query is defective$"):
-        evaluate_agent(packages, plan, _oracle_backend(data_root), analysis,
-                       execute_gold(plan, data_root))
+        _evaluate(packages, plan, _oracle_backend(data_root), analysis,
+                  execute_gold(plan, data_root))
     assert calls == []
 
 
@@ -630,8 +638,8 @@ def test_agents_asking_one_sql_text_run_it_once(data_root, naive_package_dir, mo
     calls = _count_sql(monkeypatch)
 
     def outcomes():
-        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
-                                     gold)
+        evaluations = _evaluate(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                                gold)
         return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
 
     first = outcomes()
@@ -653,8 +661,8 @@ def test_repeated_syntax_error_keeps_each_outcome_and_no_exception(
         execute_sql(data_root / "school" / "school.sqlite", "SELEC 1")
     backend = ScriptedGenerationBackend(default=["SELEC 1", CORRECT_SENTINEL, "SELEC 1"])
     calls = _count_sql(monkeypatch)
-    evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
-                                 gold)
+    evaluations = _evaluate(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                            gold)
     assert calls == ["SELEC 1"]
     outcomes = [ev.outcomes[0] for ev in evaluations.values()]
     assert [(o.failure_kind, o.pred_preview) for o in outcomes] == \
@@ -677,8 +685,8 @@ def test_memo_keeps_every_text_under_contention(data_root, naive_package_dir, mo
     backend = ScriptedGenerationBackend(default=["SELECT 999", "SELECT 998", CORRECT_SENTINEL])
 
     def evaluate(workers):
-        evaluations = evaluate_agent(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
-                                     gold, workers=workers)
+        evaluations = _evaluate(packages, plan, backend, lambda _pkg, _db: ToolRunResult("schema"),
+                                gold, workers=workers)
         return [o.to_dict() for ev in evaluations.values() for o in ev.outcomes]
 
     interval = sys.getswitchinterval()
@@ -758,7 +766,7 @@ def test_shared_memo_outcomes_equal_one_agent_at_a_time(numbers_root, naive_pack
                 for agent, ev in evaluations.items()}
 
     def evaluate(pkgs, workers):
-        return outcomes(evaluate_agent(
+        return outcomes(_evaluate(
             pkgs, plan, backend, lambda pkg, _db: ToolRunResult(pkg.id),
             execute_gold(plan, numbers_root), workers=workers, backend_concurrency=workers,
         ))
@@ -857,7 +865,7 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
     try:
-        evaluations = evaluate_agent(
+        evaluations = _evaluate(
             packages, plan, SleepingBackend(), text, gold,
             workers=workers, backend_concurrency=concurrency,
         )
@@ -888,6 +896,92 @@ def test_in_process_backend_runs_workers_tasks_at_a_time(data_root, naive_packag
                                analyses, gold, workers=2, backend_concurrency=8)
     assert evaluation.matches == evaluation.total
     assert 1 <= len(threads) <= 2
+
+
+def _holder():
+    """A task that holds its thread from when held is set until release is."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        held.set()
+        release.wait(5)
+        time.sleep(0.05)
+
+    return hold, held, release
+
+
+def test_a_free_thread_takes_the_urgent_tasks_first():
+    # One thread, held by a task until every other task is queued: the
+    # incumbents' tasks, queued around the candidate's, run after them.
+    order = []
+    hold, held, release = _holder()
+    with TaskPool(ScriptedGenerationBackend(), workers=1, backend_concurrency=1) as pool:
+        holding = pool.submit(hold)
+        held.wait(5)
+        queued = [pool.submit(lambda name=name: order.append(name), urgent)
+                  for name, urgent in [("incumbent 1", False), ("candidate 1", True),
+                                       ("incumbent 2", False), ("candidate 2", True)]]
+        release.set()
+        for future in [holding, *queued]:
+            future.result(timeout=5)
+    assert order == ["candidate 1", "candidate 2", "incumbent 1", "incumbent 2"]
+
+
+def test_a_task_runs_in_the_context_it_was_queued_from():
+    # Whichever thread takes a task, and in whatever order, the task sees
+    # the context variables of the code that queued it.
+    var = contextvars.ContextVar("var")
+    with TaskPool(ScriptedGenerationBackend(), workers=1, backend_concurrency=3) as pool:
+        futures = []
+        for value in range(20):
+            var.set(value)
+            futures.append(pool.submit(var.get, urgent=value % 3 == 0))
+        beside = pool.beside(var.get)
+        assert [future.result(timeout=5) for future in futures] == list(range(20))
+        assert beside.result(timeout=5) == 19
+
+
+def test_pool_runs_every_task_once_under_contention():
+    # Eight threads switching as often as possible take tasks queued from
+    # four threads at once: a lost or doubled heap entry would leave a task
+    # unrun, or run one twice.
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with TaskPool(ScriptedGenerationBackend(), workers=2, backend_concurrency=8) as pool:
+            def queue(base):
+                return pool.map(lambda i: runs.append(i) or i, range(base, base + 200),
+                                urgent=base % 400 == 0)
+
+            batches = [pool.beside(queue, 0)]
+            with ThreadPoolExecutor(max_workers=3) as queuers:
+                batches += [queuers.submit(queue, base) for base in (200, 400, 600)]
+                results = [batch.result(timeout=30) for batch in batches]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [list(range(base, base + 200)) for base in (0, 200, 400, 600)]
+    assert sorted(runs) == list(range(800))
+
+
+def test_leaving_the_pool_drops_the_tasks_not_started():
+    ran = []
+    hold, held, release = _holder()
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="^the caller failed$"):
+        with TaskPool(ScriptedGenerationBackend(), workers=1, backend_concurrency=1) as pool:
+            running = pool.submit(hold)
+            held.wait(5)
+            dropped = [pool.submit(lambda i=i: ran.append(i), urgent=True) for i in range(3)]
+            beside = pool.beside(pool.map, ran.append, range(3))
+            release.set()
+            raise RuntimeError("the caller failed")
+    assert running.done() and not running.cancelled()
+    assert all(future.cancelled() for future in dropped)
+    assert ran == [] and isinstance(beside.exception(), CancelledError)
+    assert set(threading.enumerate()) == threads
+    with pytest.raises(CancelledError):
+        pool.submit(lambda: None)
 
 
 def test_evaluate_agent_rejects_concurrency_below_one(data_root, naive_package_dir):

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import threading
 import time
 
 import pytest
@@ -382,10 +383,14 @@ def test_deep_focus_reuses_iteration_gold(data_root, tmp_path, monkeypatch):
     # Each iteration's record holds the very questions it was scored on.
     iteration_of = {id(record.questions): record.iteration for record in state.iterations}
     evaluated = [(iteration_of[key], agents) for key, agents in evaluated]
-    # One evaluation per iteration, all competitors at once, and Deep Focus
-    # scored the new agent on iteration 1's questions...
-    assert evaluated == [(1, ("naive",)), (1, (second.new_agent,)),
-                         (2, tuple(second.competitors))]
+    # Iteration 1 evaluates its roster at once. Iteration 2 evaluates its
+    # incumbents beside the new agent, whom Deep Focus scores on iteration
+    # 1's questions before iteration 2's...
+    new = (second.new_agent,)
+    incumbents = tuple(agent for agent in second.competitors if agent != second.new_agent)
+    assert evaluated[0] == (1, ("naive",))
+    assert sorted(evaluated[1:]) == sorted([(2, incumbents), (1, new), (2, new)])
+    assert [entry for entry in evaluated if entry[1] == new] == [(1, new), (2, new)]
     # ...yet every gold query ran once and never again.
     assert sorted(gold_runs) == distinct_gold(state.iterations)
 
@@ -454,18 +459,146 @@ class WaitingOracle(OracleGenerationBackend):
 def test_workers_do_not_change_outputs(data_root, tmp_path):
     _, question_pool = load_question_pool(data_root)
     settings = [(1, 1), (4, 8), (2, 3)]  # (workers, backend_concurrency)
-    for workers, concurrency in settings:
-        run(base_config(data_root, tmp_path / f"w{workers}c{concurrency}", workers=workers,
-                        backend_concurrency=concurrency),
-            gen_backend=WaitingOracle.from_question_pool(question_pool),
-            evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+    # The whole pool each iteration; then two of its three databases, with
+    # Deep Focus replaying two iterations, so its databases differ from the
+    # iteration's.
+    shapes = {"whole": {}, "replays": dict(deep_focus_k=2, databases_per_iteration=2)}
     names = ["run_state.json"] + [
         f"iter_{k}/{artifact}" for k in range(1, 5)
         for artifact in ("outcomes.json", "transcripts.json", "error_analysis_report.md")
     ]
-    for name in names:
-        first, *others = [(tmp_path / f"w{w}c{c}" / name).read_bytes() for w, c in settings]
-        assert all(other == first for other in others), name
+    for shape, overrides in shapes.items():
+        for workers, concurrency in settings:
+            run(base_config(data_root, tmp_path / shape / f"w{workers}c{concurrency}",
+                            workers=workers, backend_concurrency=concurrency, **overrides),
+                gen_backend=WaitingOracle.from_question_pool(question_pool),
+                evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+        for name in names:
+            first, *others = [(tmp_path / shape / f"w{w}c{c}" / name).read_bytes()
+                              for w, c in settings]
+            assert all(other == first for other in others), (shape, name)
+    records = load_state(tmp_path / "replays" / "w1c1").iterations
+    assert any(record.mode == "evolve" and record.databases != previous.databases
+               for previous, record in zip(records, records[1:]))
+
+
+# How long a marked call waits for the call or the event it waits for.
+MEET_TIMEOUT_S = 2.0
+
+
+class MarkedOracle(WaitingOracle):
+    """Once armed for iteration k, tells calls for its new agent, whose
+    analysis carries its tool's "-- gen<k> --" line, from calls for the
+    incumbents. The first call for the new agent waits for a call for an
+    incumbent (met says whether one came); the first call for an incumbent
+    waits until released is set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.marker = self.met = None
+        self.incumbent_called = threading.Event()
+        self.released = threading.Event()
+        self.lock = threading.Lock()
+
+    def complete(self, system_text, conversation, temperature):
+        if self.marker is not None:
+            new_agent = self.marker in system_text
+            with self.lock:
+                if new_agent:
+                    first, self.met = self.met is None, self.met or False
+                else:
+                    first = not self.incumbent_called.is_set()
+                    self.incumbent_called.set()
+            if first and new_agent:
+                self.met = self.incumbent_called.wait(MEET_TIMEOUT_S)
+            elif first:
+                self.released.wait(MEET_TIMEOUT_S)
+        return super().complete(system_text, conversation, temperature)
+
+
+class ArmingEvolution(ScriptedEvolutionBackend):
+    """Scripted evolution that arms the generation backend when it proposes
+    iteration armed's new agent. With fault set, that iteration's refine
+    waits for an incumbent's call, releases it and raises, so the iteration
+    fails while incumbents' tasks are in flight."""
+
+    def __init__(self, fixtures, generation, armed, fault=False):
+        super().__init__(fixtures)
+        self.generation, self.armed, self.fault = generation, armed, fault
+
+    def propose(self, context):
+        if context.iteration == self.armed:
+            self.generation.marker = f"-- gen{self.armed} --"
+        return super().propose(context)
+
+    def refine(self, feedback):
+        if self.fault and self.generation.marker is not None:
+            self.generation.incumbent_called.wait(MEET_TIMEOUT_S)
+            self.generation.released.set()
+            raise RuntimeError("a bug in refine")
+        return super().refine(feedback)
+
+
+def test_deep_focus_runs_beside_the_incumbents(data_root, tmp_path):
+    # The new agent's first Deep Focus call waits for an incumbent's call
+    # of the same iteration: it comes only if the incumbents' questions do
+    # not wait for Deep Focus.
+    _, question_pool = load_question_pool(data_root)
+    oracle = MarkedOracle.from_question_pool(question_pool)
+    oracle.released.set()
+    state = run(base_config(data_root, tmp_path / "out", iterations=2, workers=1,
+                            backend_concurrency=3),
+                gen_backend=oracle,
+                evo_backend=ArmingEvolution(evolution_fixtures(2), oracle, armed=2))
+    assert state.iterations[1].mode == "evolve"
+    assert oracle.met is True
+
+
+FAULT_ITERATION = 3
+
+
+@pytest.mark.parametrize("fault", ["refine", "incumbent"])
+def test_an_error_beside_the_incumbents_leaves_no_thread_and_resumes(data_root, tmp_path,
+                                                                     monkeypatch, fault):
+    # The iteration fails in a Deep Focus refine while incumbents' calls are
+    # in flight, or in an incumbent's tool run while Deep Focus goes on.
+    _, question_pool = load_question_pool(data_root)
+    full = tmp_path / "full"
+    run(base_config(data_root, full, iterations=FAULT_ITERATION),
+        gen_backend=WaitingOracle.from_question_pool(question_pool),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(FAULT_ITERATION)))
+
+    out = tmp_path / "out"
+    oracle = MarkedOracle.from_question_pool(question_pool)
+    evolution = ArmingEvolution(evolution_fixtures(FAULT_ITERATION), oracle,
+                                armed=FAULT_ITERATION, fault=fault == "refine")
+    if fault == "incumbent":
+        oracle.incumbent_called.set()  # no call waits
+        real_evaluate = orchestrator_module.evaluate_agent
+
+        def faulty_analysis(pkg, db_id):
+            raise RuntimeError(f"a bug in incumbent {pkg.id}'s tool run on {db_id}")
+
+        def evaluate(packages, questions, analysis, *args, **kwargs):
+            if oracle.marker and not any(pkg.id.startswith(f"iter{FAULT_ITERATION}_")
+                                         for pkg in packages):
+                analysis = faulty_analysis
+            return real_evaluate(packages, questions, analysis, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator_module, "evaluate_agent", evaluate)
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=f"^a bug in {fault}"):
+        run(base_config(data_root, out, iterations=FAULT_ITERATION, backend_concurrency=4),
+            gen_backend=oracle, evo_backend=evolution)
+    assert set(threading.enumerate()) == threads
+    assert len(load_state(out).iterations) == FAULT_ITERATION - 1
+    monkeypatch.undo()
+    resume(base_config(data_root, out, iterations=FAULT_ITERATION),
+           gen_backend=WaitingOracle.from_question_pool(question_pool),
+           evo_backend=ScriptedEvolutionBackend(evolution_fixtures(FAULT_ITERATION)))
+    for name in ["run_state.json"] + [f"iter_{FAULT_ITERATION}/{artifact}" for artifact in
+                                      ("outcomes.json", "transcripts.json", "plan.json")]:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_state_round_trip_and_schema_check(data_root, tmp_path):
@@ -566,6 +699,10 @@ def test_config_validation():
     ({"questions_per_database": 0}, "^questions_per_database must be >= 1$"),
     ({"questions_per_database": -2}, "^questions_per_database must be >= 1$"),
     ({"token_budget": 0}, "^token_budget must be >= 1$"),
+    ({"gen_backend": 5}, "^gen_backend must be a string, not 5$"),
+    ({"strategy_path": 7}, "^strategy_path must be a path or null, not 7$"),
+    ({"initial_agents": "abc"}, "^initial_agents must be a list of paths, not 'abc'$"),
+    ({"initial_agents": ["a", None]}, r"^initial_agents must be a list of paths, not \['a', None\]$"),
 ])
 def test_config_refuses_a_value_of_the_wrong_type_or_out_of_range(settings, message):
     with pytest.raises(ConfigError, match=message):

@@ -256,6 +256,30 @@ def test_run_loop_copies_each_database_once(copies, monkeypatch, data_root, tmp_
     assert copies.made == 3
 
 
+def test_deep_focus_and_the_iteration_keep_each_others_copies(copies, monkeypatch, data_root,
+                                                             tmp_path):
+    # Each iteration samples one database, and Deep Focus replays the two
+    # iterations before it beside the iteration's own evaluations. Every
+    # database they use keeps its idle copy, so in this run, where each
+    # database that leaves the window is not sampled again, each is copied
+    # once; keeping only one evaluation's databases at a time copies them
+    # back and forth.
+    made = []
+    make = copies._make
+
+    def recorded_make(db_path, key):
+        made.append(os.path.realpath(db_path))
+        return make(db_path, key)
+
+    monkeypatch.setattr(copies, "_make", recorded_make)
+    state = run(base_config(data_root, tmp_path / "out", iterations=5, workers=1,
+                            deep_focus_k=2, databases_per_iteration=1),
+                evo_backend=ScriptedEvolutionBackend(evolution_fixtures(5)))
+    assert [record.databases for record in state.iterations] == \
+        [["school"], ["films"], ["shop"], ["shop"], ["shop"]]
+    assert sorted(made) == sorted({*made}) and len(made) == 3
+
+
 def test_copy_a_lingering_process_holds_open_is_not_reused(copies, tmp_path, school_db):
     pid_file = tmp_path / "lingerer.pid"
     first = run_agent_tool(_package(tmp_path / "lingerer", LINGERER, str(pid_file)),
