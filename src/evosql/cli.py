@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import orchestrator, scheduler, toolrun
 from .analyzer import analyze
-from .errors import EvoSqlError
+from .errors import ConfigError, EvoSqlError
 from .harness import TaskPool, evaluate_agent, execute_gold
 from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
@@ -118,7 +118,10 @@ def cmd_leaderboard(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    latents = [float(x) for x in args.latents.split(",")]
+    try:
+        latents = [float(x) for x in args.latents.split(",")]
+    except ValueError:
+        raise ConfigError(f"--latents must be comma-separated numbers, not {args.latents!r}") from None
     population = [
         SyntheticAgent(agent_id=f"agent_{i + 1}", global_accuracy=p)
         for i, p in enumerate(latents)

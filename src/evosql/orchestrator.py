@@ -12,7 +12,8 @@ new agent once the roster is seated, and its rounds and then the new
 agent's questions are urgent tasks; the incumbents' evaluation runs beside
 them and fills the slots they leave idle.
 
-State is one JSON file plus per-iteration artifact directories. Artifact
+State is one JSON file plus per-iteration artifact directories. It holds
+each rating fact once, and ratings are replayed from its matches. Artifact
 paths inside the state are relative to the output directory and no clocks
 are persisted, so two runs with the same seed produce byte-identical state;
 per-iteration RNG is derived from (run_seed, iteration), so a halted run
@@ -26,6 +27,7 @@ import shutil
 import time
 from collections import ChainMap, Counter, defaultdict
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
 
@@ -39,7 +41,6 @@ from .backends import (
     ScriptedGenerationBackend,
 )
 from .defaults import DEFAULT_STRATEGY, write_naive_package
-from .elo import MatchRecord
 from .errors import ConfigError, EvolutionError, InvalidStateError
 from .evolution import build_context, deep_focus, evolve_agent
 from .harness import TaskPool, evaluate_agent, execute_gold, write_error_analysis
@@ -49,7 +50,7 @@ from .toolrun import ToolRunResult, keep_copies, run_agent_tool
 
 logger = logging.getLogger(__name__)
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 STATE_FILENAME = "run_state.json"
 AGENTS_DIRNAME = "agents"
 STRATEGY_FILENAME = "strategy.md"
@@ -116,6 +117,8 @@ class RunConfig:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} is not a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
@@ -133,14 +136,22 @@ class IterationRecord:
     questions: dict[str, list[QuestionItem]]
     competitors: list[str]
     new_agent: str | None
-    accuracies: dict[str, tuple[int, int]]
-    winners: list[str]
-    match_records: list[MatchRecord]
     matches: dict[str, dict[tuple[str, int], bool]]
     excluded_questions: list[tuple[str, int]]
     tool_fallbacks: dict[str, dict[str, str]]
     tokens: dict[str, dict[str, int]]
     report_path: str = ""
+
+    @property
+    def accuracies(self) -> dict[str, tuple[int, int]]:
+        """(matches, total) per competitor, read from its matches."""
+        return {agent: (sum(per_agent.values()), len(per_agent))
+                for agent, per_agent in self.matches.items()}
+
+    @property
+    def winners(self) -> list[str]:
+        return sorted(scheduler.determine_winners(
+            {agent: Fraction(*mt) for agent, mt in self.accuracies.items()}))
 
     def to_dict(self) -> dict:
         # JSON keys are strings, so a question key (db, qid) is "db:qid".
@@ -155,8 +166,6 @@ class IterationRecord:
             data,
             questions={db: [QuestionItem(**q) for q in items]
                        for db, items in data["questions"].items()},
-            accuracies={a: tuple(mt) for a, mt in data["accuracies"].items()},
-            match_records=[MatchRecord(**m) for m in data["match_records"]],
             matches={agent: {_question_key(key): ok for key, ok in per_agent.items()}
                      for agent, per_agent in data["matches"].items()},
             excluded_questions=[tuple(key) for key in data["excluded_questions"]],
@@ -170,17 +179,17 @@ def _question_key(text: str) -> tuple[str, int]:
 
 @dataclass
 class RunState:
-    """Persisted run progress: completed iterations plus registry snapshot."""
+    """Persisted run progress: completed iterations, plus the registry's
+    registration facts (package_dir, iteration_created, lineage) by agent
+    id. Ratings and win bookkeeping are replayed from the iterations."""
 
     run_seed: int
     iterations: list[IterationRecord] = field(default_factory=list)
-    registry_snapshot: dict = field(default_factory=dict)
+    registry: dict[str, dict] = field(default_factory=dict)
     schema_version: int = STATE_SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        data = dict(vars(self), iterations=[record.to_dict() for record in self.iterations])
-        data["registry"] = data.pop("registry_snapshot")
-        return data
+        return dict(vars(self), iterations=[record.to_dict() for record in self.iterations])
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
@@ -189,11 +198,8 @@ class RunState:
                 f"state schema version {data.get('schema_version')!r} is not "
                 f"{STATE_SCHEMA_VERSION}"
             )
-        return cls(
-            run_seed=data["run_seed"],
-            iterations=[IterationRecord.from_dict(r) for r in data["iterations"]],
-            registry_snapshot=data["registry"],
-        )
+        return cls(**dict(data, iterations=[IterationRecord.from_dict(r)
+                                            for r in data["iterations"]]))
 
 
 def _write_json(path: Path, value) -> None:
@@ -214,44 +220,33 @@ def load_state(output_dir: Path) -> RunState | None:
     path = Path(output_dir) / STATE_FILENAME
     if not path.is_file():
         return None
-    return RunState.from_dict(json.loads(path.read_text()))
+    try:
+        return RunState.from_dict(json.loads(path.read_text()))
+    except (InvalidStateError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise InvalidStateError(f"{path} is not a readable run state "
+                                f"({type(exc).__name__}: {exc})") from exc
 
 
-def snapshot_registry(registry: AgentRegistry, output_dir: Path) -> dict:
-    snapshot = {}
-    for agent_id, record in registry.records.items():
-        pkg = registry.packages[agent_id]
-        snapshot[agent_id] = {
-            "name": pkg.name,
-            "iteration_created": pkg.iteration_created,
-            "package_dir": str(pkg.root_dir.relative_to(output_dir)),
-            "lineage": list(pkg.lineage),
-            "execution_mode": pkg.execution_mode,
-            "rating_value": record.rating.value,
-            "rating_games": record.rating.games,
-            "tests": record.tests,
-            "iteration_wins": record.iteration_wins,
-            "pending_winner": record.pending_winner,
-        }
-    return snapshot
-
-
-def restore_registry(snapshot: dict, output_dir: Path) -> AgentRegistry:
+def replay_registry(state: RunState) -> AgentRegistry:
+    """Ratings and win bookkeeping, without packages: every agent of the
+    state registered, then each iteration settled again in order."""
     registry = AgentRegistry()
-    for agent_id in sorted(snapshot):
-        entry = snapshot[agent_id]
-        pkg = load_package(
-            output_dir / entry["package_dir"],
-            agent_id=agent_id,
-            iteration_created=entry["iteration_created"],
-        )
+    for agent_id in sorted(state.registry):
+        registry.register_record(agent_id)
+    for record in state.iterations:
+        scheduler.settle_iteration(
+            record.iteration, registry, record.competitors,
+            {agent: Fraction(*mt) for agent, mt in record.accuracies.items()})
+    return registry
+
+
+def restore_registry(state: RunState, output_dir: Path) -> AgentRegistry:
+    registry = replay_registry(state)
+    for agent_id, entry in sorted(state.registry.items()):
+        pkg = load_package(output_dir / entry["package_dir"], agent_id=agent_id,
+                           iteration_created=entry["iteration_created"])
         pkg.lineage = list(entry["lineage"])
-        record = registry.register(pkg)
-        record.rating.value = entry["rating_value"]
-        record.rating.games = entry["rating_games"]
-        record.tests = entry["tests"]
-        record.iteration_wins = entry["iteration_wins"]
-        record.pending_winner = entry["pending_winner"]
+        registry.packages[agent_id] = pkg
     return registry
 
 
@@ -321,7 +316,7 @@ class Orchestrator:
                 raise InvalidStateError(f"the run state has seed {existing.run_seed}, not "
                                         f"{config.run_seed}; resume with the run's seed")
             self.state = existing
-            self.registry = restore_registry(existing.registry_snapshot, self.output_dir)
+            self.registry = restore_registry(existing, self.output_dir)
             logger.info("resuming run at iteration %d", len(self.state.iterations) + 1)
         else:
             self.state = RunState(run_seed=config.run_seed)
@@ -475,7 +470,7 @@ class Orchestrator:
             logger.info("iteration %d: %s scored %d/%d", iteration, agent_id,
                         evaluation.matches, evaluation.total)
 
-        match_records, winners = scheduler.settle_iteration(
+        scheduler.settle_iteration(
             iteration, self.registry, competitors,
             {agent_id: ev.accuracy for agent_id, ev in evaluations.items()},
         )
@@ -496,16 +491,13 @@ class Orchestrator:
             agent_id: [o.transcript for o in ev.outcomes] for agent_id, ev in evaluations.items()
         })
 
-        record = IterationRecord(
+        return IterationRecord(
             iteration=iteration,
             mode=mode,
             databases=databases,
             questions=questions,
             competitors=competitors,
             new_agent=new_agent,
-            accuracies={a: (ev.matches, ev.total) for a, ev in evaluations.items()},
-            winners=sorted(winners),
-            match_records=match_records,
             matches={a: ev.question_matches for a, ev in evaluations.items()},
             excluded_questions=sorted(key for key, g in gold.items() if isinstance(g, str)),
             tool_fallbacks={
@@ -515,7 +507,6 @@ class Orchestrator:
             tokens={a: ev.usage() for a, ev in evaluations.items()},
             report_path=str(report_path.relative_to(self.output_dir)),
         )
-        return record
 
     def run(self) -> RunState:
         start_iteration = len(self.state.iterations) + 1
@@ -523,7 +514,10 @@ class Orchestrator:
             started = time.monotonic()
             record = self.run_iteration(iteration)
             self.state.iterations.append(record)
-            self.state.registry_snapshot = snapshot_registry(self.registry, self.output_dir)
+            self.state.registry = {
+                pkg.id: {"iteration_created": pkg.iteration_created, "lineage": list(pkg.lineage),
+                         "package_dir": str(pkg.root_dir.relative_to(self.output_dir))}
+                for pkg in self.registry.packages.values()}
             save_state(self.state, self.output_dir)
             # Wall clock is logged, never persisted, to keep state files
             # byte-identical across reruns.
@@ -547,26 +541,17 @@ def leaderboard(state: RunState) -> str:
     """Render the final standings from a run state (pure function)."""
     if not state.iterations:
         raise InvalidStateError("run state has no completed iterations")
-    rows = []
-    for agent_id, entry in state.registry_snapshot.items():
-        rows.append(
-            (
-                -entry["rating_value"],
-                entry["tests"],
-                agent_id,
-                entry,
-            )
-        )
-    rows.sort()
+    registry = replay_registry(state)
     lines = ["# Leaderboard", ""]
     lines.append(f"{'rank':<5} {'agent':<40} {'rating':>8} {'games':>6} "
                  f"{'tests':>6} {'wins':>5}  lineage")
-    for rank, (_, _, agent_id, entry) in enumerate(rows, start=1):
-        lineage = ", ".join(entry["lineage"]) or "-"
+    for rank, agent_id in enumerate(registry.top_by_elo(len(registry)), start=1):
+        record = registry.get(agent_id)
+        lineage = ", ".join(state.registry[agent_id]["lineage"]) or "-"
         lines.append(
-            f"{rank:<5} {agent_id:<40} {entry['rating_value']:>8.1f} "
-            f"{entry['rating_games']:>6} {entry['tests']:>6} "
-            f"{entry['iteration_wins']:>5}  {lineage}"
+            f"{rank:<5} {agent_id:<40} {record.rating.value:>8.1f} "
+            f"{record.rating.games:>6} {record.tests:>6} "
+            f"{record.iteration_wins:>5}  {lineage}"
         )
     lines.append("")
     return "\n".join(lines)

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .elo import MatchRecord
 from .errors import DataValidationError, InvalidStateError
 from .registry import AgentRegistry
 
@@ -262,12 +261,10 @@ def roster_for_iteration(
 
 def settle_iteration(
     iteration: int, registry: AgentRegistry, competitors: list[str], accuracies: dict[str, object]
-) -> tuple[list[MatchRecord], set[str]]:
+) -> None:
     """Rate and record one iteration: pairwise ELO updates in roster order,
     then the winners, then the registry's win bookkeeping."""
-    match_records = registry.elo.decompose_and_update(
+    registry.elo.decompose_and_update(
         iteration, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
     )
-    winners = determine_winners(accuracies)
-    registry.record_iteration_outcome(competitors, winners)
-    return match_records, winners
+    registry.record_iteration_outcome(competitors, determine_winners(accuracies))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import scheduler
-from .errors import InvalidStateError
+from .errors import ConfigError, InvalidStateError
 from .registry import AgentRegistry
 
 DEFAULT_EVOLVE_DELTA = 0.02
@@ -31,9 +31,9 @@ class SyntheticAgent:
     def __post_init__(self):
         for db, p in self.latents.items():
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"latent for {db!r} outside [0, 1]: {p}")
+                raise ConfigError(f"latent for {db!r} outside [0, 1]: {p}")
         if self.global_accuracy is not None and not 0.0 <= self.global_accuracy <= 1.0:
-            raise ValueError(f"global accuracy outside [0, 1]: {self.global_accuracy}")
+            raise ConfigError(f"global accuracy outside [0, 1]: {self.global_accuracy}")
 
     def latent_for(self, db_id: str) -> float:
         if db_id in self.latents:
@@ -60,9 +60,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError("iterations must be >= 1")
         if not self.databases:
-            raise ValueError("databases must be non-empty")
+            raise ConfigError("databases must be non-empty")
 
 
 @dataclass
@@ -100,7 +100,7 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
     evolve_cap.
     """
     if len(population) < 2:
-        raise ValueError("population must have at least 2 agents")
+        raise ConfigError("population must have at least 2 agents")
 
     registry = AgentRegistry()
     agents = {}

@@ -3,12 +3,14 @@ and scripted backend helpers."""
 
 import json
 import sqlite3
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from evosql import scheduler
 from evosql.defaults import write_naive_package
+from evosql.registry import AgentRegistry
 
 SCHOOL_SCHEMA = """
 CREATE TABLE students (
@@ -276,3 +278,9 @@ def steps_per_iteration(iterations: int) -> list[tuple[str, int]]:
     """What record_iteration_steps holds after iterations 1..iterations."""
     return [(name, iteration) for iteration in range(1, iterations + 1)
             for name in ("roster_for_iteration", "settle_iteration")]
+
+
+def record_fields(registry: AgentRegistry) -> dict:
+    """Every AgentRecord field by agent id, each rating as float.hex()."""
+    return {agent_id: dict(asdict(record), rating=(record.rating.value.hex(), record.rating.games))
+            for agent_id, record in registry.records.items()}

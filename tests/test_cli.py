@@ -114,6 +114,8 @@ def test_run_rejects_backend_concurrency_below_one(data_root, tmp_path):
     (["--gen-backend", "bogus"], None, "^unknown generation backend spec 'bogus'$"),
     ([], {"workerz": 2}, "^config file .+config.json has unknown keys: workerz$"),
     ([], "{", "^config file .+config.json is not JSON: "),
+    ([], [1], "^config file .+config.json is not a JSON object$"),
+    ([], ["workers"], "^config file .+config.json is not a JSON object$"),
 ])
 def test_run_config_error_exits_with_a_message(data_root, tmp_path, flags, config, message):
     argv = ["run", "--data-root", str(data_root), "--output-dir", str(tmp_path / "out"), *flags]
@@ -214,6 +216,34 @@ def test_resume_with_another_seed_exits_with_a_message(data_root, tmp_path):
 def test_resume_without_a_state_exits_with_a_message(data_root, tmp_path):
     with pytest.raises(SystemExit, match="^no run_state.json under .+ to resume$"):
         main(["resume", "--data-root", str(data_root), "--output-dir", str(tmp_path / "fresh")])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--latents", "0.8"], "^population must have at least 2 agents$"),
+    (["--latents", "1.5,0.2"], r"^global accuracy outside \[0, 1\]: 1.5$"),
+    (["--latents", "x,0.2"], "^--latents must be comma-separated numbers, not 'x,0.2'$"),
+    (["--iterations", "0"], "^iterations must be >= 1$"),
+])
+def test_simulate_bad_input_exits_with_a_message(flags, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["simulate", *flags])
+
+
+@pytest.mark.parametrize("command", ["leaderboard", "resume"])
+def test_an_unreadable_state_exits_with_a_message(data_root, tmp_path, command):
+    flags = ["--data-root", str(data_root), "--output-dir", str(tmp_path / "out"),
+             "--iterations", "1"]
+    assert main(["run", *flags]) == 0
+    state_file = tmp_path / "out" / "run_state.json"
+    state = json.loads(state_file.read_text())
+    state_file.write_text(json.dumps(dict(state, schema_version=1)))
+    argv = ["leaderboard", "--output-dir", str(tmp_path / "out")]
+    if command == "resume":
+        argv = ["resume", *flags]
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(state_file))} is not a readable run "
+                                         "state \\(InvalidStateError: state schema version 1 "
+                                         "is not 2\\)$"):
+        main(argv)
 
 
 def test_run_with_config_file(data_root, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """End-to-end orchestrator tests: run shape, determinism, resume, reports."""
 
 import json
+import re
 import shutil
 import threading
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import evosql.harness as harness_module
 import evosql.orchestrator as orchestrator_module
@@ -16,18 +19,25 @@ from evosql.backends import (
 )
 from evosql.errors import ConfigError, InvalidStateError
 from evosql.orchestrator import (
+    IterationRecord,
     RunConfig,
     RunState,
     leaderboard,
     load_state,
+    replay_registry,
     resume,
     run,
     token_totals,
 )
 from evosql.pipeline import CORRECT_SENTINEL, extract_question
-from evosql.registry import write_package
-from evosql.scheduler import load_question_pool
-from tests.conftest import make_evolution_response, record_iteration_steps, steps_per_iteration
+from evosql.registry import AgentRegistry, write_package
+from evosql.scheduler import load_question_pool, settle_iteration
+from tests.conftest import (
+    make_evolution_response,
+    record_fields,
+    record_iteration_steps,
+    steps_per_iteration,
+)
 
 
 def evolution_fixtures(upto: int, refine: bool = True):
@@ -84,7 +94,6 @@ def test_run_shape_invariants(data_root, tmp_path):
     first = state.iterations[0]
     assert first.mode == "none"
     assert first.competitors == ["naive"]
-    assert first.match_records == []  # single competitor, no pairs
     assert first.new_agent is None
 
     population = 1
@@ -95,11 +104,13 @@ def test_run_shape_invariants(data_root, tmp_path):
             population += 1
         else:
             assert record.new_agent is None
-        roster = len(record.competitors)
-        assert len(record.match_records) == roster * (roster - 1) // 2
         assert set(record.winners) <= set(record.competitors)
         assert set(record.databases) == {"films", "school", "shop"}  # whole toy pool
-    assert len(state.registry_snapshot) == population
+    assert len(state.registry) == population
+    # Each iteration plays every pair of its roster once.
+    for agent_id, agent in replay_registry(state).records.items():
+        assert agent.rating.games == sum(len(r.competitors) - 1 for r in state.iterations
+                                         if agent_id in r.competitors)
 
 
 def test_run_produces_iteration_artifacts(data_root, tmp_path):
@@ -221,7 +232,7 @@ def test_evolution_failure_degrades_to_none_mode(data_root, tmp_path):
     state = run(config, evo_backend=ScriptedEvolutionBackend({}))
     assert len(state.iterations) == 3
     assert all(record.mode == "none" for record in state.iterations)
-    assert len(state.registry_snapshot) == 1  # nothing registered
+    assert len(state.registry) == 1  # nothing registered
 
 
 def test_marker_backend_moves_ratings(data_root, tmp_path):
@@ -235,8 +246,8 @@ def test_marker_backend_moves_ratings(data_root, tmp_path):
         evo_backend=ScriptedEvolutionBackend(evolution_fixtures(3)),
     )
     # Evolved agents answer the flubbed questions; naive does not.
-    final = state.registry_snapshot
-    assert final["iter2_gen2"]["rating_value"] > final["naive"]["rating_value"]
+    final = replay_registry(state)
+    assert final.get("iter2_gen2").rating.value > final.get("naive").rating.value
     last = state.iterations[-1]
     assert last.accuracies["naive"][0] < last.accuracies["naive"][1]
     report = (tmp_path / "out" / last.report_path).read_text()
@@ -613,6 +624,21 @@ def test_state_round_trip_and_schema_check(data_root, tmp_path):
         RunState.from_dict(data)
 
 
+@pytest.mark.parametrize("damage, cause", [
+    (lambda text: text[: len(text) // 2], "JSONDecodeError"),
+    (lambda text: json.dumps(dict(json.loads(text), iterations=[
+        {k: v for k, v in r.items() if k != "questions"} for r in json.loads(text)["iterations"]
+    ])), "KeyError: 'questions'"),
+], ids=["truncated", "record-without-questions"])
+def test_an_unreadable_state_is_refused_naming_the_file(data_root, tmp_path, damage, cause):
+    run(base_config(data_root, tmp_path / "out", iterations=1))
+    state_file = tmp_path / "out" / "run_state.json"
+    state_file.write_text(damage(state_file.read_text()))
+    with pytest.raises(InvalidStateError, match=f"^{re.escape(str(state_file))} is not a "
+                                                f"readable run state \\({cause}"):
+        load_state(tmp_path / "out")
+
+
 def test_leaderboard_regenerates_identically(data_root, tmp_path):
     config = base_config(data_root, tmp_path / "out", iterations=2)
     state = run(config, evo_backend=ScriptedEvolutionBackend(evolution_fixtures(2)))
@@ -621,33 +647,41 @@ def test_leaderboard_regenerates_identically(data_root, tmp_path):
     assert "naive" in board and "iter2_gen2" in board
 
 
-def test_elo_trajectory_replays_from_state(data_root, tmp_path):
-    # Recomputing the pairwise updates from persisted accuracies reproduces
-    # the persisted rating trajectory exactly.
-    from evosql.elo import EloEngine
+@st.composite
+def match_histories(draw):
+    """Iterations of (roster, per-question matches) over up to five agents."""
+    agents = [f"agent{i}" for i in range(draw(st.integers(2, 5)))]
+    history = []
+    for _ in range(draw(st.integers(1, 6))):
+        roster = draw(st.permutations(agents))[:draw(st.integers(1, len(agents)))]
+        keys = [(draw(st.sampled_from(["shop", "school"])), qid)
+                for qid in range(draw(st.integers(1, 4)))]
+        history.append((roster, {agent: {key: draw(st.booleans()) for key in keys}
+                                 for agent in roster}))
+    return history
 
-    _, question_pool = load_question_pool(data_root)
-    flubbed = [items[0].question for items in question_pool.values()]
-    config = base_config(data_root, tmp_path / "out", iterations=4)
-    state = run(
-        config,
-        gen_backend=MarkerBackend(question_pool, flubbed),
-        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)),
-    )
-    engine = EloEngine()
-    from fractions import Fraction
 
-    for record in state.iterations:
-        for agent in record.competitors:
-            if agent not in engine.ratings:
-                engine.register(agent)
-        results = [
-            (agent, Fraction(*record.accuracies[agent])) for agent in record.competitors
-        ]
-        replayed = engine.decompose_and_update(record.iteration, results)
-        assert replayed == record.match_records
-    for agent_id, entry in state.registry_snapshot.items():
-        assert engine.ratings[agent_id].value == entry["rating_value"]
+@given(match_histories())
+def test_replay_of_the_saved_matches_equals_the_live_settling(history):
+    # The live loop registers agents as they arrive and settles each
+    # iteration on its evaluations' accuracies; the replay reads the state.
+    live = AgentRegistry()
+    state = RunState(run_seed=0)
+    for iteration, (roster, matches) in enumerate(history, start=1):
+        for agent_id in roster:
+            if agent_id not in live:
+                live.register_record(agent_id)
+                state.registry[agent_id] = {"iteration_created": iteration, "lineage": [],
+                                            "package_dir": f"agents/{agent_id}"}
+        settle_iteration(iteration, live, roster, {
+            agent: Fraction(sum(per_agent.values()), len(per_agent))
+            for agent, per_agent in matches.items()})
+        state.iterations.append(IterationRecord(
+            iteration=iteration, mode="none", databases=[], questions={},
+            competitors=roster, new_agent=None, matches=matches, excluded_questions=[],
+            tool_fallbacks={}, tokens={}))
+    saved = RunState.from_dict(json.loads(json.dumps(state.to_dict(), default=vars)))
+    assert record_fields(replay_registry(saved)) == record_fields(live)
 
 
 def test_token_accounting_matches_transcripts(data_root, tmp_path):
@@ -674,7 +708,7 @@ def test_initial_agents_copied_into_output(data_root, tmp_path, naive_package_di
     )
     state = run(config)
     assert (tmp_path / "out" / "agents" / "naive" / "agent.md").is_file()
-    assert state.registry_snapshot["naive"]["package_dir"] == "agents/naive"
+    assert state.registry["naive"]["package_dir"] == "agents/naive"
 
 
 def test_config_validation():

@@ -298,15 +298,14 @@ def test_settle_equals_the_inline_rating_sequence():
     competitors = ["b", "c", "a"]
     accuracies = {"b": Fraction(2, 3), "c": Fraction(1, 3), "a": Fraction(2, 3)}
 
-    match_records, winners = settle_iteration(5, shared, competitors, accuracies)
+    settle_iteration(5, shared, competitors, accuracies)
 
-    expected_records = inline.elo.decompose_and_update(
+    inline.elo.decompose_and_update(
         5, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
     )
-    expected_winners = determine_winners(accuracies)
-    inline.record_iteration_outcome(competitors, expected_winners)
-    assert match_records == expected_records
-    assert winners == expected_winners == {"a", "b"}
+    winners = determine_winners(accuracies)
+    inline.record_iteration_outcome(competitors, winners)
+    assert winners == {"a", "b"}
 
     def snapshot(registry):
         return {

@@ -2,6 +2,7 @@
 
 import pytest
 
+from evosql.errors import ConfigError
 from evosql.simulate import (
     SimulationConfig,
     SyntheticAgent,
@@ -46,6 +47,18 @@ def test_synthetic_agent_validation():
 def test_population_must_have_two_agents():
     with pytest.raises(ValueError):
         simulate(global_population([0.5]), SimulationConfig(iterations=5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SyntheticAgent("bad", global_accuracy=float("nan")),
+    lambda: SyntheticAgent("bad", latents={"db": 1.5}),
+    lambda: SimulationConfig(iterations=0),
+    lambda: SimulationConfig(databases=[]),
+    lambda: simulate(global_population([0.5]), SimulationConfig(iterations=5)),
+], ids=["nan-accuracy", "latent-above-one", "no-iterations", "no-databases", "one-agent"])
+def test_bad_simulation_input_is_a_config_error(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_simulation_deterministic():

@@ -17,10 +17,10 @@ import json
 import pytest
 
 from evosql.backends import ScriptedEvolutionBackend
-from evosql.orchestrator import RunConfig, resume, run
+from evosql.orchestrator import Orchestrator, RunConfig, load_state, restore_registry, resume, run
 from evosql.pipeline import CORRECT_SENTINEL, extract_question
 from evosql.scheduler import load_question_pool
-from tests.conftest import make_data_root, make_evolution_response
+from tests.conftest import make_data_root, make_evolution_response, record_fields
 
 ITERATIONS = 6
 HALT_AFTER = 3
@@ -102,7 +102,7 @@ def state_files() -> list[str]:
 
 EXPECTED = {
     "run_state.json":
-        "a420ab826e26094cad374bb68b006224ae58b7879286a4b5f7dd03987bae37eb",
+        "e105bccf9b4abd34ae8f8058f5c0c8151999cff675adaaf61cc79b69415a32ec",
     "iter_1/plan.json":
         "5965c96b737c11b3147564271af6e94c997fa18e7d725f7afe86bbd5b8252d22",
     "iter_1/outcomes.json":
@@ -164,3 +164,23 @@ def test_state_file_digests_unchanged(tmp_path, halt):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in state_files()}
     assert digests == EXPECTED
+
+
+@pytest.mark.parametrize("halt", [False, True], ids=["uninterrupted", "resumed"])
+def test_live_registry_equals_its_replay_from_the_state(tmp_path, halt):
+    data_root = make_state_data_root(tmp_path / "data")
+    _, question_pool = load_question_pool(data_root)
+    out = tmp_path / "out"
+
+    def orchestrator(iterations):
+        return Orchestrator(config(data_root, out, iterations),
+                            gen_backend=FlubbingBackend(question_pool),
+                            evo_backend=ScriptedEvolutionBackend(evolution_fixtures()))
+
+    if halt:
+        orchestrator(HALT_AFTER).run()
+    live = orchestrator(ITERATIONS)
+    live.run()
+    restored = restore_registry(load_state(out), out)
+    assert record_fields(restored) == record_fields(live.registry)
+    assert restored.packages == live.registry.packages
