@@ -209,13 +209,28 @@ def write_package(
 
 @dataclass
 class AgentRecord:
-    """Competition bookkeeping for one registered agent."""
+    """Competition bookkeeping for one registered agent.
+
+    pending_winner reads and writes winners, the registry's set of the last
+    scored iteration's winners, which every record shares.
+    """
 
     agent_id: str
     rating: Rating
     tests: int = 0
     iteration_wins: int = 0
-    pending_winner: bool = False
+    winners: set[str] = field(default_factory=set, repr=False, compare=False)
+
+    @property
+    def pending_winner(self) -> bool:
+        return self.agent_id in self.winners
+
+    @pending_winner.setter
+    def pending_winner(self, value: bool) -> None:
+        if value:
+            self.winners.add(self.agent_id)
+        else:
+            self.winners.discard(self.agent_id)
 
 
 class AgentRegistry:
@@ -229,6 +244,7 @@ class AgentRegistry:
         self.elo = EloEngine()
         self.records: dict[str, AgentRecord] = {}
         self.packages: dict[str, AgentPackage] = {}
+        self._winners: set[str] = set()
 
     def __contains__(self, agent_id: str) -> bool:
         return agent_id in self.records
@@ -257,7 +273,7 @@ class AgentRegistry:
         if agent_id in self.records:
             raise DuplicateAgentError(f"agent {agent_id!r} already registered")
         rating = self.elo.register(agent_id)
-        record = AgentRecord(agent_id=agent_id, rating=rating)
+        record = AgentRecord(agent_id=agent_id, rating=rating, winners=self._winners)
         self.records[agent_id] = record
         return record
 
@@ -279,9 +295,7 @@ class AgentRegistry:
         return heapq.nsmallest(n, candidates, key=self._rank_key)
 
     def pending_winners(self) -> list[str]:
-        pending = [a for a, r in self.records.items() if r.pending_winner]
-        pending.sort(key=self._rank_key)
-        return pending
+        return sorted(self._winners, key=self._rank_key)
 
     def record_iteration_outcome(self, competitors: list[str], winners: set[str]) -> None:
         """Book one scored iteration: bump tests for every competitor, wins
@@ -296,8 +310,8 @@ class AgentRegistry:
         for agent_id in competitor_set | winner_set:
             if agent_id not in self.records:
                 raise UnknownAgentError(f"agent {agent_id!r} is not registered")
-        for record in self.records.values():
-            record.pending_winner = record.agent_id in winner_set
+        self._winners.clear()
+        self._winners.update(winner_set)
         for agent_id in competitor_set:
             self.records[agent_id].tests += 1
         for agent_id in winner_set:

@@ -6,8 +6,14 @@ independent Bernoulli draws. The real loop's roster and settle steps
 (scheduler.roster_for_iteration and scheduler.settle_iteration) run
 unchanged, which makes properties like convergence to latent strength and
 bounded ratings under non-transitive matchups cheap to verify.
+
+Each iteration keeps only the ratings its settle step moved, the
+competitors'; SimulationResult.replay_trajectories rebuilds every agent's
+rating after each iteration from them. Memory so grows with the rosters, not
+with iterations times population.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -61,17 +67,36 @@ class SimulationConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.questions_per_database < 1:
+            raise ConfigError("questions_per_database must be >= 1")
+        if self.databases_per_iteration < 1:
+            raise ConfigError("databases_per_iteration must be >= 1")
         if not self.databases:
             raise ConfigError("databases must be non-empty")
+        if not 0.0 <= self.evolve_cap <= 1.0:
+            raise ConfigError(f"evolve_cap outside [0, 1]: {self.evolve_cap}")
+        if not self.evolve_delta >= 0.0:
+            raise ConfigError(f"evolve_delta must be >= 0: {self.evolve_delta}")
 
 
 @dataclass
 class SimulationResult:
+    """settled_ratings holds, per iteration, each competitor's rating after
+    the iteration settled; no other rating moves in an iteration."""
+
     final_ratings: dict[str, float]
-    trajectories: list[dict[str, float]]
+    settled_ratings: list[dict[str, float]]
     accuracies: list[dict[str, Fraction]]
     kendall_tau: float
     latent_strengths: dict[str, float]
+
+    def replay_trajectories(self) -> Iterator[dict[str, float]]:
+        """Every registered agent's rating after each iteration, in
+        iteration order, one new dict per iteration."""
+        ratings: dict[str, float] = {}
+        for settled in self.settled_ratings:
+            ratings.update(settled)
+            yield dict(ratings)
 
 
 def kendall_tau(xs: list[float], ys: list[float]) -> float:
@@ -119,7 +144,7 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
         registry.register_record(agent_id)
         return agent_id
 
-    trajectories: list[dict[str, float]] = []
+    settled_ratings: list[dict[str, float]] = []
     accuracy_history: list[dict[str, Fraction]] = []
 
     for iteration in range(1, config.iterations + 1):
@@ -146,7 +171,7 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
             accuracies[agent_id] = Fraction(correct, total)
         scheduler.settle_iteration(iteration, registry, competitors, accuracies)
 
-        trajectories.append({a: r.rating.value for a, r in registry.records.items()})
+        settled_ratings.append({a: registry.records[a].rating.value for a in competitors})
         accuracy_history.append(accuracies)
 
     final_ratings = {a: r.rating.value for a, r in registry.records.items()}
@@ -157,7 +182,7 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
     )
     return SimulationResult(
         final_ratings=final_ratings,
-        trajectories=trajectories,
+        settled_ratings=settled_ratings,
         accuracies=accuracy_history,
         kendall_tau=tau,
         latent_strengths=latent_strengths,

@@ -234,7 +234,7 @@ def test_simulation_convergence_and_non_transitivity():
                 databases_per_iteration=5,
             )
             result = simulate(cyclic, config)
-            spreads = [max(t.values()) - min(t.values()) for t in result.trajectories]
+            spreads = [max(t.values()) - min(t.values()) for t in result.replay_trajectories()]
             assert max(spreads[-100:]) < 200, seed
             mid_mean = sum(spreads[100:300]) / 200
             late_mean = sum(spreads[300:500]) / 200

@@ -1,7 +1,11 @@
 """Tests for the synthetic-agent simulation harness."""
 
+import hashlib
+import json
+
 import pytest
 
+from evosql import scheduler
 from evosql.errors import ConfigError
 from evosql.simulate import (
     SimulationConfig,
@@ -54,8 +58,15 @@ def test_population_must_have_two_agents():
     lambda: SyntheticAgent("bad", latents={"db": 1.5}),
     lambda: SimulationConfig(iterations=0),
     lambda: SimulationConfig(databases=[]),
+    lambda: SimulationConfig(questions_per_database=0),
+    lambda: SimulationConfig(databases_per_iteration=0),
+    lambda: SimulationConfig(evolve_cap=1.5),
+    lambda: SimulationConfig(evolve_cap=-0.1),
+    lambda: SimulationConfig(evolve_delta=-0.01),
     lambda: simulate(global_population([0.5]), SimulationConfig(iterations=5)),
-], ids=["nan-accuracy", "latent-above-one", "no-iterations", "no-databases", "one-agent"])
+], ids=["nan-accuracy", "latent-above-one", "no-iterations", "no-databases",
+        "no-questions-per-database", "no-databases-per-iteration", "cap-above-one",
+        "cap-below-zero", "negative-delta", "one-agent"])
 def test_bad_simulation_input_is_a_config_error(make):
     with pytest.raises(ConfigError):
         make()
@@ -66,7 +77,7 @@ def test_simulation_deterministic():
     first = simulate(population, SimulationConfig(iterations=30, seed=3))
     second = simulate(population, SimulationConfig(iterations=30, seed=3))
     assert first.final_ratings == second.final_ratings
-    assert first.trajectories == second.trajectories
+    assert first.settled_ratings == second.settled_ratings
     assert first.accuracies == second.accuracies
     third = simulate(population, SimulationConfig(iterations=30, seed=4))
     assert third.accuracies != first.accuracies
@@ -117,7 +128,7 @@ def test_non_transitive_band_is_bounded():
             iterations=500, seed=seed, databases=list(CYCLIC_DBS), databases_per_iteration=5
         )
         result = simulate(cyclic_population(), config)
-        spreads = [max(t.values()) - min(t.values()) for t in result.trajectories]
+        spreads = [max(t.values()) - min(t.values()) for t in result.replay_trajectories()]
         # Band check over the trailing window, plus stationarity: the late
         # mean spread must not exceed the mid-run mean (no divergence).
         assert max(spreads[-100:]) < 200, seed
@@ -145,6 +156,30 @@ def test_evolution_adds_capped_agents():
     assert all(0 <= result.latent_strengths[a] <= 0.9 for a in evolved)
     # New agents enter at 1500 and the population grew by one per evolution.
     assert len(result.final_ratings) == 2 + len(evolved)
+
+
+def test_replayed_trajectories_equal_the_registry_after_each_settle(monkeypatch):
+    # The registry's every rating right after each settle step is the full
+    # snapshot that simulate() once stored per iteration.
+    snapshots, rosters = [], []
+
+    def settle(iteration, registry, competitors, accuracies, _settle=scheduler.settle_iteration):
+        _settle(iteration, registry, competitors, accuracies)
+        snapshots.append({a: r.rating.value.hex() for a, r in registry.records.items()})
+        rosters.append(len(competitors))
+
+    monkeypatch.setattr(scheduler, "settle_iteration", settle)
+    result = simulate(global_population([0.8, 0.6, 0.4]),
+                      SimulationConfig(iterations=60, seed=7, evolve=True))
+    assert len(result.final_ratings) == 44 > max(rosters)
+
+    replayed = [{a: v.hex() for a, v in t.items()} for t in result.replay_trajectories()]
+    assert replayed == snapshots
+    assert [len(settled) for settled in result.settled_ratings] == rosters
+    # A digest of the full snapshots as simulate() used to store them.
+    digest = hashlib.sha256(json.dumps([sorted(t.items()) for t in replayed]).encode())
+    assert digest.hexdigest() == (
+        "569141897261b619052f776cac99fab2b5995476c78f34f2206527e95b2f64a9")
 
 
 def test_each_iteration_runs_the_shared_roster_and_settle_steps(monkeypatch):
