@@ -1,7 +1,7 @@
 """evosql: ELO-driven evolutionary tournament for text-to-SQL agent packages."""
 
 from .analyzer import DatabaseAnalysis, analyze, classify_size
-from .elo import EloEngine, MatchRecord, Rating, expected_score, update_pair
+from .elo import EloEngine, Rating, expected_score, update_pair
 from .harness import QuestionOutcome, ResultTable, compare_results, execute_sql
 from .orchestrator import RunConfig, RunState, leaderboard, resume, run
 from .pipeline import assemble_prompt, generate_with_verification, sanitize_sql
@@ -17,7 +17,6 @@ __all__ = [
     "AgentRegistry",
     "DatabaseAnalysis",
     "EloEngine",
-    "MatchRecord",
     "QuestionItem",
     "QuestionOutcome",
     "Rating",

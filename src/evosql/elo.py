@@ -31,24 +31,6 @@ class Rating:
     games: int = 0
 
 
-@dataclass
-class MatchRecord:
-    """One head-to-head comparison extracted from an iteration result.
-
-    score_a is 1, 0.5 or 0 from agent_a's perspective; agent_b's score is the
-    complement. Before/after ratings always sum to the same total (zero-sum).
-    """
-
-    iteration: int
-    agent_a: str
-    agent_b: str
-    score_a: float
-    rating_a_before: float
-    rating_a_after: float
-    rating_b_before: float
-    rating_b_after: float
-
-
 def expected_score(rating_self: float, rating_opp: float) -> float:
     """Win expectation for rating_self against rating_opp.
 
@@ -90,9 +72,7 @@ class EloEngine:
         self.ratings[agent_id] = rating
         return rating
 
-    def decompose_and_update(
-        self, iteration: int, results: list[tuple[str, object]]
-    ) -> list[MatchRecord]:
+    def decompose_and_update(self, results: list[tuple[str, object]]) -> None:
         """Decompose a multi-agent result into pairwise updates.
 
         results is an ordered list of (agent_id, accuracy) in roster order;
@@ -101,17 +81,13 @@ class EloEngine:
         exactly (they are exact counts over identical question sets), so
         pass Fractions or ints, not accumulated floats.
 
-        Fewer than two results is a no-op returning an empty list.
+        Fewer than two results is a no-op.
         """
         for agent_id, accuracy in results:
             if agent_id not in self.ratings:
                 raise UnknownAgentError(f"agent {agent_id!r} is not registered")
             if not 0 <= accuracy <= 1:
                 raise ValueError(f"accuracy for {agent_id!r} outside [0, 1]: {accuracy!r}")
-        if len(results) < 2:
-            return []
-
-        records = []
         for (id_a, acc_a), (id_b, acc_b) in combinations(results, 2):
             if acc_a > acc_b:
                 score_a = 1.0
@@ -121,20 +97,6 @@ class EloEngine:
                 score_a = 0.0
             rating_a = self.ratings[id_a]
             rating_b = self.ratings[id_b]
-            before_a, before_b = rating_a.value, rating_b.value
-            rating_a.value, rating_b.value = update_pair(before_a, before_b, score_a)
+            rating_a.value, rating_b.value = update_pair(rating_a.value, rating_b.value, score_a)
             rating_a.games += 1
             rating_b.games += 1
-            records.append(
-                MatchRecord(
-                    iteration=iteration,
-                    agent_a=id_a,
-                    agent_b=id_b,
-                    score_a=score_a,
-                    rating_a_before=before_a,
-                    rating_a_after=rating_a.value,
-                    rating_b_before=before_b,
-                    rating_b_after=rating_b.value,
-                )
-            )
-        return records

@@ -235,7 +235,7 @@ def replay_registry(state: RunState) -> AgentRegistry:
         registry.register_record(agent_id)
     for record in state.iterations:
         scheduler.settle_iteration(
-            record.iteration, registry, record.competitors,
+            registry, record.competitors,
             {agent: Fraction(*mt) for agent, mt in record.accuracies.items()})
     return registry
 
@@ -471,7 +471,7 @@ class Orchestrator:
                         evaluation.matches, evaluation.total)
 
         scheduler.settle_iteration(
-            iteration, self.registry, competitors,
+            self.registry, competitors,
             {agent_id: ev.accuracy for agent_id, ev in evaluations.items()},
         )
 

@@ -209,42 +209,27 @@ def write_package(
 
 @dataclass
 class AgentRecord:
-    """Competition bookkeeping for one registered agent.
-
-    pending_winner reads and writes winners, the registry's set of the last
-    scored iteration's winners, which every record shares.
-    """
+    """Competition bookkeeping for one registered agent."""
 
     agent_id: str
     rating: Rating
     tests: int = 0
     iteration_wins: int = 0
-    winners: set[str] = field(default_factory=set, repr=False, compare=False)
-
-    @property
-    def pending_winner(self) -> bool:
-        return self.agent_id in self.winners
-
-    @pending_winner.setter
-    def pending_winner(self, value: bool) -> None:
-        if value:
-            self.winners.add(self.agent_id)
-        else:
-            self.winners.discard(self.agent_id)
 
 
 class AgentRegistry:
     """Registered agents, their packages, and their competition records.
 
     Rating objects are shared with the embedded EloEngine, so ELO updates
-    applied there are visible through the records here.
+    applied there are visible through the records here. winners holds the
+    last scored iteration's winners, the pending winners.
     """
 
     def __init__(self):
         self.elo = EloEngine()
         self.records: dict[str, AgentRecord] = {}
         self.packages: dict[str, AgentPackage] = {}
-        self._winners: set[str] = set()
+        self.winners: set[str] = set()
 
     def __contains__(self, agent_id: str) -> bool:
         return agent_id in self.records
@@ -273,7 +258,7 @@ class AgentRegistry:
         if agent_id in self.records:
             raise DuplicateAgentError(f"agent {agent_id!r} already registered")
         rating = self.elo.register(agent_id)
-        record = AgentRecord(agent_id=agent_id, rating=rating, winners=self._winners)
+        record = AgentRecord(agent_id=agent_id, rating=rating)
         self.records[agent_id] = record
         return record
 
@@ -295,23 +280,22 @@ class AgentRegistry:
         return heapq.nsmallest(n, candidates, key=self._rank_key)
 
     def pending_winners(self) -> list[str]:
-        return sorted(self._winners, key=self._rank_key)
+        return sorted(self.winners, key=self._rank_key)
 
     def record_iteration_outcome(self, competitors: list[str], winners: set[str]) -> None:
         """Book one scored iteration: bump tests for every competitor, wins
-        for every winner, and move the pending-winner flag to exactly the
-        winner set (ties produce several pending winners)."""
+        for every winner, and make the winner set the pending winners (ties
+        produce several)."""
         competitor_set = set(competitors)
         winner_set = set(winners)
         if not winner_set:
             raise ValueError("every scored iteration has at least one winner")
         if not winner_set <= competitor_set:
             raise ValueError(f"winners {winner_set - competitor_set} not among competitors")
-        for agent_id in competitor_set | winner_set:
+        for agent_id in competitor_set:
             if agent_id not in self.records:
                 raise UnknownAgentError(f"agent {agent_id!r} is not registered")
-        self._winners.clear()
-        self._winners.update(winner_set)
+        self.winners = winner_set
         for agent_id in competitor_set:
             self.records[agent_id].tests += 1
         for agent_id in winner_set:

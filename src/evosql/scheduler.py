@@ -66,8 +66,9 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
     data_root holds one directory per database (<db_id>/<db_id>.sqlite) and
     a questions.json array of records with question_id, db_id, question,
     evidence, SQL, difficulty, unique by (db_id, question_id). A record
-    without a db_id, an integer question_id, or a non-blank question and
-    SQL is refused.
+    without a string db_id, an integer question_id, or a non-blank question
+    and SQL is refused, as is one whose evidence is neither a string nor
+    null.
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -90,6 +91,8 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
         for key in ("db_id", "question_id"):
             if not isinstance(rec, dict) or key not in rec:
                 raise DataValidationError(f"{where} has no {key}")
+        if not isinstance(rec["db_id"], str):
+            raise DataValidationError(f"{where} has db_id {rec['db_id']!r}, not a string")
         qid = rec["question_id"]
         if not isinstance(qid, int) or isinstance(qid, bool):
             raise DataValidationError(f"{where} ({rec['db_id']}) has question_id {qid!r}, "
@@ -111,12 +114,17 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
             if not isinstance(rec.get(key), str) or not rec[key].strip():
                 raise DataValidationError(f"{QUESTIONS_FILENAME}: {rec['db_id']} "
                                           f"q{rec['question_id']} has no {key}")
+        evidence = rec.get("evidence")
+        if evidence is not None and not isinstance(evidence, str):
+            raise DataValidationError(f"{QUESTIONS_FILENAME}: {rec['db_id']} "
+                                      f"q{rec['question_id']} has evidence {evidence!r}, "
+                                      "neither a string nor null")
         question_pool[rec["db_id"]].append(
             QuestionItem(
                 question_id=rec["question_id"],
                 db_id=rec["db_id"],
                 question=rec["question"],
-                evidence=rec.get("evidence", "") or "",
+                evidence=evidence or "",
                 gold_sql=rec["SQL"],
                 difficulty=rec.get("difficulty"),
             )
@@ -167,12 +175,17 @@ def _fill_from_top(
 ) -> list[str]:
     """Seat agents until roster has size of them or nobody is left, each a
     uniform pick (the first without rng) from the top two by ELO among the
-    agents not yet seated."""
-    while len(roster) < size:
-        candidates = registry.top_by_elo(TOP_POOL_SIZE, exclude=set(roster))
-        if not candidates:
-            break
-        roster.append(rng.choice(candidates) if rng else candidates[0])
+    agents not yet seated. One ranking serves every seat: the unseated top
+    two are always the first two of it not yet picked."""
+    open_seats = size - len(roster)
+    if open_seats <= 0:
+        return roster
+    ranked = registry.top_by_elo(open_seats + TOP_POOL_SIZE - 1, exclude=set(roster))
+    while ranked and len(roster) < size:
+        candidates = ranked[:TOP_POOL_SIZE]
+        pick = rng.choice(candidates) if rng else candidates[0]
+        ranked.remove(pick)
+        roster.append(pick)
     return roster
 
 
@@ -212,15 +225,13 @@ def select_competitors(
     if mode == MODE_CHALLENGER:
         records = list(registry.records.values())
         qualified = [r for r in records if r.rating.value > ABOVE_AVERAGE_RATING]
-        qualified.sort(key=lambda r: (r.pending_winner, r.tests, -r.rating.value, r.agent_id))
+        qualified.sort(key=lambda r: (r.agent_id in registry.winners, r.tests, -r.rating.value,
+                                      r.agent_id))
         roster = [r.agent_id for r in qualified[:NON_EVOLVE_ROSTER_SIZE]]
         if len(roster) < NON_EVOLVE_ROSTER_SIZE:
-            rest = [r for r in records if r.agent_id not in roster]
-            rest.sort(key=lambda r: (r.tests, -r.rating.value, r.agent_id))
-            for record in rest:
-                if len(roster) >= NON_EVOLVE_ROSTER_SIZE:
-                    break
-                roster.append(record.agent_id)
+            rest = sorted((r for r in records if r.agent_id not in roster),
+                          key=lambda r: (r.tests, -r.rating.value, r.agent_id))
+            roster += [r.agent_id for r in rest[:NON_EVOLVE_ROSTER_SIZE - len(roster)]]
         return roster
 
     if mode == MODE_NONE:
@@ -260,11 +271,11 @@ def roster_for_iteration(
 
 
 def settle_iteration(
-    iteration: int, registry: AgentRegistry, competitors: list[str], accuracies: dict[str, object]
+    registry: AgentRegistry, competitors: list[str], accuracies: dict[str, object]
 ) -> None:
     """Rate and record one iteration: pairwise ELO updates in roster order,
     then the winners, then the registry's win bookkeeping."""
     registry.elo.decompose_and_update(
-        iteration, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
+        [(agent_id, accuracies[agent_id]) for agent_id in competitors]
     )
     registry.record_iteration_outcome(competitors, determine_winners(accuracies))

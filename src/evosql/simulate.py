@@ -121,8 +121,8 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
     config.evolve false every later iteration is a none-mode roster,
     keeping the population fixed; with it true, an evolve-mode iteration
     adds a synthetic agent whose latent per database is the best among the
-    pending winners (or the top two by ELO) plus evolve_delta, capped at
-    evolve_cap.
+    previous iteration's competitors plus evolve_delta, capped at
+    evolve_cap. Databases are sampled as the run loop samples them.
     """
     if len(population) < 2:
         raise ConfigError("population must have at least 2 agents")
@@ -133,8 +133,12 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
         registry.register_record(agent.agent_id)
         agents[agent.agent_id] = agent
 
+    # The previous iteration's roster, the parents evolution.build_context
+    # gives: evolve runs inside roster_for_iteration, before it is replaced.
+    roster: list[str] = []
+
     def evolve(iteration: int) -> str:
-        parents = [agents[a] for a in registry.pending_winners() or registry.top_by_elo(2)]
+        parents = [agents[a] for a in roster]
         agent_id = f"iter{iteration}_evolved"
         agents[agent_id] = SyntheticAgent(agent_id, latents={
             db: min(config.evolve_cap,
@@ -149,29 +153,27 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
 
     for iteration in range(1, config.iterations + 1):
         rng = scheduler.iteration_rng(config.seed, iteration)
-        databases = rng.sample(
-            config.databases, min(config.databases_per_iteration, len(config.databases))
-        )
-        _, competitors, _ = scheduler.roster_for_iteration(
+        databases, _ = scheduler.sample_iteration_tasks(
+            config.databases, {}, rng, config.databases_per_iteration)
+        _, roster, _ = scheduler.roster_for_iteration(
             iteration, registry, rng, evolve if config.evolve else None,
             config.late_stage_start,
         )
 
         accuracies: dict[str, Fraction] = {}
-        for agent_id in competitors:
+        for agent_id in roster:
             agent = agents[agent_id]
             correct = 0
-            total = 0
             for db in databases:
                 latent = agent.latent_for(db)
                 for _ in range(config.questions_per_database):
-                    total += 1
                     if rng.random() < latent:
                         correct += 1
-            accuracies[agent_id] = Fraction(correct, total)
-        scheduler.settle_iteration(iteration, registry, competitors, accuracies)
+            accuracies[agent_id] = Fraction(correct,
+                                            len(databases) * config.questions_per_database)
+        scheduler.settle_iteration(registry, roster, accuracies)
 
-        settled_ratings.append({a: registry.records[a].rating.value for a in competitors})
+        settled_ratings.append({a: registry.records[a].rating.value for a in roster})
         accuracy_history.append(accuracies)
 
     final_ratings = {a: r.rating.value for a, r in registry.records.items()}

@@ -263,14 +263,22 @@ def make_evolution_response(name: str, label: str | None = None,
 
 def record_iteration_steps(monkeypatch) -> list[tuple[str, int]]:
     """Record each call of the shared roster and settle steps as (step
-    name, iteration), in call order."""
+    name, iteration), in call order. The settle step is not told its
+    iteration, so its calls are numbered in the order they come."""
     calls = []
-    for name in ("roster_for_iteration", "settle_iteration"):
-        def recorder(iteration, *args, _name=name, _step=getattr(scheduler, name), **kwargs):
-            calls.append((_name, iteration))
-            return _step(iteration, *args, **kwargs)
+    roster_step, settle_step = scheduler.roster_for_iteration, scheduler.settle_iteration
 
-        monkeypatch.setattr(scheduler, name, recorder)
+    def roster(iteration, *args, **kwargs):
+        calls.append(("roster_for_iteration", iteration))
+        return roster_step(iteration, *args, **kwargs)
+
+    def settle(*args, **kwargs):
+        settled = sum(name == "settle_iteration" for name, _ in calls)
+        calls.append(("settle_iteration", settled + 1))
+        return settle_step(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "roster_for_iteration", roster)
+    monkeypatch.setattr(scheduler, "settle_iteration", settle)
     return calls
 
 
@@ -281,6 +289,8 @@ def steps_per_iteration(iterations: int) -> list[tuple[str, int]]:
 
 
 def record_fields(registry: AgentRegistry) -> dict:
-    """Every AgentRecord field by agent id, each rating as float.hex()."""
-    return {agent_id: dict(asdict(record), rating=(record.rating.value.hex(), record.rating.games))
+    """Every AgentRecord field by agent id, each rating as float.hex(), and
+    beside each the registry's winners, sorted."""
+    return {agent_id: dict(asdict(record), rating=(record.rating.value.hex(), record.rating.games),
+                           winners=sorted(registry.winners))
             for agent_id, record in registry.records.items()}

@@ -56,16 +56,16 @@ def test_pairwise_decomposition_worked_case():
         engine = EloEngine()
         for agent in ("A", "B", "C"):
             engine.register(agent)
-        records = engine.decompose_and_update(
-            1,
+        engine.decompose_and_update(
             [("A", Fraction(65, 100)), ("B", Fraction(62, 100)), ("C", Fraction(62, 100))],
         )
-        assert len(records) == 3
-        assert [(r.agent_a, r.agent_b, r.score_a) for r in records] == [
-            ("A", "B", 1.0),
-            ("A", "C", 1.0),
-            ("B", "C", 0.5),
-        ]
+        # A hand replay of the pairs A>B, A>C, B=C in canonical order, each
+        # on the ratings the pair before it left.
+        a, b = update_pair(1500.0, 1500.0, 1.0)
+        a, c = update_pair(a, 1500.0, 1.0)
+        b, c = update_pair(b, c, 0.5)
+        assert [engine.ratings[agent].value for agent in "ABC"] == [a, b, c]
+        assert [engine.ratings[agent].games for agent in "ABC"] == [2, 2, 2]
 
 
 def test_size_adaptive_feature_matrix():

@@ -1,6 +1,5 @@
 """Tests for the ELO engine and pairwise decomposition."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -98,23 +97,29 @@ def test_register_duplicate_rejected():
         engine.register("A")
 
 
+def _hand_replay(agent_ids, pairs):
+    """Ratings from INITIAL_RATING after update_pair on each (agent_a,
+    agent_b, score_a) in the order given."""
+    ratings = dict.fromkeys(agent_ids, INITIAL_RATING)
+    for id_a, id_b, score_a in pairs:
+        ratings[id_a], ratings[id_b] = update_pair(ratings[id_a], ratings[id_b], score_a)
+    return ratings
+
+
 def test_decompose_worked_three_agent_case():
-    # Accuracies 65/62/62 decompose to A>B, A>C, B=C.
+    # Accuracies 65/62/62 decompose to A>B, A>C, B=C, in that order.
     engine = _engine(["A", "B", "C"])
-    records = engine.decompose_and_update(
-        7,
+    engine.decompose_and_update(
         [
             ("A", Fraction(65, 100)),
             ("B", Fraction(62, 100)),
             ("C", Fraction(62, 100)),
         ],
     )
-    assert [(r.agent_a, r.agent_b, r.score_a) for r in records] == [
-        ("A", "B", 1.0),
-        ("A", "C", 1.0),
-        ("B", "C", 0.5),
-    ]
-    assert all(r.iteration == 7 for r in records)
+    pairs = [("A", "B", 1.0), ("A", "C", 1.0), ("B", "C", 0.5)]
+    assert {a: r.value for a, r in engine.ratings.items()} == _hand_replay("ABC", pairs)
+    # The final ratings tell the pair order apart.
+    assert _hand_replay("ABC", [pairs[1], pairs[0], pairs[2]]) != _hand_replay("ABC", pairs)
     assert engine.ratings["A"].value > INITIAL_RATING
     assert engine.ratings["A"].games == 2
     assert engine.ratings["B"].games == 2
@@ -122,45 +127,50 @@ def test_decompose_worked_three_agent_case():
 
 def test_decompose_single_competitor_is_noop():
     engine = _engine(["A"])
-    assert engine.decompose_and_update(1, [("A", Fraction(1, 2))]) == []
+    engine.decompose_and_update([("A", Fraction(1, 2))])
     assert engine.ratings["A"].value == INITIAL_RATING
+    assert engine.ratings["A"].games == 0
 
 
 def test_decompose_all_tied_leaves_ratings_unchanged():
     engine = _engine(["A", "B", "C"])
-    engine.decompose_and_update(1, [(a, Fraction(1, 2)) for a in "ABC"])
+    engine.decompose_and_update([(a, Fraction(1, 2)) for a in "ABC"])
     assert all(r.value == INITIAL_RATING for r in engine.ratings.values())
 
 
 def test_decompose_unknown_agent():
     engine = _engine(["A", "B"])
     with pytest.raises(UnknownAgentError):
-        engine.decompose_and_update(1, [("A", 0.5), ("Z", 0.5)])
+        engine.decompose_and_update([("A", 0.5), ("Z", 0.5)])
 
 
 def test_decompose_rejects_out_of_range_accuracy():
     engine = _engine(["A", "B"])
     with pytest.raises(ValueError):
-        engine.decompose_and_update(1, [("A", 1.5), ("B", 0.5)])
+        engine.decompose_and_update([("A", 1.5), ("B", 0.5)])
 
 
 def test_decompose_uses_then_current_ratings():
     # Sequential pair application: the (B, C) pair must see B's rating as
     # already dented by the (A, B) result, not the iteration-start snapshot.
     engine = _engine(["A", "B", "C"])
-    records = engine.decompose_and_update(
-        1, [("A", Fraction(2, 3)), ("B", Fraction(1, 3)), ("C", Fraction(1, 3))]
+    engine.decompose_and_update(
+        [("A", Fraction(2, 3)), ("B", Fraction(1, 3)), ("C", Fraction(1, 3))]
     )
-    ab, ac, bc = records
-    assert bc.rating_a_before == ab.rating_b_after
-    assert bc.rating_b_before == ac.rating_b_after
+    final = {a: r.value for a, r in engine.ratings.items()}
+    assert final == _hand_replay("ABC", [("A", "B", 1.0), ("A", "C", 1.0), ("B", "C", 0.5)])
+    # Every pair's delta taken from the iteration-start ratings instead.
+    assert final != {"A": INITIAL_RATING + 32, "B": INITIAL_RATING - 16,
+                     "C": INITIAL_RATING - 16}
 
 
 def test_decompose_deterministic():
     results = [("A", Fraction(3, 4)), ("B", Fraction(1, 2)), ("C", Fraction(1, 2))]
-    first = _engine(["A", "B", "C"]).decompose_and_update(1, results)
-    second = _engine(["A", "B", "C"]).decompose_and_update(1, results)
-    assert first == second
+    first, second = _engine(["A", "B", "C"]), _engine(["A", "B", "C"])
+    first.decompose_and_update(results)
+    second.decompose_and_update(results)
+    assert first.ratings == second.ratings
+    assert first.ratings != _engine(["A", "B", "C"]).ratings
 
 
 def test_zero_sum_over_long_random_sequence():
@@ -168,22 +178,8 @@ def test_zero_sum_over_long_random_sequence():
     agent_ids = [f"agent{i}" for i in range(6)]
     engine = _engine(agent_ids)
     total_before = sum(r.value for r in engine.ratings.values())
-    for iteration in range(2000):
+    for _ in range(2000):
         roster = rng.sample(agent_ids, rng.choice([2, 3, 4]))
         results = [(a, Fraction(rng.randrange(31), 30)) for a in roster]
-        engine.decompose_and_update(iteration, results)
+        engine.decompose_and_update(results)
     assert sum(r.value for r in engine.ratings.values()) == pytest.approx(total_before, abs=1e-9)
-
-
-def test_match_record_round_trip():
-    engine = _engine(["A", "B"])
-    (record,) = engine.decompose_and_update(3, [("A", 1), ("B", 0)])
-    from evosql.elo import MatchRecord
-
-    # As the run state writes and reads it: the record's fields.
-    assert MatchRecord(**json.loads(json.dumps(record, default=vars))) == record
-    assert record.score_a == 1.0
-    assert record.rating_a_after + record.rating_b_after == pytest.approx(
-        record.rating_a_before + record.rating_b_before
-    )
-    assert K_FACTOR == 32.0

@@ -673,7 +673,7 @@ def test_replay_of_the_saved_matches_equals_the_live_settling(history):
                 live.register_record(agent_id)
                 state.registry[agent_id] = {"iteration_created": iteration, "lineage": [],
                                             "package_dir": f"agents/{agent_id}"}
-        settle_iteration(iteration, live, roster, {
+        settle_iteration(live, roster, {
             agent: Fraction(sum(per_agent.values()), len(per_agent))
             for agent, per_agent in matches.items()})
         state.iterations.append(IterationRecord(

@@ -145,7 +145,7 @@ def test_register_initializes_record(naive_package_dir):
     assert record.rating.value == 1500.0
     assert record.tests == 0
     assert record.iteration_wins == 0
-    assert record.pending_winner is False
+    assert registry.winners == set()
     with pytest.raises(DuplicateAgentError):
         registry.register(load_package(naive_package_dir))
 
@@ -192,8 +192,7 @@ def test_top_by_elo_is_stable():
 def test_record_iteration_outcome_single_winner():
     registry = _registry_with(["A", "B", "C"])
     registry.record_iteration_outcome(["A", "B", "C"], {"A"})
-    assert registry.get("A").pending_winner
-    assert not registry.get("B").pending_winner
+    assert registry.winners == {"A"}
     assert [registry.get(a).tests for a in "ABC"] == [1, 1, 1]
     assert registry.get("A").iteration_wins == 1
 

