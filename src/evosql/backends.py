@@ -30,10 +30,10 @@ logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "EVOSQL_API_KEY"
 HTTP_TIMEOUT = 120.0
-# A transient failure (no connection, 429, 5xx) is retried this many times,
-# after HTTP_BACKOFF_S, then twice and four times that, or after what the
-# response's Retry-After asks. A Retry-After beyond RETRY_AFTER_MAX_S ends
-# the retries.
+# A transient failure (no connection, a reply cut short or garbled, 429,
+# 5xx) is retried this many times, after HTTP_BACKOFF_S, then twice and four
+# times that, or after what the response's Retry-After asks. A Retry-After
+# beyond RETRY_AFTER_MAX_S ends the retries.
 HTTP_RETRIES = 3
 HTTP_BACKOFF_S = 1.0
 RETRY_AFTER_MAX_S = 120.0
@@ -141,14 +141,14 @@ def _retry_after_s(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
-def _retry_delay(exc: OSError, attempt: int) -> float | None:
+def _retry_delay(exc: Exception, attempt: int) -> float | None:
     """Seconds to wait before retrying after attempt (0-based) failed with
     exc, or None when exc is not transient."""
     from urllib.error import HTTPError
 
     backoff = HTTP_BACKOFF_S * 2 ** attempt
     if not isinstance(exc, HTTPError):
-        return backoff  # no connection, reset or timed out
+        return backoff  # no connection, reset, timed out or cut short
     if exc.code != 429 and exc.code < 500:
         return None
     asked = _retry_after_s(exc.headers.get("Retry-After") if exc.headers else None)
@@ -171,9 +171,11 @@ class HttpChatBackend:
     def __init__(self, base_url: str, model: str):
         # The HTTP stack loads here, on the thread that builds the backend,
         # and urlopen is looked up on the module at each call.
+        import http.client
         import urllib.request
 
         self._urllib = urllib.request
+        self._transient = (OSError, http.client.HTTPException)
         self.base_url = base_url.rstrip("/")
         self.model = model
 
@@ -198,7 +200,7 @@ class HttpChatBackend:
                 break
             except ValueError as exc:
                 raise BackendError(f"chat endpoint sent no JSON: {exc}") from exc
-            except OSError as exc:
+            except self._transient as exc:
                 if isinstance(exc, self._urllib.HTTPError):
                     exc.close()
                 delay = _retry_delay(exc, attempt) if attempt < HTTP_RETRIES else None

@@ -2,23 +2,24 @@
 
 The evolution backend sees the ELO leaderboard, the parent packages' full
 artifact text, the latest error analysis, and the strategy prompt, and
-returns a draft package. Invalid drafts get exactly one re-request with the
-validation errors appended. A freshly evolved agent is then refined through
-Deep Focus: it is re-evaluated on the most recent iterations' tasks (newest
-first) and the backend sees which questions it uniquely solved and uniquely
-missed, refining the package in the same session after each round.
+returns a draft package. Each draft is written once beside its package,
+validated by loading it there, and renamed into place; invalid drafts get
+exactly one re-request with the errors appended. A freshly evolved agent
+is then refined through Deep Focus: it is re-evaluated on the most recent
+iterations' tasks (newest first) and the backend sees which questions it
+uniquely solved and uniquely missed, refining the package in the same
+session after each round.
 """
 
 import logging
 import os
 import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 from .backends import DraftPackage
-from .errors import BackendError, EvolutionError, EvoSqlError, ManifestError, ValidationError
+from .errors import BackendError, EvolutionError, EvoSqlError, ValidationError
 from .registry import (
     INSTRUCTIONS_FILENAME,
     MANIFEST_FILENAME,
@@ -26,7 +27,6 @@ from .registry import (
     AgentRegistry,
     load_package,
     make_agent_id,
-    parse_frontmatter,
 )
 
 logger = logging.getLogger(__name__)
@@ -127,30 +127,6 @@ def build_context(
     )
 
 
-def validate_draft(draft: DraftPackage) -> list[str]:
-    """Contract checks for a draft package; returns human-readable errors,
-    which name files relative to the package."""
-    errors = []
-    if MANIFEST_FILENAME not in draft.files:
-        errors.append(f"missing {MANIFEST_FILENAME}")
-    if INSTRUCTIONS_FILENAME not in draft.files:
-        errors.append(f"missing {INSTRUCTIONS_FILENAME}")
-    if errors:
-        return errors
-
-    staging = Path(tempfile.mkdtemp(prefix="evosql_draft_")).resolve()
-    try:
-        _write_draft_files(draft, staging)
-        load_package(staging)
-    except (EvoSqlError, OSError) as exc:
-        # The staging directory differs on every call; the backend sees the
-        # same error for the same draft.
-        errors.append(str(exc).replace(f"{staging}{os.sep}", "").replace(f"{staging}: ", ""))
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return errors
-
-
 def _write_draft_files(draft: DraftPackage, root: Path) -> None:
     """Write the draft's files under root. Raises ValidationError, having
     written nothing, when a path is absolute or resolves outside root."""
@@ -167,16 +143,42 @@ def _write_draft_files(draft: DraftPackage, root: Path) -> None:
         target.write_text(content)
 
 
-def _install_draft(
-    draft: DraftPackage, package_dir: Path, agent_id: str, iteration: int, lineage: list[str]
+def _place_draft(
+    draft: DraftPackage, parent: Path, iteration: int, lineage: list[str],
+    agent_id: str | None = None,
 ) -> AgentPackage:
-    if package_dir.exists():
-        shutil.rmtree(package_dir)
-    package_dir.mkdir(parents=True)
-    _write_draft_files(draft, package_dir)
-    pkg = load_package(package_dir, agent_id=agent_id, iteration_created=iteration)
-    pkg.lineage = list(lineage)
-    return pkg
+    """Write the draft once into parent/.draft, load it there, which
+    validates it, and rename it onto parent/<agent_id>. agent_id defaults
+    to the id the manifest's name takes in iteration. A package already
+    there is moved to parent/.prior, deleted once the new one is in place.
+
+    An invalid draft, or one whose files cannot be written, raises
+    ValidationError with one argument per error, naming files relative to
+    the package, and leaves parent/<agent_id> as it was.
+    """
+    errors = [f"missing {name}" for name in (MANIFEST_FILENAME, INSTRUCTIONS_FILENAME)
+              if name not in draft.files]
+    if errors:
+        raise ValidationError(*errors)
+    staging, aside = parent / ".draft", parent / ".prior"
+    # A crash may have left either behind; this draft starts from neither.
+    for stale in (staging, aside):
+        shutil.rmtree(stale, ignore_errors=True)
+    try:
+        staging.mkdir(parents=True)
+        _write_draft_files(draft, staging)
+        pkg = load_package(staging)
+    except (EvoSqlError, OSError) as exc:
+        shutil.rmtree(staging, ignore_errors=True)
+        relative = str(exc).replace(f"{staging}{os.sep}", "").replace(f"{staging}: ", "")
+        raise ValidationError(relative) from exc
+    root = parent / (agent_id or make_agent_id(pkg.name, iteration))
+    if root.exists():
+        root.rename(aside)
+    staging.rename(root)
+    shutil.rmtree(aside, ignore_errors=True)
+    return replace(pkg, id=root.name, root_dir=root, iteration_created=iteration,
+                   lineage=list(lineage))
 
 
 def evolve_agent(
@@ -196,30 +198,29 @@ def evolve_agent(
     except Exception as exc:
         raise EvolutionError(f"evolution backend failed: {exc}") from exc
 
-    errors = validate_draft(draft)
-    if errors:
+    dest = Path(dest_dir)
+    lineage = sorted(context.parent_packages)
+    try:
+        pkg = _place_draft(draft, dest, context.iteration, lineage)
+    except ValidationError as invalid:
         feedback = (
             "The proposed package failed validation:\n"
-            + "\n".join(f"- {e}" for e in errors)
+            + "\n".join(f"- {e}" for e in invalid.args)
             + "\nEmit the corrected package files again, one fenced block per file."
         )
-        logger.warning("evolution draft invalid (%s); requesting one revision", "; ".join(errors))
+        logger.warning("evolution draft invalid (%s); requesting one revision",
+                       "; ".join(invalid.args))
         try:
             draft = backend.refine(feedback)
         except Exception as exc:
             raise EvolutionError(f"evolution backend failed on revision: {exc}") from exc
-        errors = validate_draft(draft)
-        if errors:
-            raise EvolutionError("revised draft still invalid: " + "; ".join(errors))
+        try:
+            pkg = _place_draft(draft, dest, context.iteration, lineage)
+        except ValidationError as exc:
+            raise EvolutionError("revised draft still invalid: " + "; ".join(exc.args)) from exc
 
-    # validate_draft loaded this manifest, so it parses and has a name.
-    name = parse_frontmatter(draft.files[MANIFEST_FILENAME])[0]["name"]
-    agent_id = make_agent_id(name, context.iteration)
-    dest = Path(dest_dir)
-    lineage = sorted(context.parent_packages)
-    pkg = _install_draft(draft, dest / agent_id, agent_id, context.iteration, lineage)
     (dest / REASONING_FILENAME).write_text(draft.reasoning or "(no reasoning provided)\n")
-    logger.info("evolved agent %s (parents: %s)", agent_id, ", ".join(lineage) or "none")
+    logger.info("evolved agent %s (parents: %s)", pkg.id, ", ".join(lineage) or "none")
     return pkg, draft.reasoning
 
 
@@ -267,23 +268,18 @@ def _deep_focus_feedback(
     return "\n".join(lines)
 
 
-def deep_focus(
-    pkg: AgentPackage, backend, history: list, k: int, eval_fn: Callable
-) -> AgentPackage:
-    """Refine a freshly evolved agent against recent iterations' tasks.
+def deep_focus(pkg: AgentPackage, backend, records: list, eval_fn: Callable) -> AgentPackage:
+    """Refine a freshly evolved agent against completed iterations' tasks.
 
-    Runs min(k, len(history)) rounds, newest iteration first. eval_fn(pkg,
-    record) must return (accuracy, matches) where matches maps (db_id,
-    question_id) to a boolean. Refinement is best-effort: a refine that
-    fails as a refine can (a backend error, an invalid draft, a file that
-    cannot be written) keeps the pre-round package and stops. Any other
-    exception propagates.
+    Runs one round per record, in the order given (the run loop passes the
+    newest first). eval_fn(pkg, record) must return (accuracy, matches)
+    where matches maps (db_id, question_id) to a boolean. Refinement is
+    best-effort: a refine that fails as a refine can (a backend error, an
+    invalid draft, a file that cannot be written) keeps the pre-round
+    package and stops. Any other exception propagates.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     current = pkg
-    for round_number in range(1, min(k, len(history)) + 1):
-        record = history[-round_number]
+    for round_number, record in enumerate(records, 1):
         accuracy, matches = eval_fn(current, record)
         uniquely_correct, uniquely_incorrect = _uniqueness_sets(matches, record)
         question_text = {
@@ -295,14 +291,9 @@ def deep_focus(
             round_number, record, accuracy, uniquely_correct, uniquely_incorrect, question_text
         )
         try:
-            draft = backend.refine(feedback)
-            errors = validate_draft(draft)
-            if errors:
-                raise EvolutionError("refined draft invalid: " + "; ".join(errors))
-            current = _install_draft(
-                draft, current.root_dir, current.id, current.iteration_created, current.lineage
-            )
-        except (BackendError, EvolutionError, ManifestError, ValidationError, OSError) as exc:
+            current = _place_draft(backend.refine(feedback), current.root_dir.parent,
+                                   current.iteration_created, current.lineage, current.id)
+        except (BackendError, EvolutionError, ValidationError, OSError) as exc:
             logger.info("deep focus round %d kept prior package: %s", round_number, exc)
             break
     return current

@@ -391,11 +391,13 @@ class Orchestrator:
         return evaluate_agent(packages, questions, analysis, gold, pool,
                               max_rounds=self.config.max_rounds, urgent=urgent, queued=queued)
 
-    def _refine_and_evaluate(self, agent_id: str, questions, gold, pool, queued) -> dict:
-        """Deep Focus on the new agent, then its evaluation on the
-        iteration's questions: the critical path, so every task is urgent.
-        queued() follows the queuing of each evaluation's questions. The
-        refined package replaces the proposal under the same id."""
+    def _refine_and_evaluate(self, agent_id: str, replayed, questions, gold, pool,
+                             queued) -> dict:
+        """Deep Focus on the new agent, replaying the iteration records in
+        replayed newest first, then its evaluation on the iteration's
+        questions: the critical path, so every task is urgent. queued()
+        follows the queuing of each evaluation's questions. The refined
+        package replaces the proposal under the same id."""
 
         def deep_focus_eval(pkg, record: IterationRecord):
             # Held, so that after a resume later iterations copy it.
@@ -405,9 +407,8 @@ class Orchestrator:
                                         pool, urgent=True, queued=queued)[pkg.id]
             return evaluation.accuracy, evaluation.question_matches
 
-        pkg = deep_focus(self.registry.package(agent_id), self.evo_backend,
-                         self.state.iterations, k=self.config.deep_focus_k,
-                         eval_fn=deep_focus_eval)
+        pkg = deep_focus(self.registry.package(agent_id), self.evo_backend, replayed[::-1],
+                         deep_focus_eval)
         self.registry.packages[agent_id] = pkg
         return self._evaluate([pkg], questions, self._cached_tool_run, gold, pool,
                               urgent=True, queued=queued)
@@ -457,8 +458,8 @@ class Orchestrator:
                     pool.beside, self._evaluate,
                     [self.registry.package(a) for a in competitors if a != new_agent],
                     questions, self._cached_tool_run, gold, pool))
-                evaluations = self._refine_and_evaluate(new_agent, questions, gold, pool,
-                                                        incumbents)
+                evaluations = self._refine_and_evaluate(new_agent, replayed, questions, gold,
+                                                        pool, incumbents)
                 evaluations.update(incumbents().result())
         evaluations = {agent_id: evaluations[agent_id] for agent_id in competitors}
         # Deep Focus is done with the gold no later iteration replays.

@@ -10,7 +10,6 @@ exactly what an uninterrupted run would have.
 import hashlib
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,7 +67,8 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
     evidence, SQL, difficulty, unique by (db_id, question_id). A record
     without a string db_id, an integer question_id, or a non-blank question
     and SQL is refused, as is one whose evidence is neither a string nor
-    null.
+    null. Records are checked once, in file order; unknown databases and
+    duplicate ids are reported together once every record has been read.
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -86,49 +86,44 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
         db_pool.append(child.name)
 
     records = json.loads(questions_file.read_text())
+    if not isinstance(records, list):
+        raise DataValidationError(
+            f"{QUESTIONS_FILENAME} holds {type(records).__name__}, not an array of records"
+        )
+    question_pool: dict[str, list[QuestionItem]] = {db: [] for db in db_pool}
+    offenders, seen, duplicates = set(), set(), set()
     for index, rec in enumerate(records):
         where = f"{QUESTIONS_FILENAME}: record at index {index}"
         for key in ("db_id", "question_id"):
             if not isinstance(rec, dict) or key not in rec:
                 raise DataValidationError(f"{where} has no {key}")
-        if not isinstance(rec["db_id"], str):
-            raise DataValidationError(f"{where} has db_id {rec['db_id']!r}, not a string")
-        qid = rec["question_id"]
+        db, qid = rec["db_id"], rec["question_id"]
+        if not isinstance(db, str):
+            raise DataValidationError(f"{where} has db_id {db!r}, not a string")
         if not isinstance(qid, int) or isinstance(qid, bool):
-            raise DataValidationError(f"{where} ({rec['db_id']}) has question_id {qid!r}, "
-                                      "not an integer")
-    question_pool: dict[str, list[QuestionItem]] = {db: [] for db in db_pool}
-    offenders = sorted(
-        {rec["db_id"] for rec in records if rec["db_id"] not in question_pool}
-    )
-    if offenders:
-        raise DataValidationError(
-            f"questions reference unknown databases: {', '.join(offenders)}"
-        )
-    ids = Counter((rec["db_id"], rec["question_id"]) for rec in records)
-    duplicates = sorted(f"{db} q{qid}" for (db, qid), n in ids.items() if n > 1)
-    if duplicates:
-        raise DataValidationError(f"duplicate question ids: {', '.join(duplicates)}")
-    for rec in records:
+            raise DataValidationError(f"{where} ({db}) has question_id {qid!r}, not an integer")
         for key in ("question", "SQL"):
             if not isinstance(rec.get(key), str) or not rec[key].strip():
-                raise DataValidationError(f"{QUESTIONS_FILENAME}: {rec['db_id']} "
-                                          f"q{rec['question_id']} has no {key}")
+                raise DataValidationError(f"{QUESTIONS_FILENAME}: {db} q{qid} has no {key}")
         evidence = rec.get("evidence")
         if evidence is not None and not isinstance(evidence, str):
-            raise DataValidationError(f"{QUESTIONS_FILENAME}: {rec['db_id']} "
-                                      f"q{rec['question_id']} has evidence {evidence!r}, "
-                                      "neither a string nor null")
-        question_pool[rec["db_id"]].append(
-            QuestionItem(
-                question_id=rec["question_id"],
-                db_id=rec["db_id"],
-                question=rec["question"],
-                evidence=evidence or "",
-                gold_sql=rec["SQL"],
-                difficulty=rec.get("difficulty"),
-            )
+            raise DataValidationError(f"{QUESTIONS_FILENAME}: {db} q{qid} has evidence "
+                                      f"{evidence!r}, neither a string nor null")
+        if (db, qid) in seen:
+            duplicates.add(f"{db} q{qid}")
+        seen.add((db, qid))
+        if db not in question_pool:
+            offenders.add(db)
+            continue
+        question_pool[db].append(QuestionItem(question_id=qid, db_id=db, question=rec["question"],
+                                              evidence=evidence or "", gold_sql=rec["SQL"],
+                                              difficulty=rec.get("difficulty")))
+    if offenders:
+        raise DataValidationError(
+            f"questions reference unknown databases: {', '.join(sorted(offenders))}"
         )
+    if duplicates:
+        raise DataValidationError(f"duplicate question ids: {', '.join(sorted(duplicates))}")
     return db_pool, question_pool
 
 

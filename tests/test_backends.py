@@ -2,9 +2,12 @@
 scripted with a stand-in for urllib's urlopen."""
 
 import email.message
+import http.client
 import json
+import types
 import urllib.error
 import urllib.request
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +21,7 @@ from evosql.backends import (
     render_evolution_request,
 )
 from evosql.errors import BackendError
-from evosql.evolution import EvolutionContext
+from evosql.evolution import EvolutionContext, deep_focus, evolve_agent
 from evosql.orchestrator import RunConfig, run
 from evosql.pipeline import CORRECT_SENTINEL, assemble_prompt
 from evosql.scheduler import QuestionItem
@@ -92,6 +95,24 @@ def test_transient_failures_are_retried_with_backoff_and_retry_after(monkeypatch
 def test_failures_past_the_retry_budget_raise(monkeypatch):
     backend, calls, delays = _scripted_backend(monkeypatch, [_http_error(500)] * 10)
     with pytest.raises(BackendError, match="500"):
+        _complete(backend)
+    assert len(calls) == HTTP_RETRIES + 1
+    assert delays == [1.0, 2.0, 4.0]
+
+
+def test_a_reply_cut_short_is_retried(monkeypatch):
+    backend, calls, delays = _scripted_backend(monkeypatch, [
+        http.client.IncompleteRead(b'{"choices": ', 40),
+        _reply("SELECT 1"),
+    ])
+    assert _complete(backend) == "SELECT 1"
+    assert len(calls) == 2 and delays == [1.0]
+
+
+def test_replies_cut_short_past_the_retry_budget_raise(monkeypatch):
+    backend, calls, delays = _scripted_backend(
+        monkeypatch, [http.client.IncompleteRead(b"{", 40)] * 10)
+    with pytest.raises(BackendError, match="IncompleteRead"):
         _complete(backend)
     assert len(calls) == HTTP_RETRIES + 1
     assert delays == [1.0, 2.0, 4.0]
@@ -193,6 +214,28 @@ def test_evolution_refine_before_propose_raises(monkeypatch):
     with pytest.raises(BackendError, match="before propose"):
         HttpEvolutionBackend(URL, "model").refine("scored 0/2")
     assert sent == []
+
+
+def test_a_deep_focus_refine_cut_short_keeps_the_package(monkeypatch, tmp_path):
+    # The proposal arrives; every reply to the refine is cut short.
+    backend, calls, _ = _scripted_backend(
+        monkeypatch, [_reply(make_evolution_response("cand"))]
+        + [http.client.IncompleteRead(b"```file=agent.md", 4096)] * (HTTP_RETRIES + 1))
+    evolution = HttpEvolutionBackend(URL, "model")
+    evolution._chat = backend
+    context = EvolutionContext(iteration=3, leaderboard=[], parent_packages={},
+                               error_report="", strategy="be brief")
+    pkg, _ = evolve_agent(context, evolution, tmp_path / "iter_3")
+    before = (pkg.root_dir / "tools" / "analyze.py").read_text()
+
+    def eval_fn(candidate, record):
+        return Fraction(0, 1), {}
+
+    record = types.SimpleNamespace(iteration=2, competitors=[], accuracies={}, matches={},
+                                   questions={})
+    assert deep_focus(pkg, evolution, [record], eval_fn) is pkg
+    assert len(calls) == HTTP_RETRIES + 2
+    assert (pkg.root_dir / "tools" / "analyze.py").read_text() == before
 
 
 ORACLE_POOL = {"shop": [QuestionItem(1, "shop", "How many orders?", gold_sql="SELECT 1"),

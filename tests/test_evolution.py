@@ -1,11 +1,14 @@
 """Tests for evolution context, dispatch, draft validation, and Deep Focus."""
 
+import errno
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import evosql.evolution as evolution_module
+import evosql.orchestrator as orchestrator_module
 from evosql.backends import (
     DraftPackage,
     ScriptedEvolutionBackend,
@@ -20,12 +23,13 @@ from evosql.evolution import (
     deep_focus,
     evolve_agent,
     read_package_files,
-    validate_draft,
 )
+from evosql.orchestrator import load_state, restore_registry, run
 from evosql.registry import AgentRegistry, load_package
-from evosql.scheduler import QuestionItem
+from evosql.scheduler import QuestionItem, load_question_pool
+from tests import test_state_digests as digests
 from tests.conftest import make_evolution_response
-from tests.test_orchestrator import RecordingEvolutionBackend
+from tests.test_orchestrator import RecordingEvolutionBackend, base_config, evolution_fixtures
 
 
 def test_parse_file_blocks():
@@ -47,57 +51,59 @@ def test_parse_file_blocks_unterminated():
         parse_file_blocks("```file=a.txt\nno close")
 
 
-def test_validate_draft_happy_path():
-    assert validate_draft(parse_file_blocks(make_evolution_response("ok"))) == []
+def place_errors(draft, parent) -> list[str]:
+    """Place draft under parent; the validation errors, or [] once it is
+    in place."""
+    try:
+        evolution_module._place_draft(draft, parent, 2, [])
+    except ValidationError as exc:
+        return list(exc.args)
+    return []
 
 
-def test_validate_draft_flags_problems():
+def test_validate_draft_happy_path(tmp_path):
+    assert place_errors(parse_file_blocks(make_evolution_response("ok")), tmp_path) == []
+    # Staged beside the package and renamed into place.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["iter2_ok"]
+    assert load_package(tmp_path / "iter2_ok").name == "ok"
+
+
+def test_validate_draft_flags_problems(tmp_path):
     missing = DraftPackage(files={"eval_instructions.md": "x\n"})
-    assert any("agent.md" in e for e in validate_draft(missing))
+    assert place_errors(missing, tmp_path) == ["missing agent.md"]
+    empty = DraftPackage(files={})
+    assert place_errors(empty, tmp_path) == ["missing agent.md", "missing eval_instructions.md"]
 
     no_command = parse_file_blocks(make_evolution_response("bad"))
     no_command.files["agent.md"] = (
         "---\nname: bad\nexecution_mode: tool_only\n---\n"
     )
-    assert any("tool_command" in e for e in validate_draft(no_command))
+    assert any("tool_command" in e for e in place_errors(no_command, tmp_path))
 
     empty_instructions = parse_file_blocks(make_evolution_response("bad2"))
     empty_instructions.files["eval_instructions.md"] = "  \n"
-    assert any("empty" in e for e in validate_draft(empty_instructions))
+    assert any("empty" in e for e in place_errors(empty_instructions, tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_validate_draft_names_files_within_the_package():
+def test_validate_draft_names_files_within_the_package(tmp_path):
     no_name = parse_file_blocks(make_evolution_response("x").replace("name: x\n", ""))
-    assert validate_draft(no_name) == ["agent.md: manifest has no name"]
+    assert place_errors(no_name, tmp_path) == ["agent.md: manifest has no name"]
     blank = parse_file_blocks(make_evolution_response("blank"))
     blank.files["eval_instructions.md"] = "  \n"
-    assert validate_draft(blank) == ["eval_instructions.md is empty"]
+    assert place_errors(blank, tmp_path) == ["eval_instructions.md is empty"]
 
 
-@pytest.fixture
-def staging(tmp_path, monkeypatch):
-    """Stage drafts under tmp_path/staging, so a block that escapes the
-    staging directory lands beside it in tmp_path."""
-    staging = tmp_path / "staging"
-
-    def mkdtemp(prefix):
-        staging.mkdir()
-        return str(staging)
-
-    monkeypatch.setattr(evolution_module.tempfile, "mkdtemp", mkdtemp)
-    return staging
-
-
-def test_validate_draft_refuses_paths_leaving_the_package(tmp_path, staging):
+def test_validate_draft_refuses_paths_leaving_the_package(tmp_path):
     for rel_path in (str(tmp_path / "absolute.txt"), "../x"):
         draft = parse_file_blocks(make_evolution_response("escape"))
         draft.files[rel_path] = "escaped\n"
-        errors = validate_draft(draft)
+        errors = place_errors(draft, tmp_path / "iter_2")
         assert any(rel_path in e and "leaves the package" in e for e in errors), errors
-        assert list(tmp_path.iterdir()) == []
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
-def test_evolve_agent_rerequests_after_an_escaping_path(naive_package_dir, tmp_path, staging):
+def test_evolve_agent_rerequests_after_an_escaping_path(naive_package_dir, tmp_path):
     registry = _registry_with_naive(naive_package_dir)
     context = build_context(registry, [], tmp_path_strategy(tmp_path))
     context.iteration = 2
@@ -223,9 +229,9 @@ def test_evolve_agent_registers_valid_draft(naive_package_dir, tmp_path):
     assert reloaded.tool_command == pkg.tool_command
 
 
-def test_evolve_agent_loads_a_valid_draft_twice(naive_package_dir, tmp_path, monkeypatch):
-    # Once staged to validate it, once where it is installed; the agent id
-    # is read from the validated manifest.
+def test_evolve_agent_loads_a_valid_draft_once(naive_package_dir, tmp_path, monkeypatch):
+    # Loaded where it is staged, which validates it, then renamed into
+    # place; the agent id is read from the loaded manifest.
     loaded = []
 
     def counting_load(root_dir, *args, **kwargs):
@@ -239,8 +245,8 @@ def test_evolve_agent_loads_a_valid_draft_twice(naive_package_dir, tmp_path, mon
     backend = ScriptedEvolutionBackend({2: [make_evolution_response("merged")]})
     pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
     assert pkg.id == "iter2_merged"
-    assert len(loaded) == 2
-    assert loaded[-1] == pkg.root_dir
+    assert loaded == [tmp_path / "iter_2" / ".draft"]
+    assert pkg.root_dir == tmp_path / "iter_2" / "iter2_merged"
 
 
 def test_evolve_agent_retries_once_then_succeeds(naive_package_dir, tmp_path):
@@ -278,7 +284,9 @@ def test_evolve_agent_backend_failure(naive_package_dir, tmp_path):
         evolve_agent(context, backend, tmp_path / "iter_5")
 
 
-def _history_records():
+def _replayed_records():
+    """Two iteration records, newest first, as the run loop hands them to
+    Deep Focus."""
     questions = {"school": [_question("school", 1), _question("school", 2)]}
     rec1 = _Record(
         iteration=1,
@@ -297,7 +305,7 @@ def _history_records():
         },
         questions=questions,
     )
-    return [rec1, rec2]
+    return [rec2, rec1]
 
 
 def _installed_pkg(tmp_path, name="cand", iteration=3):
@@ -309,6 +317,11 @@ def _installed_pkg(tmp_path, name="cand", iteration=3):
     return evolve_agent(context, backend, tmp_path / f"iter_{iteration}")[0]
 
 
+def _package_bytes(pkg):
+    return {p.relative_to(pkg.root_dir): p.read_bytes()
+            for p in pkg.root_dir.rglob("*") if p.is_file()}
+
+
 def test_deep_focus_zero_rounds(tmp_path):
     pkg = _installed_pkg(tmp_path)
     calls = []
@@ -317,12 +330,13 @@ def test_deep_focus_zero_rounds(tmp_path):
         calls.append(record.iteration)
         return Fraction(1, 2), {}
 
-    result = deep_focus(pkg, ScriptedEvolutionBackend({}), _history_records(), k=0, eval_fn=eval_fn)
+    result = deep_focus(pkg, ScriptedEvolutionBackend({}), [], eval_fn)
     assert result is pkg
     assert calls == []
 
 
 def test_deep_focus_evaluates_newest_first(tmp_path):
+    # One round per record, in the order the run loop gives: newest first.
     pkg = _installed_pkg(tmp_path)
     calls = []
 
@@ -336,23 +350,26 @@ def test_deep_focus_evaluates_newest_first(tmp_path):
     )
     # Consume the propose slot so refine pulls the remaining fixtures.
     backend.propose(EvolutionContext(3, [], {}, "", "s"))
-    result = deep_focus(pkg, backend, _history_records(), k=2, eval_fn=eval_fn)
+    result = deep_focus(pkg, backend, _replayed_records(), eval_fn)
     assert calls == [2, 1]  # most recent iteration first, working backwards
     assert result.id == pkg.id
+    assert sorted(p.name for p in (tmp_path / "iter_3").iterdir()) == ["iter3_cand",
+                                                                       "reasoning.md"]
 
 
-def test_deep_focus_truncates_k_to_history(tmp_path):
-    pkg = _installed_pkg(tmp_path)
-    calls = []
+def test_deep_focus_truncates_k_to_history(data_root, tmp_path, monkeypatch):
+    # The run loop replays at most deep_focus_k completed iterations,
+    # newest first, and no more than have completed.
+    replays = []
 
-    def eval_fn(candidate, record):
-        calls.append(record.iteration)
-        return Fraction(1, 2), {}
+    def recording_deep_focus(pkg, backend, records, eval_fn):
+        replays.append([record.iteration for record in records])
+        return deep_focus(pkg, backend, records, eval_fn)
 
-    backend = ScriptedEvolutionBackend({3: [make_evolution_response("cand")] * 9})
-    backend.propose(EvolutionContext(3, [], {}, "", "s"))
-    deep_focus(pkg, backend, _history_records(), k=10, eval_fn=eval_fn)
-    assert calls == [2, 1]
+    monkeypatch.setattr(orchestrator_module, "deep_focus", recording_deep_focus)
+    run(base_config(data_root, tmp_path / "out", deep_focus_k=2),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures(4)))
+    assert replays == [[1], [2, 1], [3, 2]]
 
 
 def test_deep_focus_refine_failure_keeps_package(tmp_path):
@@ -362,7 +379,7 @@ def test_deep_focus_refine_failure_keeps_package(tmp_path):
     def eval_fn(candidate, record):
         return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
 
-    result = deep_focus(pkg, ScriptedEvolutionBackend({}), _history_records(), k=1, eval_fn=eval_fn)
+    result = deep_focus(pkg, ScriptedEvolutionBackend({}), _replayed_records()[:1], eval_fn)
     assert (result.root_dir / "agent.md").read_text() == before
 
 
@@ -379,28 +396,87 @@ class _RefineScript:
         return self.draft
 
 
-@pytest.mark.parametrize("draft, install_error", [
-    (BackendError("chat endpoint failure (attempt 4): HTTP Error 503"), None),
-    (DraftPackage({"agent.md": "---\nname: broken\n---\n"}), None),
-    (parse_file_blocks(make_evolution_response("cand")), PermissionError("read-only")),
-    (parse_file_blocks(make_evolution_response("cand")), ValidationError("not one path component")),
-    (parse_file_blocks(make_evolution_response("cand")), ManifestError("no closing delimiter")),
+@pytest.mark.parametrize("draft, step, install_error", [
+    (BackendError("chat endpoint failure (attempt 4): HTTP Error 503"), None, None),
+    (DraftPackage({"agent.md": "---\nname: broken\n---\n"}), None, None),
+    (parse_file_blocks(make_evolution_response("cand")), "_write_draft_files",
+     PermissionError("read-only")),
+    (parse_file_blocks(make_evolution_response("cand")), "load_package",
+     ValidationError("not one path component")),
+    (parse_file_blocks(make_evolution_response("cand")), "load_package",
+     ManifestError("no closing delimiter")),
 ], ids=["backend-error", "invalid-draft", "unwritable", "invalid-install", "bad-manifest"])
-def test_deep_focus_keeps_the_package_when_a_refine_fails(tmp_path, monkeypatch, draft,
+def test_deep_focus_keeps_the_package_when_a_refine_fails(tmp_path, monkeypatch, draft, step,
                                                           install_error):
     pkg = _installed_pkg(tmp_path)
-    before = (pkg.root_dir / "agent.md").read_text()
+    before = _package_bytes(pkg)
     if install_error is not None:
         def install(*_args):
             raise install_error
 
-        monkeypatch.setattr(evolution_module, "_install_draft", install)
+        monkeypatch.setattr(evolution_module, step, install)
 
     def eval_fn(candidate, record):
         return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
 
-    assert deep_focus(pkg, _RefineScript(draft), _history_records(), k=2, eval_fn=eval_fn) is pkg
-    assert (pkg.root_dir / "agent.md").read_text() == before
+    assert deep_focus(pkg, _RefineScript(draft), _replayed_records(), eval_fn) is pkg
+    assert _package_bytes(pkg) == before
+
+
+def _fill_disk(monkeypatch, fails):
+    """Make Path.write_text raise ENOSPC on each path fails(path) is true of."""
+    write_text = Path.write_text
+
+    def write(path, *args, **kwargs):
+        if fails(path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write)
+
+
+def test_deep_focus_keeps_the_package_when_a_refine_cannot_write(tmp_path, monkeypatch):
+    # The disk fills while the refined draft is written: the package is
+    # left byte for byte as it was, and it still loads.
+    pkg = _installed_pkg(tmp_path)
+    before = _package_bytes(pkg)
+    _fill_disk(monkeypatch, lambda path: path.is_relative_to(tmp_path)
+               and path.name == "analyze.py")
+
+    def eval_fn(candidate, record):
+        return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
+
+    refined = parse_file_blocks(make_evolution_response("cand", label="refined"))
+    assert deep_focus(pkg, _RefineScript(refined), _replayed_records(), eval_fn) is pkg
+    assert _package_bytes(pkg) == before
+    assert load_package(pkg.root_dir, agent_id=pkg.id, iteration_created=3).name == "cand"
+    assert sorted(p.name for p in (tmp_path / "iter_3").iterdir()) == ["iter3_cand",
+                                                                       "reasoning.md"]
+
+
+def test_a_run_whose_refine_cannot_write_can_be_restored(tmp_path, monkeypatch):
+    # The pinned-digest run, where the write of the first Deep Focus
+    # refine's manifest fails: the run completes, and every package loads.
+    data_root = digests.make_state_data_root(tmp_path / "data")
+    _, question_pool = load_question_pool(data_root)
+    out = tmp_path / "out"
+    manifest_writes = []
+
+    def refine_manifest(path):
+        if not (path.is_relative_to(out / "iter_2") and path.name == "agent.md"):
+            return False
+        manifest_writes.append(path)
+        return len(manifest_writes) == 2  # the proposal's is the first
+
+    _fill_disk(monkeypatch, refine_manifest)
+    state = run(digests.config(data_root, out, digests.ITERATIONS),
+                gen_backend=digests.FlubbingBackend(question_pool),
+                evo_backend=ScriptedEvolutionBackend(digests.evolution_fixtures()))
+    assert len(manifest_writes) == 2
+    assert len(state.iterations) == digests.ITERATIONS
+    restored = restore_registry(load_state(out), out)
+    assert set(restored.packages) == set(state.registry)
+    assert (restored.package("iter2_gen2").root_dir / "tools" / "analyze.py").is_file()
 
 
 @pytest.mark.parametrize("fault", [TypeError("unsupported operand"), KeyError("files")],
@@ -414,7 +490,7 @@ def test_deep_focus_lets_an_error_no_refine_makes_propagate(tmp_path, fault):
         return Fraction(0, 2), {("school", 1): False, ("school", 2): False}
 
     with pytest.raises(type(fault)):
-        deep_focus(pkg, _RefineScript(fault), _history_records(), k=1, eval_fn=eval_fn)
+        deep_focus(pkg, _RefineScript(fault), _replayed_records()[:1], eval_fn)
 
 
 def test_deep_focus_feedback_contains_uniqueness_sets(tmp_path):
@@ -435,7 +511,7 @@ def test_deep_focus_feedback_contains_uniqueness_sets(tmp_path):
         # and misses q1 (which every competitor solved).
         return Fraction(1, 2), {("school", 1): False, ("school", 2): True}
 
-    deep_focus(pkg, spy, _history_records()[:1], k=1, eval_fn=eval_fn)
+    deep_focus(pkg, spy, _replayed_records()[1:], eval_fn)
     feedback = spy.feedback[0]
     assert "only the new agent answered correctly" in feedback
     assert "school q2" in feedback.split("incorrectly")[0]

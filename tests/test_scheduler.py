@@ -391,6 +391,31 @@ def test_load_question_pool_refuses_a_record_that_is_not_an_object(tmp_path):
         load_question_pool(root)
 
 
+@pytest.mark.parametrize("text, kind", [("5", "int"), ('{"a": 1}', "dict")])
+def test_load_question_pool_refuses_a_file_that_is_not_an_array(tmp_path, text, kind):
+    root = make_data_root(tmp_path / "data")
+    (root / "questions.json").write_text(text)
+    with pytest.raises(DataValidationError) as err:
+        load_question_pool(root)
+    assert str(err.value) == f"questions.json holds {kind}, not an array of records"
+
+
+def test_load_question_pool_reports_faults_in_file_order(tmp_path):
+    # A record with no SQL comes before one of an unknown database.
+    root = make_data_root(tmp_path / "data")
+    records = json.loads((root / "questions.json").read_text())
+    records.append({"question_id": 98, "db_id": "shop", "question": "How many?"})
+    records.append({"question_id": 99, "db_id": "ghost", "question": "?", "SQL": "SELECT 1"})
+    (root / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError, match="^questions.json: shop q98 has no SQL$"):
+        load_question_pool(root)
+    del records[-2]
+    (root / "questions.json").write_text(json.dumps(records))
+    with pytest.raises(DataValidationError,
+                       match="^questions reference unknown databases: ghost$"):
+        load_question_pool(root)
+
+
 @given(
     spec=st.lists(st.tuples(st.sampled_from([1400, 1500, 1510, 1600]), st.integers(0, 3),
                             st.booleans()), min_size=1, max_size=8),
