@@ -113,7 +113,8 @@ def cmd_leaderboard(args) -> int:
         raise SystemExit(f"no run state under {args.output_dir}")
     print(orchestrator.leaderboard(state))
     if args.costs:
-        print(json.dumps(orchestrator.token_totals(state), indent=2, sort_keys=True))
+        print(json.dumps(orchestrator.token_totals(state, args.output_dir), indent=2,
+                         sort_keys=True))
     return 0
 
 

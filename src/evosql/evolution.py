@@ -11,6 +11,7 @@ uniquely solved and uniquely missed, refining the package in the same
 session after each round.
 """
 
+import errno
 import logging
 import os
 import shutil
@@ -143,6 +144,10 @@ def _write_draft_files(draft: DraftPackage, root: Path) -> None:
         target.write_text(content)
 
 
+# Errors of the disk a draft is written to, not of the draft's files.
+_DISK_FAULTS = {errno.ENOSPC, errno.EDQUOT, errno.EROFS, errno.EIO}
+
+
 def _place_draft(
     draft: DraftPackage, parent: Path, iteration: int, lineage: list[str],
     agent_id: str | None = None,
@@ -154,7 +159,9 @@ def _place_draft(
 
     An invalid draft, or one whose files cannot be written, raises
     ValidationError with one argument per error, naming files relative to
-    the package, and leaves parent/<agent_id> as it was.
+    the package, and leaves parent/<agent_id> as it was. A disk that is
+    full, read-only or failing is no fault of the draft: it raises
+    EvolutionError, which no re-request can mend.
     """
     errors = [f"missing {name}" for name in (MANIFEST_FILENAME, INSTRUCTIONS_FILENAME)
               if name not in draft.files]
@@ -168,8 +175,10 @@ def _place_draft(
         staging.mkdir(parents=True)
         _write_draft_files(draft, staging)
         pkg = load_package(staging)
-    except (EvoSqlError, OSError) as exc:
+    except (EvoSqlError, OSError, ValueError) as exc:
         shutil.rmtree(staging, ignore_errors=True)
+        if isinstance(exc, OSError) and exc.errno in _DISK_FAULTS:
+            raise EvolutionError(f"cannot write the draft: {exc}") from exc
         relative = str(exc).replace(f"{staging}{os.sep}", "").replace(f"{staging}: ", "")
         raise ValidationError(relative) from exc
     root = parent / (agent_id or make_agent_id(pkg.name, iteration))

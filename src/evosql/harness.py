@@ -320,15 +320,6 @@ class AgentEvaluation:
     def accuracy(self) -> Fraction:
         return Fraction(self.matches, self.total)
 
-    def usage(self) -> dict[str, int]:
-        """Generation backend tokens and calls, as the run state records them."""
-        transcripts = [o.transcript for o in self.outcomes if o.transcript]
-        return {
-            "request": sum(t.request_tokens for t in transcripts),
-            "response": sum(t.response_tokens for t in transcripts),
-            "calls": sum(t.backend_calls for t in transcripts),
-        }
-
 
 def _preview_rows(table: ResultTable) -> list[str]:
     return [" | ".join(map(preview_cell, row)) for row in table.rows[:REPORT_PREVIEW_ROWS]]

@@ -50,8 +50,10 @@ from .toolrun import ToolRunResult, keep_copies, run_agent_tool
 
 logger = logging.getLogger(__name__)
 
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 STATE_FILENAME = "run_state.json"
+REPORT_FILENAME = "error_analysis_report.md"
+TRANSCRIPTS_FILENAME = "transcripts.json"
 AGENTS_DIRNAME = "agents"
 STRATEGY_FILENAME = "strategy.md"
 
@@ -139,8 +141,6 @@ class IterationRecord:
     matches: dict[str, dict[tuple[str, int], bool]]
     excluded_questions: list[tuple[str, int]]
     tool_fallbacks: dict[str, dict[str, str]]
-    tokens: dict[str, dict[str, int]]
-    report_path: str = ""
 
     @property
     def accuracies(self) -> dict[str, tuple[int, int]]:
@@ -369,10 +369,11 @@ class Orchestrator:
     def _evolve_for_iteration(self, iteration: int, iter_dir: Path) -> str | None:
         """Evolve and register a new agent; None on failure. Deep Focus
         refines it once the roster is seated."""
-        history = self.state.iterations
-        # Read from disk, so a resumed run shows evolution the same report.
-        report = (self.output_dir / history[-1].report_path).read_text() if history else ""
-        context = build_context(self.registry, history, self.strategy_path, report)
+        # The previous iteration's report, read from disk so that a resumed
+        # run shows evolution the same one. Iteration 1 never evolves.
+        report = (self.output_dir / f"iter_{iteration - 1}" / REPORT_FILENAME).read_text()
+        context = build_context(self.registry, self.state.iterations, self.strategy_path,
+                                report)
         try:
             pkg, _reasoning = evolve_agent(context, self.evo_backend, iter_dir)
         except EvolutionError as exc:
@@ -476,19 +477,9 @@ class Orchestrator:
             {agent_id: ev.accuracy for agent_id, ev in evaluations.items()},
         )
 
-        report = write_error_analysis(iteration, all_outcomes)
-        report_path = iter_dir / "error_analysis_report.md"
-        report_path.write_text(report)
-        _write_json(iter_dir / "plan.json", {
-            "iteration": iteration,
-            "mode": mode,
-            "databases": databases,
-            "questions": questions,
-            "competitors": competitors,
-            "new_agent_slot": new_agent is not None,
-        })
+        (iter_dir / REPORT_FILENAME).write_text(write_error_analysis(iteration, all_outcomes))
         _write_json(iter_dir / "outcomes.json", [o.to_dict() for o in all_outcomes])
-        _write_json(iter_dir / "transcripts.json", {
+        _write_json(iter_dir / TRANSCRIPTS_FILENAME, {
             agent_id: [o.transcript for o in ev.outcomes] for agent_id, ev in evaluations.items()
         })
 
@@ -505,8 +496,6 @@ class Orchestrator:
                 a: {db: tool.reason for db, tool in ev.tools.items() if tool.reason is not None}
                 for a, ev in evaluations.items()
             },
-            tokens={a: ev.usage() for a, ev in evaluations.items()},
-            report_path=str(report_path.relative_to(self.output_dir)),
         )
 
     def run(self) -> RunState:
@@ -558,16 +547,24 @@ def leaderboard(state: RunState) -> str:
     return "\n".join(lines)
 
 
-def token_totals(state: RunState) -> dict:
+def token_totals(state: RunState, output_dir: Path) -> dict:
     """Request and response tokens and generation calls, per iteration, per
-    agent and in total."""
+    agent and in total, summed from each iteration's transcripts."""
     per_iteration = {}
     per_agent: dict[str, Counter] = defaultdict(Counter)
     total = Counter()
     for record in state.iterations:
         iteration_totals = per_iteration[record.iteration] = Counter()
-        for agent_id, usage in record.tokens.items():
-            iteration_totals.update(usage)
-            per_agent[agent_id].update(usage)
+        path = Path(output_dir) / f"iter_{record.iteration}" / TRANSCRIPTS_FILENAME
+        try:
+            for agent_id, transcripts in json.loads(path.read_text()).items():
+                usage = Counter(request=0, response=0, calls=0)
+                for t in filter(None, transcripts):
+                    usage.update(request=t["request_tokens"], response=t["response_tokens"],
+                                 calls=t["backend_calls"])
+                iteration_totals.update(usage)
+                per_agent[agent_id].update(usage)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise InvalidStateError(f"{path} is unreadable ({type(exc).__name__}: {exc})") from exc
         total.update(iteration_totals)
     return {"per_iteration": per_iteration, "per_agent": dict(per_agent), "total": total}

@@ -48,13 +48,11 @@ class AgentPackage:
     tool_output_file: str
     eval_instructions: str
     lineage: list[str] = field(default_factory=list)
-    description: str = ""
-    body: str = ""
-    metadata: dict[str, str] = field(default_factory=dict)
 
 
-def parse_frontmatter(text: str, source: str = MANIFEST_FILENAME) -> tuple[dict[str, str], str]:
-    """Parse "---"-delimited key: value frontmatter; returns (fields, body).
+def parse_frontmatter(text: str, source: str = MANIFEST_FILENAME) -> dict[str, str]:
+    """Parse "---"-delimited key: value frontmatter into its fields; the
+    prose after it is not read.
 
     Raises ManifestError naming the offending line for a missing opening or
     closing delimiter, a line that is not a key: value pair, or a duplicate
@@ -64,27 +62,19 @@ def parse_frontmatter(text: str, source: str = MANIFEST_FILENAME) -> tuple[dict[
     if not lines or lines[0].strip() != "---":
         raise ManifestError(f"{source}: line 1: expected opening '---' delimiter")
     fields: dict[str, str] = {}
-    close_index = None
-    for idx in range(1, len(lines)):
-        line = lines[idx]
+    for number, line in enumerate(lines[1:], start=2):
         if line.strip() == "---":
-            close_index = idx
-            break
+            return fields
         if not line.strip():
             continue
         key, sep, value = line.partition(":")
         if not sep or not key.strip():
-            raise ManifestError(f"{source}: line {idx + 1}: expected 'key: value', got {line!r}")
+            raise ManifestError(f"{source}: line {number}: expected 'key: value', got {line!r}")
         key = key.strip()
         if key in fields:
-            raise ManifestError(f"{source}: line {idx + 1}: duplicate key {key!r}")
+            raise ManifestError(f"{source}: line {number}: duplicate key {key!r}")
         fields[key] = value.strip()
-    if close_index is None:
-        raise ManifestError(f"{source}: no closing '---' delimiter")
-    body = "\n".join(lines[close_index + 1 :]).lstrip("\n")
-    if body and text.endswith("\n") and not body.endswith("\n"):
-        body += "\n"
-    return fields, body
+    raise ManifestError(f"{source}: no closing '---' delimiter")
 
 
 def _read_text(path: Path) -> str:
@@ -100,8 +90,8 @@ def load_package(
     """Load an agent package from disk, validating its manifest: the name
     is one path component, and tool_command parses as shell words.
 
-    The eval-instructions text and the manifest prose body are preserved
-    verbatim; unknown manifest keys are kept as opaque metadata.
+    The eval-instructions text is kept verbatim. Manifest keys it does not
+    use, and the prose after the frontmatter, are ignored.
     """
     root = Path(root_dir)
     manifest_path = root / MANIFEST_FILENAME
@@ -111,21 +101,21 @@ def load_package(
     if not instructions_path.is_file():
         raise FileNotFoundError(f"no {INSTRUCTIONS_FILENAME} in {root}")
 
-    fields, body = parse_frontmatter(_read_text(manifest_path))
-    name = fields.pop("name", "").strip()
+    fields = parse_frontmatter(_read_text(manifest_path))
+    name = fields.get("name", "")
     if not name:
         raise ValidationError(f"{manifest_path}: manifest has no name")
     # Agent ids, and so package directories, are made from the name.
     if Path(name).name != name or name == "..":
         raise ValidationError(f"{manifest_path}: name {name!r} is not one path component")
-    execution_mode = fields.pop("execution_mode", "").strip()
+    execution_mode = fields.get("execution_mode", "")
     if execution_mode not in EXECUTION_MODES:
         raise ValidationError(
             f"{manifest_path}: unknown execution_mode {execution_mode!r} "
             f"(expected one of {EXECUTION_MODES})"
         )
-    tool_command = fields.pop("tool_command", "").strip()
-    tool_output_file = fields.pop("tool_output_file", "").strip()
+    tool_command = fields.get("tool_command", "")
+    tool_output_file = fields.get("tool_output_file", "")
     if execution_mode == "tool_only" and not (tool_command and tool_output_file):
         raise ValidationError(
             f"{manifest_path}: tool_only packages need tool_command and tool_output_file"
@@ -140,9 +130,7 @@ def load_package(
     eval_instructions = _read_text(instructions_path)
     if not eval_instructions.strip():
         raise ValidationError(f"{root}: {INSTRUCTIONS_FILENAME} is empty")
-    lineage_raw = fields.pop("lineage", "")
-    lineage = [part.strip() for part in lineage_raw.split(",") if part.strip()]
-    description = fields.pop("description", "")
+    lineage = [part.strip() for part in fields.get("lineage", "").split(",") if part.strip()]
 
     return AgentPackage(
         id=agent_id or name,
@@ -154,9 +142,6 @@ def load_package(
         tool_output_file=tool_output_file,
         eval_instructions=eval_instructions,
         lineage=lineage,
-        description=description,
-        body=body,
-        metadata=dict(fields),
     )
 
 
@@ -170,13 +155,12 @@ def write_package(
     tool_output_file: str = "",
     description: str = "",
     lineage: list[str] | None = None,
-    metadata: dict[str, str] | None = None,
     body: str = "",
     tools: dict[str, str] | None = None,
 ) -> Path:
-    """Write a package directory that load_package round-trips exactly.
-
-    tools maps file names under tools/ to their source text.
+    """Write a package directory that load_package reads back. description
+    and the prose body are for a reader of agent.md; load_package ignores
+    them. tools maps file names under tools/ to their source text.
     """
     root = Path(root_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -190,14 +174,10 @@ def write_package(
         lines.append(f"tool_output_file: {tool_output_file}")
     if lineage:
         lines.append(f"lineage: {', '.join(lineage)}")
-    for key in sorted(metadata or {}):
-        lines.append(f"{key}: {metadata[key]}")
     lines.append("---")
     manifest = "\n".join(lines) + "\n"
     if body:
-        manifest += "\n" + body if not body.startswith("\n") else body
-        if not manifest.endswith("\n"):
-            manifest += "\n"
+        manifest += "\n" + body
     (root / MANIFEST_FILENAME).write_text(manifest)
     (root / INSTRUCTIONS_FILENAME).write_text(instructions)
     for rel_name, source in (tools or {}).items():

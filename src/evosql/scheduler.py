@@ -46,7 +46,6 @@ class QuestionItem:
     question: str
     evidence: str = ""
     gold_sql: str = ""
-    difficulty: str | None = None
 
 
 def iteration_rng(run_seed: int, iteration: int) -> random.Random:
@@ -64,11 +63,12 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
 
     data_root holds one directory per database (<db_id>/<db_id>.sqlite) and
     a questions.json array of records with question_id, db_id, question,
-    evidence, SQL, difficulty, unique by (db_id, question_id). A record
-    without a string db_id, an integer question_id, or a non-blank question
-    and SQL is refused, as is one whose evidence is neither a string nor
-    null. Records are checked once, in file order; unknown databases and
-    duplicate ids are reported together once every record has been read.
+    evidence and SQL, unique by (db_id, question_id); other keys are
+    ignored. A record without a string db_id, an integer question_id, or a
+    non-blank question and SQL is refused, as is one whose evidence is
+    neither a string nor null. Records are checked once, in file order;
+    unknown databases and duplicate ids are reported together once every
+    record has been read.
     """
     root = Path(data_root)
     questions_file = root / QUESTIONS_FILENAME
@@ -116,8 +116,7 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
             offenders.add(db)
             continue
         question_pool[db].append(QuestionItem(question_id=qid, db_id=db, question=rec["question"],
-                                              evidence=evidence or "", gold_sql=rec["SQL"],
-                                              difficulty=rec.get("difficulty")))
+                                              evidence=evidence or "", gold_sql=rec["SQL"]))
     if offenders:
         raise DataValidationError(
             f"questions reference unknown databases: {', '.join(sorted(offenders))}"

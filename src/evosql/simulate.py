@@ -57,8 +57,6 @@ class SimulationConfig:
     iterations: int = 100
     seed: int = 0
     databases: list[str] = field(default_factory=lambda: [f"db{i}" for i in range(1, 7)])
-    questions_per_database: int = scheduler.QUESTIONS_PER_DATABASE
-    databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION
     evolve: bool = False
     evolve_delta: float = DEFAULT_EVOLVE_DELTA
     evolve_cap: float = DEFAULT_EVOLVE_CAP
@@ -67,10 +65,6 @@ class SimulationConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        if self.questions_per_database < 1:
-            raise ConfigError("questions_per_database must be >= 1")
-        if self.databases_per_iteration < 1:
-            raise ConfigError("databases_per_iteration must be >= 1")
         if not self.databases:
             raise ConfigError("databases must be non-empty")
         if not 0.0 <= self.evolve_cap <= 1.0:
@@ -153,8 +147,7 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
 
     for iteration in range(1, config.iterations + 1):
         rng = scheduler.iteration_rng(config.seed, iteration)
-        databases, _ = scheduler.sample_iteration_tasks(
-            config.databases, {}, rng, config.databases_per_iteration)
+        databases, _ = scheduler.sample_iteration_tasks(config.databases, {}, rng)
         _, roster, _ = scheduler.roster_for_iteration(
             iteration, registry, rng, evolve if config.evolve else None,
             config.late_stage_start,
@@ -166,11 +159,11 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
             correct = 0
             for db in databases:
                 latent = agent.latent_for(db)
-                for _ in range(config.questions_per_database):
+                for _ in range(scheduler.QUESTIONS_PER_DATABASE):
                     if rng.random() < latent:
                         correct += 1
             accuracies[agent_id] = Fraction(correct,
-                                            len(databases) * config.questions_per_database)
+                                            len(databases) * scheduler.QUESTIONS_PER_DATABASE)
         scheduler.settle_iteration(registry, roster, accuracies)
 
         settled_ratings.append({a: registry.records[a].rating.value for a in roster})

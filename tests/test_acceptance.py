@@ -231,7 +231,6 @@ def test_simulation_convergence_and_non_transitivity():
                 iterations=500,
                 seed=seed,
                 databases=["f1", "f2", "f3", "n1", "n2", "n3"],
-                databases_per_iteration=5,
             )
             result = simulate(cyclic, config)
             spreads = [max(t.values()) - min(t.values()) for t in result.replay_trajectories()]

@@ -242,8 +242,24 @@ def test_an_unreadable_state_exits_with_a_message(data_root, tmp_path, command):
         argv = ["resume", *flags]
     with pytest.raises(SystemExit, match=f"^{re.escape(str(state_file))} is not a readable run "
                                          "state \\(InvalidStateError: state schema version 1 "
-                                         "is not 2\\)$"):
+                                         "is not 3\\)$"):
         main(argv)
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (lambda text: text[: len(text) // 2], "JSONDecodeError"),
+    (lambda text: text.replace('"request_tokens"', '"tokens"'), "KeyError: 'request_tokens'"),
+], ids=["truncated", "transcript-without-request-tokens"])
+def test_costs_over_unreadable_transcripts_exit_with_a_message(data_root, tmp_path, damage,
+                                                                cause):
+    out = tmp_path / "out"
+    assert main(["run", "--data-root", str(data_root), "--output-dir", str(out),
+                 "--iterations", "2"]) == 0
+    transcripts = out / "iter_2" / "transcripts.json"
+    transcripts.write_text(damage(transcripts.read_text()))
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(transcripts))} is unreadable "
+                                         f"\\({cause}"):
+        main(["leaderboard", "--output-dir", str(out), "--costs"])
 
 
 def test_run_with_config_file(data_root, tmp_path, capsys):

@@ -139,6 +139,40 @@ def test_evolve_agent_rerequests_after_a_bad_manifest(naive_package_dir, tmp_pat
     assert sorted(p.name for p in dest.iterdir()) == ["iter2_fixme", "reasoning.md"]
 
 
+def _nul_path_response(name):
+    """A valid draft plus one file whose path holds a NUL byte, which an
+    HTTP reply can carry as \\u0000."""
+    return make_evolution_response(name) + "```file=tools/nul\x00.py\nprint(1)\n```\n"
+
+
+def test_evolve_agent_rerequests_after_a_nul_path(naive_package_dir, tmp_path):
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    backend = RecordingEvolutionBackend({2: [_nul_path_response("fixme"),
+                                             make_evolution_response("fixed")]})
+    pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
+    assert pkg.id == "iter2_fixed"
+    (feedback,) = backend.refinements[2]
+    assert "- embedded null byte" in feedback
+    assert sorted(p.name for p in (tmp_path / "iter_2").iterdir()) == ["iter2_fixed",
+                                                                       "reasoning.md"]
+
+
+def test_evolve_agent_rerequests_after_a_file_that_is_also_a_directory(naive_package_dir,
+                                                                        tmp_path):
+    # An OSError the draft's own paths cause is its fault, and is sent back.
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    clash = make_evolution_response("fixme") + "```file=tools\nnot a directory\n```\n"
+    backend = RecordingEvolutionBackend({2: [clash, make_evolution_response("fixed")]})
+    pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
+    assert pkg.id == "iter2_fixed"
+    (feedback,) = backend.refinements[2]
+    assert "Is a directory: 'tools'" in feedback
+
+
 class _Record:
     """Minimal stand-in for an orchestrator iteration record."""
 
@@ -405,7 +439,9 @@ class _RefineScript:
      ValidationError("not one path component")),
     (parse_file_blocks(make_evolution_response("cand")), "load_package",
      ManifestError("no closing delimiter")),
-], ids=["backend-error", "invalid-draft", "unwritable", "invalid-install", "bad-manifest"])
+    (parse_file_blocks(_nul_path_response("cand")), None, None),
+], ids=["backend-error", "invalid-draft", "unwritable", "invalid-install", "bad-manifest",
+        "nul-path"])
 def test_deep_focus_keeps_the_package_when_a_refine_fails(tmp_path, monkeypatch, draft, step,
                                                           install_error):
     pkg = _installed_pkg(tmp_path)
@@ -477,6 +513,21 @@ def test_a_run_whose_refine_cannot_write_can_be_restored(tmp_path, monkeypatch):
     restored = restore_registry(load_state(out), out)
     assert set(restored.packages) == set(state.registry)
     assert (restored.package("iter2_gen2").root_dir / "tools" / "analyze.py").is_file()
+
+
+def test_a_proposal_that_cannot_be_written_degrades_without_a_rerequest(data_root, tmp_path,
+                                                                         monkeypatch):
+    # A full disk is no fault of the draft: the one re-request is not spent
+    # on it, nothing is left staged, and the iteration degrades to none-mode.
+    out = tmp_path / "out"
+    _fill_disk(monkeypatch, lambda path: ".draft" in path.parts)
+    backend = RecordingEvolutionBackend(evolution_fixtures(2))
+    state = run(base_config(data_root, out, iterations=2), evo_backend=backend)
+    assert list(backend.requests) == [2]
+    assert backend.refinements == {}
+    assert [record.mode for record in state.iterations] == ["none", "none"]
+    assert sorted(p.name for p in (out / "iter_2").iterdir()) == [
+        "error_analysis_report.md", "outcomes.json", "transcripts.json"]
 
 
 @pytest.mark.parametrize("fault", [TypeError("unsupported operand"), KeyError("files")],

@@ -478,7 +478,7 @@ def test_evaluate_agent_oracle_is_perfect(data_root, naive_package_dir):
     assert evaluation.accuracy == Fraction(1)
     assert all(o.match for o in evaluation.outcomes)
     assert all(o.failure_kind == "none" for o in evaluation.outcomes)
-    assert evaluation.usage()["request"] > 0
+    assert all(o.transcript.request_tokens > 0 for o in evaluation.outcomes)
 
 
 def test_evaluate_agent_counts_failures(data_root, naive_package_dir):

@@ -19,6 +19,7 @@ from evosql.backends import (
 )
 from evosql.errors import ConfigError, InvalidStateError
 from evosql.orchestrator import (
+    REPORT_FILENAME,
     IterationRecord,
     RunConfig,
     RunState,
@@ -117,14 +118,12 @@ def test_run_produces_iteration_artifacts(data_root, tmp_path):
     config = base_config(data_root, tmp_path / "out", iterations=2)
     run(config, evo_backend=ScriptedEvolutionBackend(evolution_fixtures(2)))
     iter_dir = tmp_path / "out" / "iter_2"
-    assert (iter_dir / "plan.json").is_file()
+    assert not (iter_dir / "plan.json").exists()  # the state holds the plan
     assert (iter_dir / "outcomes.json").is_file()
     assert (iter_dir / "transcripts.json").is_file()
     assert (iter_dir / "error_analysis_report.md").is_file()
     assert (iter_dir / "reasoning.md").is_file()
     assert (iter_dir / "iter2_gen2" / "agent.md").is_file()
-    plan = json.loads((iter_dir / "plan.json").read_text())
-    assert plan["iteration"] == 2 and plan["mode"] == "evolve"
 
 
 def test_oracle_backend_perfect_accuracy(data_root, tmp_path):
@@ -250,7 +249,7 @@ def test_marker_backend_moves_ratings(data_root, tmp_path):
     assert final.get("iter2_gen2").rating.value > final.get("naive").rating.value
     last = state.iterations[-1]
     assert last.accuracies["naive"][0] < last.accuracies["naive"][1]
-    report = (tmp_path / "out" / last.report_path).read_text()
+    report = (tmp_path / "out" / f"iter_{last.iteration}" / REPORT_FILENAME).read_text()
     assert "wrong_result" in report
 
 
@@ -608,7 +607,8 @@ def test_an_error_beside_the_incumbents_leaves_no_thread_and_resumes(data_root, 
            gen_backend=WaitingOracle.from_question_pool(question_pool),
            evo_backend=ScriptedEvolutionBackend(evolution_fixtures(FAULT_ITERATION)))
     for name in ["run_state.json"] + [f"iter_{FAULT_ITERATION}/{artifact}" for artifact in
-                                      ("outcomes.json", "transcripts.json", "plan.json")]:
+                                      ("outcomes.json", "transcripts.json",
+                                       REPORT_FILENAME)]:
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
@@ -679,7 +679,7 @@ def test_replay_of_the_saved_matches_equals_the_live_settling(history):
         state.iterations.append(IterationRecord(
             iteration=iteration, mode="none", databases=[], questions={},
             competitors=roster, new_agent=None, matches=matches, excluded_questions=[],
-            tool_fallbacks={}, tokens={}))
+            tool_fallbacks={}))
     saved = RunState.from_dict(json.loads(json.dumps(state.to_dict(), default=vars)))
     assert record_fields(replay_registry(saved)) == record_fields(live)
 
@@ -687,9 +687,9 @@ def test_replay_of_the_saved_matches_equals_the_live_settling(history):
 def test_token_accounting_matches_transcripts(data_root, tmp_path):
     config = base_config(data_root, tmp_path / "out", iterations=2)
     state = run(config, evo_backend=ScriptedEvolutionBackend(evolution_fixtures(2)))
-    accounting = token_totals(state)
+    accounting = token_totals(state, tmp_path / "out")
 
-    hand_request = hand_response = 0
+    hand_request = hand_response = hand_calls = 0
     for iteration in (1, 2):
         transcripts = json.loads(
             (tmp_path / "out" / f"iter_{iteration}" / "transcripts.json").read_text()
@@ -698,8 +698,9 @@ def test_token_accounting_matches_transcripts(data_root, tmp_path):
             for t in agent_transcripts:
                 hand_request += t["request_tokens"]
                 hand_response += t["response_tokens"]
-    assert accounting["total"]["request"] == hand_request
-    assert accounting["total"]["response"] == hand_response
+                hand_calls += t["backend_calls"]
+    assert accounting["total"] == {"request": hand_request, "response": hand_response,
+                                   "calls": hand_calls}
 
 
 def test_initial_agents_copied_into_output(data_root, tmp_path, naive_package_dir):

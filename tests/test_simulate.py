@@ -58,15 +58,12 @@ def test_population_must_have_two_agents():
     lambda: SyntheticAgent("bad", latents={"db": 1.5}),
     lambda: SimulationConfig(iterations=0),
     lambda: SimulationConfig(databases=[]),
-    lambda: SimulationConfig(questions_per_database=0),
-    lambda: SimulationConfig(databases_per_iteration=0),
     lambda: SimulationConfig(evolve_cap=1.5),
     lambda: SimulationConfig(evolve_cap=-0.1),
     lambda: SimulationConfig(evolve_delta=-0.01),
     lambda: simulate(global_population([0.5]), SimulationConfig(iterations=5)),
 ], ids=["nan-accuracy", "latent-above-one", "no-iterations", "no-databases",
-        "no-questions-per-database", "no-databases-per-iteration", "cap-above-one",
-        "cap-below-zero", "negative-delta", "one-agent"])
+        "cap-above-one", "cap-below-zero", "negative-delta", "one-agent"])
 def test_bad_simulation_input_is_a_config_error(make):
     with pytest.raises(ConfigError):
         make()
@@ -124,9 +121,7 @@ def test_convergence_to_latent_order():
 
 def test_non_transitive_band_is_bounded():
     for seed in range(5):
-        config = SimulationConfig(
-            iterations=500, seed=seed, databases=list(CYCLIC_DBS), databases_per_iteration=5
-        )
+        config = SimulationConfig(iterations=500, seed=seed, databases=list(CYCLIC_DBS))
         result = simulate(cyclic_population(), config)
         spreads = [max(t.values()) - min(t.values()) for t in result.replay_trajectories()]
         # Band check over the trailing window, plus stationarity: the late

@@ -4,11 +4,14 @@ A seeded run over the toy data root, plus one question whose gold SQL is
 broken, evolves with Deep Focus refines, degrades one iteration whose drafts
 stay invalid, draws late-stage modes, and scores a generation backend that
 answers some questions wrong, with SQL that fails, or with an empty result.
-The sha256 digests of run_state.json and of every iteration's plan.json,
+The sha256 digests of run_state.json and of every iteration's
 outcomes.json and transcripts.json were recorded from the hand-written
 serializers; an uninterrupted run and a run halted and resumed midway must
 both reproduce them. A deliberate format change bumps STATE_SCHEMA_VERSION
 and records new digests.
+
+The state holds each fact once: its keys are pinned, and counters, timings
+and other floats stay in the sidecar files.
 """
 
 import hashlib
@@ -96,45 +99,33 @@ def config(data_root, output_dir, iterations) -> RunConfig:
 def state_files() -> list[str]:
     return ["run_state.json"] + [
         f"iter_{k}/{name}" for k in range(1, ITERATIONS + 1)
-        for name in ("plan.json", "outcomes.json", "transcripts.json")
+        for name in ("outcomes.json", "transcripts.json")
     ]
 
 
 EXPECTED = {
     "run_state.json":
-        "e105bccf9b4abd34ae8f8058f5c0c8151999cff675adaaf61cc79b69415a32ec",
-    "iter_1/plan.json":
-        "5965c96b737c11b3147564271af6e94c997fa18e7d725f7afe86bbd5b8252d22",
+        "9d22c7f69eda6e2efeecdc28eae3b660ae5b333bc860a24ecd821dec602b618a",
     "iter_1/outcomes.json":
         "735633e7f99d18130a86dbefc0d52ecf5b1e83f710ee3bb4dee6205cfeea1abe",
     "iter_1/transcripts.json":
         "ab702381316deef1838028eec1fe35c3b9392739e2488c2ae7229715400485a4",
-    "iter_2/plan.json":
-        "e928d1168aa80dd961fe47230751f98d51362ff10149dafb8a77ce156e148b98",
     "iter_2/outcomes.json":
         "dc7690c06b6de8659e57a6de8c23ba6e7da02be4ba79d6273d242fa2d9fa449c",
     "iter_2/transcripts.json":
         "4773d10ba7f671c902651bb9651b8d96c2bbe4559da3fc6663f20bdd379a463d",
-    "iter_3/plan.json":
-        "a339a1f141a73354c0a33c9faf1834e3bdc2451f49cfe80cdf181598d4da9c42",
     "iter_3/outcomes.json":
         "6b30f837b43fbfb7789bb0d0abbd3e02e21134fa12ff5eb176d80b7ffbd8e1b7",
     "iter_3/transcripts.json":
         "f28428bda68b1d46309b473219a9bb244db2192bc186d6f3e8bb4c52f36a6418",
-    "iter_4/plan.json":
-        "2123c7a40f8a5bb7142ff1620bf2833fbbce2a1d7998387d66583d5b97a67e67",
     "iter_4/outcomes.json":
         "ac732d980f9087f35efda40fcdade6dec0858c57a94211f67b4d85d03a5cbf96",
     "iter_4/transcripts.json":
         "d4bfc663cc13509d6bfe6a1553e30344307da3656b883a2a8f8b833f1b6b8698",
-    "iter_5/plan.json":
-        "0ebddddf6b489501b5b9865495f34ee7c630e888d494c702301ee8fc3d3afd02",
     "iter_5/outcomes.json":
         "1003af5adf4f87d6115c2acb85c5a1a51974e41417c4b9b9ea12fae90f075670",
     "iter_5/transcripts.json":
         "18d53bf1e68364da15786d1ac1282dc510103227f0aa62b4c88595d8c6d0b320",
-    "iter_6/plan.json":
-        "8ecc735e6955b50dfc1e77e377cbcb801ddd774f45e50191a4b66f445c260d93",
     "iter_6/outcomes.json":
         "63f4531fead2e7af0abff9f508029f5e30a5832018edcee04e51394e00c4b548",
     "iter_6/transcripts.json":
@@ -184,3 +175,25 @@ def test_live_registry_equals_its_replay_from_the_state(tmp_path, halt):
     restored = restore_registry(load_state(out), out)
     assert record_fields(restored) == record_fields(live.registry)
     assert restored.packages == live.registry.packages
+
+
+def test_the_state_holds_no_counter_timing_or_restated_fact(tmp_path):
+    data_root = make_state_data_root(tmp_path / "data")
+    _, question_pool = load_question_pool(data_root)
+    out = tmp_path / "out"
+    run(config(data_root, out, ITERATIONS), gen_backend=FlubbingBackend(question_pool),
+        evo_backend=ScriptedEvolutionBackend(evolution_fixtures()))
+    floats = []
+    state = json.loads((out / "run_state.json").read_text(),
+                       parse_float=floats.append, parse_constant=floats.append)
+    assert floats == []
+    assert sorted(state) == ["iterations", "registry", "run_seed", "schema_version"]
+    for record in state["iterations"]:
+        assert sorted(record) == ["competitors", "databases", "excluded_questions", "iteration",
+                                  "matches", "mode", "new_agent", "questions", "tool_fallbacks"]
+        for items in record["questions"].values():
+            for item in items:
+                assert sorted(item) == ["db_id", "evidence", "gold_sql", "question",
+                                        "question_id"]
+    for entry in state["registry"].values():
+        assert sorted(entry) == ["iteration_created", "lineage", "package_dir"]
