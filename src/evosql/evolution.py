@@ -130,12 +130,17 @@ def build_context(
 
 def _write_draft_files(draft: DraftPackage, root: Path) -> None:
     """Write the draft's files under root. Raises ValidationError, having
-    written nothing, when a path is absolute or resolves outside root."""
+    written nothing, when a path is absolute, resolves outside root, or
+    cannot name a file (a NUL byte, a lone surrogate)."""
     targets = {}
     for rel_path, content in draft.files.items():
         if rel_path == REASONING_FILENAME:
             continue
-        target = (root / rel_path).resolve()
+        try:
+            target = (root / rel_path).resolve()
+        except ValueError as exc:
+            reason = exc.reason if isinstance(exc, UnicodeError) else exc
+            raise ValidationError(f"{reason} (file={rel_path!r})") from exc
         if Path(rel_path).is_absolute() or not target.is_relative_to(root.resolve()):
             raise ValidationError(f"file path {rel_path!r} leaves the package")
         targets[target] = content

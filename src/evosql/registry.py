@@ -7,7 +7,7 @@ immutable after load and safe to share between concurrent evaluators; all
 registry mutations happen on the orchestration thread.
 """
 
-import heapq
+import bisect
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -203,6 +203,11 @@ class AgentRegistry:
     Rating objects are shared with the embedded EloEngine, so ELO updates
     applied there are visible through the records here. winners holds the
     last scored iteration's winners, the pending winners.
+
+    The ELO ranking is kept sorted from the first top_by_elo on. Ranks
+    change only through scheduler.settle_iteration (ELO updates, then
+    record_iteration_outcome): a rating or test count set by hand after the
+    first ranking is not seen.
     """
 
     def __init__(self):
@@ -210,6 +215,9 @@ class AgentRegistry:
         self.records: dict[str, AgentRecord] = {}
         self.packages: dict[str, AgentPackage] = {}
         self.winners: set[str] = set()
+        # Every _rank_key in order, and each agent's key in it.
+        self._ranking: list[tuple] | None = None
+        self._seated: dict[str, tuple] = {}
 
     def __contains__(self, agent_id: str) -> bool:
         return agent_id in self.records
@@ -240,6 +248,8 @@ class AgentRegistry:
         rating = self.elo.register(agent_id)
         record = AgentRecord(agent_id=agent_id, rating=rating)
         self.records[agent_id] = record
+        if self._ranking is not None:
+            self._seat(agent_id)
         return record
 
     def register(self, pkg: AgentPackage) -> AgentRecord:
@@ -251,13 +261,26 @@ class AgentRegistry:
         record = self.records[agent_id]
         return (-record.rating.value, record.tests, agent_id)
 
+    def _seat(self, agent_id: str) -> None:
+        key = self._rank_key(agent_id)
+        bisect.insort(self._ranking, key)
+        self._seated[agent_id] = key
+
     def top_by_elo(self, n: int, exclude: set[str] | frozenset = frozenset()) -> list[str]:
         """Up to n agent ids by rating descending; ties broken by fewest
         tests (under-tested agents get exposure first), then id."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        candidates = (a for a in self.records if a not in exclude)
-        return heapq.nsmallest(n, candidates, key=self._rank_key)
+        if self._ranking is None:
+            self._seated = {a: self._rank_key(a) for a in self.records}
+            self._ranking = sorted(self._seated.values())
+        top: list[str] = []
+        for _, _, agent_id in self._ranking:
+            if len(top) == n:
+                break
+            if agent_id not in exclude:
+                top.append(agent_id)
+        return top
 
     def pending_winners(self) -> list[str]:
         return sorted(self.winners, key=self._rank_key)
@@ -265,7 +288,8 @@ class AgentRegistry:
     def record_iteration_outcome(self, competitors: list[str], winners: set[str]) -> None:
         """Book one scored iteration: bump tests for every competitor, wins
         for every winner, and make the winner set the pending winners (ties
-        produce several)."""
+        produce several). Competitors are reseated in the ranking under
+        their ratings now, so call it after the iteration's ELO updates."""
         competitor_set = set(competitors)
         winner_set = set(winners)
         if not winner_set:
@@ -278,5 +302,8 @@ class AgentRegistry:
         self.winners = winner_set
         for agent_id in competitor_set:
             self.records[agent_id].tests += 1
+            if self._ranking is not None:
+                del self._ranking[bisect.bisect_left(self._ranking, self._seated[agent_id])]
+                self._seat(agent_id)
         for agent_id in winner_set:
             self.records[agent_id].iteration_wins += 1

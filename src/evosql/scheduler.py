@@ -8,6 +8,7 @@ exactly what an uninterrupted run would have.
 """
 
 import hashlib
+import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -217,15 +218,17 @@ def select_competitors(
         return _fill_from_top(roster, EVOLVE_ROSTER_SIZE, registry, rng)
 
     if mode == MODE_CHALLENGER:
-        records = list(registry.records.values())
-        qualified = [r for r in records if r.rating.value > ABOVE_AVERAGE_RATING]
-        qualified.sort(key=lambda r: (r.agent_id in registry.winners, r.tests, -r.rating.value,
-                                      r.agent_id))
-        roster = [r.agent_id for r in qualified[:NON_EVOLVE_ROSTER_SIZE]]
+        # Ids are unique, so each key is a total order and only the seats
+        # taken need ordering.
+        records = registry.records.values()
+        qualified = ((r.agent_id in registry.winners, r.tests, -r.rating.value, r.agent_id)
+                     for r in records if r.rating.value > ABOVE_AVERAGE_RATING)
+        roster = [key[-1] for key in heapq.nsmallest(NON_EVOLVE_ROSTER_SIZE, qualified)]
         if len(roster) < NON_EVOLVE_ROSTER_SIZE:
-            rest = sorted((r for r in records if r.agent_id not in roster),
-                          key=lambda r: (r.tests, -r.rating.value, r.agent_id))
-            roster += [r.agent_id for r in rest[:NON_EVOLVE_ROSTER_SIZE - len(roster)]]
+            rest = ((r.tests, -r.rating.value, r.agent_id)
+                    for r in records if r.agent_id not in roster)
+            roster += [key[-1] for key in
+                       heapq.nsmallest(NON_EVOLVE_ROSTER_SIZE - len(roster), rest)]
         return roster
 
     if mode == MODE_NONE:

@@ -13,10 +13,12 @@ rating after each iteration from them. Memory so grows with the rosters, not
 with iterations times population.
 """
 
+import bisect
+import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import scheduler
 from .errors import ConfigError, InvalidStateError
@@ -93,19 +95,31 @@ class SimulationResult:
             yield dict(ratings)
 
 
+def _tied_pairs(values) -> int:
+    return sum(count * (count - 1) // 2 for count in Counter(values).values())
+
+
 def kendall_tau(xs: list[float], ys: list[float]) -> float:
-    """Tau-a rank correlation over paired observations."""
+    """Tau-a rank correlation over paired observations.
+
+    Counts by sorting (after Knight, 1966): with the pairs ordered by
+    (x, y), every later pair with a smaller y is discordant, and the
+    concordant count follows from the pairs tied in x, in y and in both.
+    Raises ValueError for a NaN or an infinity, which has no rank.
+    """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two paired sequences of length >= 2")
-    concordant = discordant = 0
-    for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2):
-        product = (x1 - x2) * (y1 - y2)
-        if product > 0:
-            concordant += 1
-        elif product < 0:
-            discordant += 1
-    pairs = len(xs) * (len(xs) - 1) / 2
-    return (concordant - discordant) / pairs
+    for value in (*xs, *ys):
+        if value != value or value in (math.inf, -math.inf):
+            raise ValueError(f"kendall_tau needs finite values, got {value!r}")
+    seen: list[float] = []
+    discordant = 0
+    for _, y in sorted(zip(xs, ys)):
+        discordant += len(seen) - bisect.bisect_right(seen, y)
+        bisect.insort(seen, y)
+    pairs = len(xs) * (len(xs) - 1) // 2
+    untied = pairs - _tied_pairs(xs) - _tied_pairs(ys) + _tied_pairs(zip(xs, ys))
+    return (untied - 2 * discordant) / pairs
 
 
 def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> SimulationResult:

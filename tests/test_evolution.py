@@ -155,8 +155,24 @@ def test_evolve_agent_rerequests_after_a_nul_path(naive_package_dir, tmp_path):
     assert pkg.id == "iter2_fixed"
     (feedback,) = backend.refinements[2]
     assert "- embedded null byte" in feedback
+    assert "- embedded null byte (file='tools/nul\\x00.py')" in feedback
     assert sorted(p.name for p in (tmp_path / "iter_2").iterdir()) == ["iter2_fixed",
                                                                        "reasoning.md"]
+
+
+def test_evolve_agent_rerequests_naming_a_path_with_a_lone_surrogate(naive_package_dir,
+                                                                     tmp_path):
+    registry = _registry_with_naive(naive_package_dir)
+    context = build_context(registry, [], tmp_path_strategy(tmp_path))
+    context.iteration = 2
+    surrogate = make_evolution_response("fixme") + "```file=tools/a\ud800.py\nprint(1)\n```\n"
+    backend = RecordingEvolutionBackend({2: [surrogate, make_evolution_response("fixed")]})
+    pkg, _ = evolve_agent(context, backend, tmp_path / "iter_2")
+    assert pkg.id == "iter2_fixed"
+    (feedback,) = backend.refinements[2]
+    assert "- surrogates not allowed (file='tools/a\\ud800.py')" in feedback
+    # The feedback is text an HTTP request can carry.
+    feedback.encode()
 
 
 def test_evolve_agent_rerequests_after_a_file_that_is_also_a_directory(naive_package_dir,

@@ -172,6 +172,19 @@ def test_top_by_elo_is_stable():
     assert all(registry.top_by_elo(4) == first for _ in range(5))
 
 
+def test_top_by_elo_follows_registrations_and_recorded_outcomes():
+    registry = _registry_with(["A", "B", "C"])
+    assert registry.top_by_elo(3) == ["A", "B", "C"]
+    registry.register_record("D")
+    assert registry.top_by_elo(4) == ["A", "B", "C", "D"]
+    registry.elo.decompose_and_update([("D", 1), ("B", 0)])
+    registry.record_iteration_outcome(["D", "B"], {"D"})
+    assert registry.top_by_elo(4) == ["D", "A", "C", "B"]
+    assert registry.top_by_elo(2, exclude={"D"}) == ["A", "C"]
+    registry.record_iteration_outcome(["A", "D"], {"A"})
+    assert registry.top_by_elo(4) == ["D", "C", "A", "B"]
+
+
 def test_record_iteration_outcome_single_winner():
     registry = _registry_with(["A", "B", "C"])
     registry.record_iteration_outcome(["A", "B", "C"], {"A"})

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from evosql import scheduler
+from evosql.cli import main
 from evosql.errors import ConfigError
+from evosql.registry import AgentRegistry
 from evosql.simulate import (
     SimulationConfig,
     SyntheticAgent,
@@ -205,6 +210,87 @@ def test_kendall_tau():
     assert abs(kendall_tau([1, 2, 3, 4], [1, 2, 4, 3])) < 1.0
     with pytest.raises(ValueError):
         kendall_tau([1], [2])
+
+
+def pairwise_kendall_tau(xs, ys):
+    """Tau-a by comparing every pair: the oracle for the sort-based count."""
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    total = sum(sign(x1, x2) * sign(y1, y2)
+                for (x1, y1), (x2, y2) in combinations(zip(xs, ys), 2))
+    return total / (len(xs) * (len(xs) - 1) / 2)
+
+
+# Few distinct values, so ties in x, in y and in both are common.
+_tied_ints = st.integers(-3, 3)
+_tied_floats = st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 0.1, 0.7, 1500.0, 1e300])
+_paired = st.one_of(
+    st.lists(st.tuples(_tied_ints, _tied_ints), min_size=2, max_size=60),
+    st.lists(st.tuples(_tied_floats, _tied_floats), min_size=2, max_size=60),
+    st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _tied_floats),
+             min_size=2, max_size=60),
+)
+
+
+@given(_paired)
+def test_kendall_tau_equals_the_pairwise_count(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert kendall_tau(xs, ys) == pairwise_kendall_tau(xs, ys)
+    assert kendall_tau(ys, xs) == pairwise_kendall_tau(ys, xs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), math.inf, -math.inf])
+def test_kendall_tau_refuses_a_value_without_a_rank(bad):
+    for xs, ys in (([1.0, bad, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [bad, 2.0, 3.0])):
+        with pytest.raises(ValueError, match=repr(bad)):
+            kendall_tau(xs, ys)
+
+
+def test_the_kept_ranking_equals_a_full_sort_through_a_long_evolving_run(monkeypatch):
+    # Every ranking the scheduler asks for, and the whole ranking after each
+    # settle step, equals a sort of every record by rank key at that moment.
+    def ranked(registry):
+        return sorted(registry.records, key=registry._rank_key)
+
+    asked, grew = [], []
+    top_by_elo = AgentRegistry.top_by_elo
+
+    def checked_top_by_elo(registry, n, exclude=frozenset()):
+        top = top_by_elo(registry, n, exclude)
+        assert top == [a for a in ranked(registry) if a not in exclude][:n]
+        asked.append(len(exclude))
+        return top
+
+    def settle(registry, competitors, accuracies, _settle=scheduler.settle_iteration):
+        _settle(registry, competitors, accuracies)
+        grew.append(len(registry))
+        assert top_by_elo(registry, len(registry)) == ranked(registry)
+        assert top_by_elo(registry, 3, set(competitors)) == [
+            a for a in ranked(registry) if a not in competitors][:3]
+
+    monkeypatch.setattr(AgentRegistry, "top_by_elo", checked_top_by_elo)
+    monkeypatch.setattr(scheduler, "settle_iteration", settle)
+    result = simulate(global_population([0.8, 0.6, 0.4]),
+                      SimulationConfig(iterations=300, seed=3, evolve=True))
+    # Agents joined after the first ranking, which also skipped seated ones.
+    assert grew[0] == 3 and len(result.final_ratings) == grew[-1] > 200
+    assert max(asked) > 0
+
+
+def test_an_evolving_run_keeps_its_final_ratings():
+    result = simulate(global_population([0.8, 0.6]),
+                      SimulationConfig(iterations=1000, seed=1, evolve=True))
+    assert len(result.final_ratings) == 706
+    assert hashlib.sha256(repr(result.final_ratings).encode()).hexdigest() == (
+        "431577773cbbe5c99fcfe6aee4611c69fad3bb82db392c7be2dd2a660f76251d")
+
+
+def test_the_console_output_of_a_long_evolving_run_is_pinned(capsys):
+    assert main(["simulate", "--latents", "0.8,0.6", "--iterations", "2000", "--evolve",
+                 "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "cb5363598a9f1fe101fc9c311bd980d25393066e011307f9fb8ae861fd6a80ff")
 
 
 def test_kendall_tau_of_convergent_run_is_positive():
