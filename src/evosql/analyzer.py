@@ -343,6 +343,8 @@ class _TableFacts:
     nonnull_counts: dict[str, int] = field(default_factory=dict)
     min_max: dict[str, tuple] = field(default_factory=dict)
     # Exact up to CATEGORICAL_DISTINCT_MAX; one more stands for "more".
+    # Only probed columns have an entry (see _Snapshot), so reading a
+    # column that was not probed raises KeyError instead of reading 0.
     distinct_counts: dict[str, int] = field(default_factory=dict)
     mixed_case_enum: bool = False
     ordered: dict[str, list] = field(default_factory=dict)
@@ -373,16 +375,25 @@ def _table_facts(conn, table: str, columns: list[tuple], fks: list[_ForeignKey],
     row_count, aggregates = _column_aggregates(conn, table, columns)
     facts = _TableFacts(row_count)
     for col in columns:
-        name, text = col[1], _affinity(col[2]) == "TEXT"
+        affinity = _affinity(col[2])
+        name, text = col[1], affinity == "TEXT"
         facts.nonnull_counts[name], lo, hi = aggregates[name]
         facts.min_max[name] = (lo, hi)
-        probe = _distinct_values(conn, table, name, CATEGORICAL_DISTINCT_MAX + 1, ordered=False)
-        distinct = facts.distinct_counts[name] = len(probe)
-        categorical = 1 <= distinct <= CATEGORICAL_DISTINCT_MAX
-        # Whether a categorical column holds upper case does not depend on
-        # the order its values come in.
-        if categorical and any(isinstance(v, str) and v != v.lower() for v in probe):
-            facts.mixed_case_enum = True
+        # The distinct probe is read by enumerated values, and otherwise
+        # only for the text values the case-sensitivity guidance looks at.
+        # Every non-TEXT, non-BLOB affinity has a MAX, and SQLite orders
+        # NULL < numbers < TEXT < BLOB, so any other MAX means no text.
+        categorical = False
+        if (config.enum_value_limit != 0 or affinity in ("TEXT", "BLOB")
+                or isinstance(hi, (str, bytes))):
+            probe = _distinct_values(conn, table, name, CATEGORICAL_DISTINCT_MAX + 1,
+                                     ordered=False)
+            distinct = facts.distinct_counts[name] = len(probe)
+            categorical = 1 <= distinct <= CATEGORICAL_DISTINCT_MAX
+            # Whether a categorical column holds upper case does not depend
+            # on the order its values come in.
+            if categorical and any(isinstance(v, str) and v != v.lower() for v in probe):
+                facts.mixed_case_enum = True
         # Ascending values are read by samples past the MIN, by enumerated
         # values and by the format probe of TEXT columns.
         if (config.samples_per_column > 1 or text
@@ -411,9 +422,12 @@ class _Snapshot:
     on a read-only connection it opens and closes itself, on a pool of one
     thread per CPU. Per table, one aggregate scan gives the row count,
     every column's non-null count and MIN, and each numeric column's MAX.
-    Per column, a distinct probe without ORDER BY stops after
-    CATEGORICAL_DISTINCT_MAX + 1 values: the exact distinct count is only
-    needed up to that cutoff. The ascending distinct values are fetched for
+    A distinct probe without ORDER BY stops after CATEGORICAL_DISTINCT_MAX
+    + 1 values: the exact distinct count is only needed up to that cutoff.
+    It runs on every column where the tier shows enumerated values, and
+    otherwise (at Ultra) only on columns that can hold text: TEXT or BLOB
+    affinity, or a MAX that is text or a blob. A column not probed has no
+    distinct_counts entry. The ascending distinct values are fetched for
     every column at the Small, Medium and Large tiers and for TEXT columns
     at Ultra. Each of the table's foreign keys gets its cardinality and
     nullability, and its orphan count where the tier shows cross-table

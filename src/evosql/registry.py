@@ -271,16 +271,26 @@ class AgentRegistry:
         tests (under-tested agents get exposure first), then id."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        if self._ranking is None:
-            self._seated = {a: self._rank_key(a) for a in self.records}
-            self._ranking = sorted(self._seated.values())
         top: list[str] = []
-        for _, _, agent_id in self._ranking:
+        for _, _, agent_id in self._ranked():
             if len(top) == n:
                 break
             if agent_id not in exclude:
                 top.append(agent_id)
         return top
+
+    def rated_above(self, rating: float) -> list[AgentRecord]:
+        """Records of the agents rated above rating, in top_by_elo's order:
+        a prefix of the ranking."""
+        ranking = self._ranked()
+        end = bisect.bisect_left(ranking, (-rating,))
+        return [self.records[agent_id] for _, _, agent_id in ranking[:end]]
+
+    def _ranked(self) -> list[tuple]:
+        if self._ranking is None:
+            self._seated = {a: self._rank_key(a) for a in self.records}
+            self._ranking = sorted(self._seated.values())
+        return self._ranking
 
     def pending_winners(self) -> list[str]:
         return sorted(self.winners, key=self._rank_key)

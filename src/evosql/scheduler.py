@@ -220,13 +220,12 @@ def select_competitors(
     if mode == MODE_CHALLENGER:
         # Ids are unique, so each key is a total order and only the seats
         # taken need ordering.
-        records = registry.records.values()
         qualified = ((r.agent_id in registry.winners, r.tests, -r.rating.value, r.agent_id)
-                     for r in records if r.rating.value > ABOVE_AVERAGE_RATING)
+                     for r in registry.rated_above(ABOVE_AVERAGE_RATING))
         roster = [key[-1] for key in heapq.nsmallest(NON_EVOLVE_ROSTER_SIZE, qualified)]
         if len(roster) < NON_EVOLVE_ROSTER_SIZE:
             rest = ((r.tests, -r.rating.value, r.agent_id)
-                    for r in records if r.agent_id not in roster)
+                    for r in registry.records.values() if r.agent_id not in roster)
             roster += [key[-1] for key in
                        heapq.nsmallest(NON_EVOLVE_ROSTER_SIZE - len(roster), rest)]
         return roster

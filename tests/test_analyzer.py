@@ -1,5 +1,7 @@
 """Tests for the size-adaptive database analyzer and tool runner."""
 
+import hashlib
+import re
 import sqlite3
 import sys
 import threading
@@ -337,6 +339,63 @@ def test_analyze_takes_max_of_numeric_columns_only(tmp_path, monkeypatch):
     (scan,) = [s for s in _analyze_counting_statements(monkeypatch, db) if "COUNT(*)" in s]
     assert [m for m in ("i", "r", "n", "s", "b", "u") if f'MAX("{m}")' in scan] == ["i", "r", "n"]
     assert scan.count("MIN(") == 6
+
+
+def _make_ultra_db(path):
+    """9 tables x 51 columns, past the Ultra cutoff. Numeric columns of
+    every affinity hold numbers or NULL, except t0.status (INTEGER) holding
+    'Active' and t0.weight (REAL) holding a blob; TEXT columns hold lower
+    case only, so only t0.status can make the case-sensitivity guidance."""
+    kinds = (
+        ("INTEGER", lambda r, c: (r * c) % 5),
+        ("INTEGER", lambda r, c: r * 37 + c),
+        ("REAL", lambda r, c: round(r * 0.25 + c, 2)),
+        ("NUMERIC", lambda r, c: None if r % 3 == 0 else r % 4 + 0.5),
+        ("INTEGER", lambda r, c: None),
+        ("TEXT", lambda r, c: f"'v{(r + c) % 7}'"),
+        ("TEXT", lambda r, c: f"'2020-01-{r % 28 + 1:02d}'"),
+    )
+    statements = []
+    for t in range(9):
+        columns = [(f"{'ihrnesd'[c % 7]}{c}", *kinds[c % 7]) for c in range(50)]
+        if t == 0:
+            columns[0] = ("status", "INTEGER", lambda r, c: "'Active'" if r % 4 == 0 else r % 3)
+            columns[2] = ("weight", "REAL", lambda r, c: "x'00ff'" if r == 7 else r * 1.5)
+        decl = ", ".join(f"{name} {declared}" for name, declared, _ in columns)
+        statements.append(f"CREATE TABLE t{t} (id INTEGER PRIMARY KEY, {decl});")
+        for r in range(30):
+            values = ", ".join("NULL" if (v := value(r, c)) is None else str(v)
+                               for c, (_, _, value) in enumerate(columns))
+            statements.append(f"INSERT INTO t{t} VALUES ({r}, {values});")
+    return make_database(path, "\n".join(statements))
+
+
+_DISTINCT_RE = re.compile(r'^SELECT DISTINCT "([^"]+)" FROM "([^"]+)"')
+
+
+def test_analyze_ultra_probes_only_columns_that_can_hold_text(tmp_path, monkeypatch):
+    # At Ultra only the case-sensitivity guidance reads a distinct probe,
+    # and only its text values.
+    db = _make_ultra_db(tmp_path / "ultra.sqlite")
+    statements = _analyze_counting_statements(monkeypatch, db)
+    probed = {m.group(2, 1) for s in statements if (m := _DISTINCT_RE.match(s))}
+    conn = sqlite3.connect(db)
+    text_columns = {(t, name) for (t,) in conn.execute("SELECT name FROM sqlite_master")
+                    for _, name, declared, *_ in conn.execute(f"PRAGMA table_info({t})")
+                    if declared == "TEXT"}
+    conn.close()
+    assert len(text_columns) == 9 * 14
+    assert probed == text_columns | {("t0", "status"), ("t0", "weight")}
+    analysis = analyze(db)
+    assert analysis.tier.tier == "Ultra"
+    assert "String comparisons are case-sensitive" in analysis.text
+
+
+def test_analyze_ultra_text_is_pinned(tmp_path):
+    # Recorded from the analyzer that probed every column at every tier.
+    text = analyze(_make_ultra_db(tmp_path / "ultra.sqlite")).text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8ee93f27e0a83c9a0b562fe322f46a052e4bb1e7bdf74916ca357b9126e9b571")
 
 
 def test_analyze_degrading_runs_no_further_statement(school_db, monkeypatch):

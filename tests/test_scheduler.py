@@ -438,6 +438,30 @@ def test_evolve_and_none_rosters_seat_top_two_picks(spec, new_index, seed):
             assert roster[seat] in registry.top_by_elo(2, exclude=set(roster[:seat]))
 
 
+def _challenger_by_scan(registry):
+    """The challenger roster as it was written first, a sort of every
+    record: the reference the ranking-prefix walk must agree with."""
+    records = registry.records.values()
+    qualified = sorted((r.agent_id in registry.winners, r.tests, -r.rating.value, r.agent_id)
+                       for r in records if r.rating.value > 1500)
+    roster = [key[-1] for key in qualified[:4]]
+    rest = sorted((r.tests, -r.rating.value, r.agent_id)
+                  for r in records if r.agent_id not in roster)
+    return roster + [key[-1] for key in rest[:4 - len(roster)]]
+
+
+@given(
+    spec=st.lists(st.tuples(st.sampled_from([1400, 1500, 1510, 1600]), st.integers(0, 3),
+                            st.booleans()), min_size=1, max_size=10),
+    ranked_first=st.booleans(),
+)
+def test_challenger_roster_equals_the_scan_of_every_record(spec, ranked_first):
+    registry = _registry([(f"a{i}", *entry) for i, entry in enumerate(spec)])
+    if ranked_first:
+        registry.top_by_elo(1)
+    assert select_competitors(MODE_CHALLENGER, registry) == _challenger_by_scan(registry)
+
+
 def _fill_seat_by_seat(roster, size, registry, rng):
     """The roster fill as it was written first, one ranking per seat: the
     reference _fill_from_top must agree with."""
