@@ -19,6 +19,8 @@ with this module.
 import json
 import logging
 import os
+import random
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,12 +33,17 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "EVOSQL_API_KEY"
 HTTP_TIMEOUT = 120.0
 # A transient failure (no connection, a reply cut short or garbled, 429,
-# 5xx) is retried this many times, after HTTP_BACKOFF_S, then twice and four
-# times that, or after what the response's Retry-After asks. A Retry-After
-# beyond RETRY_AFTER_MAX_S ends the retries.
+# 5xx) is retried this many times. Retry k (0-based) waits what the
+# response's Retry-After asks, or else a "full jitter" draw from
+# [0, HTTP_BACKOFF_S * 2**k], so that calls refused at one instant do not
+# all come back at the next. A Retry-After beyond RETRY_AFTER_MAX_S ends
+# the retries.
 HTTP_RETRIES = 3
 HTTP_BACKOFF_S = 1.0
 RETRY_AFTER_MAX_S = 120.0
+# Statuses that say the endpoint is overloaded; each halves the in-flight
+# window (see InflightWindow).
+OVERLOADED_STATUSES = (429, 503)
 # The evolution backend samples every propose and refine at this temperature.
 EVOLUTION_TEMPERATURE = 0.7
 
@@ -141,12 +148,17 @@ def _retry_after_s(value: str | None) -> float | None:
     return max(0.0, when.timestamp() - time.time())
 
 
+# Backoff jitter is seeded by the OS and shared with no run RNG, so retry
+# timing never moves a seeded draw.
+_jitter = random.Random()
+
+
 def _retry_delay(exc: Exception, attempt: int) -> float | None:
     """Seconds to wait before retrying after attempt (0-based) failed with
     exc, or None when exc is not transient."""
     from urllib.error import HTTPError
 
-    backoff = HTTP_BACKOFF_S * 2 ** attempt
+    backoff = _jitter.uniform(0.0, HTTP_BACKOFF_S * 2 ** attempt)
     if not isinstance(exc, HTTPError):
         return backoff  # no connection, reset, timed out or cut short
     if exc.code != 429 and exc.code < 500:
@@ -157,13 +169,73 @@ def _retry_delay(exc: Exception, attempt: int) -> float | None:
     return asked if asked <= RETRY_AFTER_MAX_S else None
 
 
+class InflightWindow:
+    """How many calls of one endpoint may be in flight: additive increase,
+    multiplicative decrease, as in TCP congestion avoidance (Jacobson,
+    SIGCOMM 1988).
+
+    The window starts at 1. A call that ends overloaded (429 or 503) halves
+    it, never below 1, unless the window was halved after the call was
+    admitted: one burst halves it once. A call that is answered while the
+    window is full and callers wait for it earns a step of growth: each
+    step adds one until the first halving, and after that one per window
+    of steps. The window grows only while callers wait, so it never holds
+    more slots than there are callers.
+    """
+
+    def __init__(self):
+        self.size = 1
+        self.halvings = 0
+        self._steps = 0
+        self._inflight = 0
+        self._waiting = 0
+        self._changed = threading.Condition()
+
+    def enter(self) -> int:
+        """Wait for a slot, and take it. Returns the admission's ticket, to
+        be handed to leave()."""
+        with self._changed:
+            self._waiting += 1
+            try:
+                while self._inflight >= self.size:
+                    self._changed.wait()
+            finally:
+                self._waiting -= 1
+            self._inflight += 1
+            return self.halvings
+
+    def leave(self, ticket: int, answered: bool, overloaded: bool) -> None:
+        """Give back the slot taken by the enter() that returned ticket."""
+        with self._changed:
+            self.settle(ticket, answered, overloaded,
+                        contended=self._waiting > 0 and self._inflight >= self.size)
+            self._inflight -= 1
+            self._changed.notify_all()
+
+    def settle(self, ticket: int, answered: bool, overloaded: bool, contended: bool) -> None:
+        """The window rule for one call's end. contended: callers were
+        waiting on a full window when it ended."""
+        if overloaded:
+            if ticket == self.halvings:
+                self.size = max(1, self.size // 2)
+                self.halvings += 1
+                self._steps = 0
+        elif answered and contended:
+            self._steps += 1
+            if self._steps >= (self.size if self.halvings else 1):
+                self.size += 1
+                self._steps = 0
+
+
 class HttpChatBackend:
     """Chat-completions adapter for a live generation endpoint.
 
     Posts OpenAI-style payloads to <base_url>/chat/completions with a Bearer
     token read from the EVOSQL_API_KEY environment variable and passes the
-    loop's temperature through. Transient failures are retried (see
-    HTTP_RETRIES); the last one raises BackendError.
+    loop's temperature through. Every call of the instance waits for a slot
+    of one InflightWindow. Transient failures are retried (see
+    HTTP_RETRIES), each retry backing off outside the window and then
+    entering it again; the last one raises BackendError.
     """
 
     sleep = staticmethod(time.sleep)
@@ -178,6 +250,22 @@ class HttpChatBackend:
         self._transient = (OSError, http.client.HTTPException)
         self.base_url = base_url.rstrip("/")
         self.model = model
+        self._window = InflightWindow()
+
+    def _post(self, request) -> bytes:
+        """Send request once, inside the window; the reply's body."""
+        ticket = self._window.enter()
+        answered = overloaded = False
+        try:
+            with self._urllib.urlopen(request, timeout=HTTP_TIMEOUT) as response:
+                body = response.read()
+            answered = True
+            return body
+        except self._urllib.HTTPError as exc:
+            overloaded = exc.code in OVERLOADED_STATUSES
+            raise
+        finally:
+            self._window.leave(ticket, answered, overloaded)
 
     def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
         payload = {
@@ -195,11 +283,8 @@ class HttpChatBackend:
         )
         for attempt in range(HTTP_RETRIES + 1):
             try:
-                with self._urllib.urlopen(request, timeout=HTTP_TIMEOUT) as response:
-                    body = json.loads(response.read().decode("utf-8"))
+                raw = self._post(request)
                 break
-            except ValueError as exc:
-                raise BackendError(f"chat endpoint sent no JSON: {exc}") from exc
             except self._transient as exc:
                 if isinstance(exc, self._urllib.HTTPError):
                     exc.close()
@@ -211,6 +296,10 @@ class HttpChatBackend:
                 logger.warning("chat endpoint failure (attempt %d): %s; retrying in %gs",
                                attempt + 1, exc, delay)
                 self.sleep(delay)
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise BackendError(f"chat endpoint sent no JSON: {exc}") from exc
         try:
             content = body["choices"][0]["message"]["content"]
             content.encode("utf-8")  # not a str, or a lone surrogate escape

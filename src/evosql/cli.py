@@ -15,6 +15,10 @@ from .registry import load_package
 from .simulate import SimulationConfig, SyntheticAgent, simulate
 from .toolrun import DEFAULT_TOKEN_BUDGET
 
+_BACKEND_CONCURRENCY = orchestrator.RunConfig.backend_concurrency
+_HTTP_WINDOW_NOTE = ("an http: backend keeps fewer calls in flight while its endpoint "
+                      "answers 429 or 503, and jitters its retries")
+
 
 def _add_run_flags(parser):
     parser.add_argument("--config", type=Path, help="JSON config file mirroring RunConfig")
@@ -31,7 +35,8 @@ def _add_run_flags(parser):
                         help="tasks running Python, SQL or tools at once")
     parser.add_argument("--backend-concurrency", type=int, dest="backend_concurrency",
                         help="(agent, question) tasks in flight, each waiting on at most "
-                             "one generation call")
+                             f"one generation call (default {_BACKEND_CONCURRENCY}); "
+                             f"{_HTTP_WINDOW_NOTE}")
     parser.add_argument("--deep-focus-k", type=int, dest="deep_focus_k")
 
 
@@ -177,9 +182,10 @@ def main(argv=None) -> int:
     p_eval.add_argument("--workers", type=int, default=1,
                         help="tasks running Python, SQL or tools at once")
     p_eval.add_argument("--backend-concurrency", type=int,
-                        default=orchestrator.RunConfig.backend_concurrency,
+                        default=_BACKEND_CONCURRENCY,
                         help="questions in flight, each waiting on at most one "
-                             "generation call")
+                             f"generation call (default {_BACKEND_CONCURRENCY}); "
+                             f"{_HTTP_WINDOW_NOTE}")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(func=cmd_evaluate)
 

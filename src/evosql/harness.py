@@ -389,7 +389,8 @@ def pool_map(fn, items, workers: int) -> list:
 
 class _SlotReleasingBackend:
     """The generation backend, called with the caller's CPU slot given back,
-    so other tasks run SQL while this one waits for a reply."""
+    so other tasks run SQL while this one waits for a reply (or, on an
+    http: backend, for a slot of its in-flight window)."""
 
     def __init__(self, backend, slot: threading.Semaphore):
         self._backend = backend
@@ -423,7 +424,7 @@ class TaskPool:
         if workers < 1 or backend_concurrency < 1:
             raise ConfigError("workers and backend_concurrency must be >= 1")
         # Threads beyond workers only pay off while tasks wait on the
-        # backend; each costs a malloc arena (about 0.3 MB) and slot handoffs.
+        # backend; each costs about 0.25 MB of peak RSS and slot handoffs.
         threads = backend_concurrency
         if getattr(backend, "in_process", False):
             threads = min(workers, backend_concurrency)

@@ -86,7 +86,7 @@ class RunConfig:
     gen_backend: str = "oracle"
     evo_backend: str = "none"
     workers: int = 4
-    backend_concurrency: int = 6
+    backend_concurrency: int = 12
     deep_focus_k: int = 1
     late_stage_start: int = scheduler.DEFAULT_LATE_STAGE_START
     databases_per_iteration: int = scheduler.DATABASES_PER_ITERATION

@@ -1,9 +1,13 @@
-"""HTTP backends (chat retries, reply checks, the evolution conversation),
-scripted with a stand-in for urllib's urlopen."""
+"""HTTP backends (chat retries, the in-flight window, reply checks, the
+evolution conversation), scripted with a stand-in for urllib's urlopen or
+served by a loopback endpoint."""
 
 import email.message
 import http.client
 import json
+import random
+import sys
+import threading
 import types
 import urllib.error
 import urllib.request
@@ -11,20 +15,26 @@ from fractions import Fraction
 
 import pytest
 
+from evosql import backends
 from evosql.backends import (
+    HTTP_BACKOFF_S,
     HTTP_RETRIES,
     RETRY_AFTER_MAX_S,
     HttpChatBackend,
     HttpEvolutionBackend,
+    InflightWindow,
     OracleGenerationBackend,
+    ScriptedEvolutionBackend,
     _retry_after_s,
+    _retry_delay,
     render_evolution_request,
 )
 from evosql.errors import BackendError
 from evosql.evolution import EvolutionContext, deep_focus, evolve_agent
 from evosql.orchestrator import RunConfig, run
 from evosql.pipeline import CORRECT_SENTINEL, assemble_prompt
-from evosql.scheduler import QuestionItem
+from evosql.scheduler import QuestionItem, load_question_pool
+from tests.chat_endpoint import ChatEndpoint
 from tests.conftest import make_evolution_response
 
 URL = "http://llm.test/v1"
@@ -79,6 +89,12 @@ def _complete(backend) -> str:
     return backend.complete("system", [{"role": "user", "content": "q"}], 0.0)
 
 
+def _within_backoff(delays: list, steps) -> bool:
+    """Whether each delay is a full-jitter draw for its step: retry k waits
+    between 0 and HTTP_BACKOFF_S * 2**k."""
+    return all(0.0 <= delay <= HTTP_BACKOFF_S * 2 ** k for k, delay in zip(steps, delays))
+
+
 def test_transient_failures_are_retried_with_backoff_and_retry_after(monkeypatch):
     backend, calls, delays = _scripted_backend(monkeypatch, [
         urllib.error.URLError("connection refused"),
@@ -88,8 +104,10 @@ def test_transient_failures_are_retried_with_backoff_and_retry_after(monkeypatch
     ])
     assert _complete(backend) == "SELECT 1"
     assert calls == [f"{URL}/chat/completions"] * 4
-    # Backoff doubles from 1 s; the 503's Retry-After replaces its step.
-    assert delays == [1.0, 7.0, 4.0]
+    # The 503's Retry-After replaces its step; the others are jittered
+    # below a ceiling that doubles from HTTP_BACKOFF_S.
+    assert len(delays) == 3 and delays[1] == 7.0
+    assert _within_backoff(delays[::2], range(0, 3, 2))
 
 
 def test_failures_past_the_retry_budget_raise(monkeypatch):
@@ -97,7 +115,7 @@ def test_failures_past_the_retry_budget_raise(monkeypatch):
     with pytest.raises(BackendError, match="500"):
         _complete(backend)
     assert len(calls) == HTTP_RETRIES + 1
-    assert delays == [1.0, 2.0, 4.0]
+    assert len(delays) == HTTP_RETRIES and _within_backoff(delays, range(HTTP_RETRIES))
 
 
 def test_a_reply_cut_short_is_retried(monkeypatch):
@@ -106,7 +124,7 @@ def test_a_reply_cut_short_is_retried(monkeypatch):
         _reply("SELECT 1"),
     ])
     assert _complete(backend) == "SELECT 1"
-    assert len(calls) == 2 and delays == [1.0]
+    assert len(calls) == 2 and len(delays) == 1 and _within_backoff(delays, range(1))
 
 
 def test_replies_cut_short_past_the_retry_budget_raise(monkeypatch):
@@ -115,7 +133,80 @@ def test_replies_cut_short_past_the_retry_budget_raise(monkeypatch):
     with pytest.raises(BackendError, match="IncompleteRead"):
         _complete(backend)
     assert len(calls) == HTTP_RETRIES + 1
-    assert delays == [1.0, 2.0, 4.0]
+    assert len(delays) == HTTP_RETRIES and _within_backoff(delays, range(HTTP_RETRIES))
+
+
+def test_backoff_is_drawn_from_an_rng_no_run_shares():
+    refused = urllib.error.URLError("connection refused")
+    draws = [_retry_delay(refused, 2) for _ in range(200)]
+    # Spread over the whole step, not one instant for every caller.
+    assert _within_backoff(draws, [2] * len(draws))
+    assert min(draws) < HTTP_BACKOFF_S and max(draws) > 3 * HTTP_BACKOFF_S
+    # Seeding the global RNG neither fixes the draw nor is consumed by it.
+    random.seed(7)
+    expected = random.random()
+    random.seed(7)
+    first = _retry_delay(refused, 2)
+    assert random.random() == expected
+    random.seed(7)
+    assert _retry_delay(refused, 2) != first
+
+
+def test_the_window_grows_only_while_callers_wait_and_halves_once_per_window():
+    window = InflightWindow()
+    window.settle(0, answered=True, overloaded=False, contended=False)
+    assert window.size == 1  # nobody waited
+    for _ in range(7):
+        window.settle(0, answered=True, overloaded=False, contended=True)
+    assert window.size == 8  # one per answer before the first halving
+    window.settle(0, answered=False, overloaded=True, contended=True)
+    assert (window.size, window.halvings) == (4, 1)
+    # Calls admitted before that halving do not halve it again.
+    for _ in range(3):
+        window.settle(0, answered=False, overloaded=True, contended=True)
+    assert (window.size, window.halvings) == (4, 1)
+    # After it, one per window of answers; a failure without an answer that
+    # is not an overload changes nothing.
+    for _ in range(3):
+        window.settle(1, answered=True, overloaded=False, contended=True)
+    window.settle(1, answered=False, overloaded=False, contended=True)
+    window.settle(1, answered=True, overloaded=False, contended=False)
+    assert window.size == 4
+    window.settle(1, answered=True, overloaded=False, contended=True)
+    assert window.size == 5
+    # Each call admitted after the last halving halves again, down to 1.
+    for ticket in range(1, 5):
+        window.settle(ticket, answered=False, overloaded=True, contended=True)
+    assert (window.size, window.halvings) == (1, 5)
+
+
+def test_the_window_never_outgrows_its_callers_and_gets_every_slot_back():
+    window = InflightWindow()
+    sizes = []
+
+    def caller(seed: int) -> None:
+        rng = random.Random(seed)
+        for _ in range(300):
+            ticket = window.enter()
+            sizes.append(window.size)
+            overloaded = rng.random() < 0.05
+            window.leave(ticket, answered=not overloaded, overloaded=overloaded)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert window.halvings > 0 and 1 <= min(sizes) and max(sizes) <= len(threads)
+    # Every slot came back, so a lone caller is admitted at once.
+    assert window._inflight == 0
+    window.leave(window.enter(), answered=True, overloaded=False)
 
 
 @pytest.mark.parametrize("failure", [
@@ -274,3 +365,39 @@ def test_oracle_subclass_can_wrap_its_replies():
     prompt = _prompt("Which skus?")
     assert oracle.complete(prompt, [], 0.0) == "-- tagged\nSELECT 2"
     assert oracle.complete(prompt, [{"role": "assistant", "content": "x"}], 0.0) == CORRECT_SENTINEL
+
+
+def test_a_crowded_endpoint_moves_no_output_byte(monkeypatch, data_root, tmp_path):
+    # The endpoint serves 8 requests at once and refuses the rest with a
+    # 429. A run with 32 calls in flight must find that limit and keep under
+    # it without losing a question, and write what a run with one call in
+    # flight writes.
+    monkeypatch.setattr(backends, "HTTP_BACKOFF_S", 0.01)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    _, question_pool = load_question_pool(data_root)
+    names = ["run_state.json"] + [f"iter_{k}/{artifact}" for k in (1, 2)
+                                  for artifact in ("outcomes.json", "transcripts.json")]
+    refused = {}
+    with ChatEndpoint(question_pool, limit=8, hold_s=0.02) as endpoint:
+        server = threading.Thread(target=endpoint.serve_forever)
+        server.start()
+        try:
+            for concurrency in (1, 32):
+                before = endpoint.refused
+                run(RunConfig(data_root=data_root, output_dir=tmp_path / f"c{concurrency}",
+                              iterations=2, run_seed=9, workers=2,
+                              backend_concurrency=concurrency),
+                    gen_backend=HttpChatBackend(endpoint.url, "model"),
+                    evo_backend=ScriptedEvolutionBackend(
+                        {2: [make_evolution_response("gen2")] * 2}))
+                refused[concurrency] = endpoint.refused - before
+        finally:
+            endpoint.shutdown()
+            server.join(timeout=10)
+    assert not server.is_alive()
+    assert refused[1] == 0 and refused[32] >= 1
+    for name in names:
+        assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c32" / name).read_bytes(), name
+    for k in (1, 2):
+        outcomes = json.loads((tmp_path / "c32" / f"iter_{k}" / "outcomes.json").read_text())
+        assert outcomes and "backend_error" not in {o["failure_kind"] for o in outcomes}
