@@ -2,12 +2,19 @@
 
 toolrun.run_agent_tool starts this file as a script and keeps it for
 later runs. The protocol is one line each way. The parent writes a JSON
-request {"argv": [script, *args], "cwd": ..., "stderr": ...}. The host
-forks a child that runs the script the way `python <script> <args>` would,
-and answers with the child's exit code (negative for a signal) as a
+request {"argv": [script, *args], "cwd": ..., "stderr": ...}. A child of
+the host runs the script the way `python <script> <args>` would, and the
+host answers with the child's exit code (negative for a signal) as a
 decimal line. A line written while a child runs kills it; the host still
 answers with its exit code. EOF on stdin ends the host, killing a running
 child first.
+
+The child is forked before its request arrives: the host keeps one idle
+spare, forked at start and again right after each request is handed over,
+so a run does not wait for the fork. The spare does nothing a tool could
+observe before its request: it only drops the host's descriptors and waits
+on a pipe of its own, and it exits when the host closes that pipe, or dies.
+Its memory, like the host's, is outside evosql's own RSS.
 
 A child leaves by os._exit after the exit steps a tool can observe (see
 _exit), not by interpreter shutdown: tearing down the modules would only
@@ -171,15 +178,12 @@ def _exit(code: int | None) -> None:
 
 
 def _child(request: dict) -> None:
-    """Body of the forked child: run the tool, then leave by _exit, with
-    the exit code `python <script>` gives."""
+    """Body of the child, whose stdin and stdout are /dev/null already: run
+    the tool, then leave by _exit, with the exit code `python <script>`
+    gives."""
     os.chdir(request["cwd"])
-    null = os.open(os.devnull, os.O_RDWR)
     err = os.open(request["stderr"], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    os.dup2(null, 0)
-    os.dup2(null, 1)
     os.dup2(err, 2)
-    os.close(null)
     os.close(err)
     _exit(_run_script(request["argv"]))
 
@@ -203,9 +207,59 @@ def _wait(pid: int, requests: _Lines, wakeup: int) -> int | None:
             return None
 
 
+class _Spare:
+    """A child forked ahead of its request, waiting on a pipe of its own.
+    A request line written there runs as _child; EOF ends it silently."""
+
+    def __init__(self):
+        read, self._pipe = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                _await_request(read)
+            finally:
+                # Never back into the host's loop, whatever escaped.
+                os._exit(1)
+        os.close(read)
+
+    def start(self, line: bytes) -> int:
+        """Hand line, a request, to the spare; the pid that runs it. A
+        spare that is gone fails the write, and close() reaps it."""
+        pending = memoryview(line + b"\n")
+        while pending:
+            pending = pending[os.write(self._pipe, pending):]
+        os.close(self._pipe)
+        return self.pid
+
+    def close(self) -> None:
+        """End the spare unused and reap it."""
+        os.close(self._pipe)
+        os.waitpid(self.pid, 0)
+
+
+def _await_request(fd: int) -> None:
+    """Body of a spare: hold no descriptor of the host's but stderr, wait
+    on fd for a request, and run it as _child; exit silently at EOF."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    # SIGINT stays ignored, as in the host, until a tool runs.
+    null = os.open(os.devnull, os.O_RDWR)
+    os.dup2(null, 0)
+    os.dup2(null, 1)
+    # Every other descriptor goes, null's too.
+    os.closerange(3, fd)
+    os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+    line = _Lines(fd).read()
+    os.close(fd)
+    if line is None:
+        os._exit(0)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    _child(json.loads(line))
+
+
 def main() -> None:
     # Ctrl-C reaches the running tool, which dies of it as a fresh
-    # interpreter would; the host stays to report its exit code.
+    # interpreter would; the host and its spare stay to serve.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     wakeup, wakeup_w = os.pipe()
     os.set_blocking(wakeup_w, False)
@@ -217,24 +271,20 @@ def main() -> None:
     # them, and the child can tell its own objects from the host's.
     gc.freeze()
     requests = _Lines(sys.stdin.fileno())
-    while (line := requests.read()) is not None:
-        request = json.loads(line)
-        pid = os.fork()
-        if pid == 0:
-            signal.set_wakeup_fd(-1)
-            os.close(wakeup)
-            os.close(wakeup_w)
-            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            signal.signal(signal.SIGINT, signal.default_int_handler)
-            try:
-                _child(request)
-            finally:
-                # Never back into the host's loop, whatever escaped.
-                os._exit(1)
-        status = _wait(pid, requests, wakeup)
-        if status is None:
-            return
-        os.write(sys.stdout.fileno(), b"%d\n" % status)
+    spare = _Spare()
+    try:
+        while (line := requests.read()) is not None:
+            pid = spare.start(line)
+            # Should the next fork fail, there is no spare to close.
+            spare = None
+            spare = _Spare()
+            status = _wait(pid, requests, wakeup)
+            if status is None:
+                return
+            os.write(sys.stdout.fileno(), b"%d\n" % status)
+    finally:
+        if spare is not None:
+            spare.close()
 
 
 if __name__ == "__main__":

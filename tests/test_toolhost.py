@@ -57,6 +57,28 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                      reason="needs /dev/full to make a flush fail")
 
 
+def _children_file(pid: int) -> Path:
+    return Path(f"/proc/{pid}/task/{pid}/children")
+
+
+_NEEDS_PROC_CHILDREN = pytest.mark.skipif(
+    not _children_file(os.getpid()).exists(), reason="needs /proc/<pid>/task/<pid>/children")
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of the processes whose parent is pid."""
+    return [int(child) for child in _children_file(pid).read_text().split()]
+
+
+def _exited(pid: int) -> bool:
+    """Whether process pid has ended: it is gone, or a zombie no one reaps."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
 @pytest.mark.parametrize(
     "script,code,stderr_end",
     [
@@ -200,6 +222,53 @@ def test_host_differs_from_a_fresh_interpreter_only_as_documented(hosts, tmp_pat
     assert runs["host"] == runs["subprocess"] == (0, "")
     assert (workdir / "seen.json").read_text().splitlines() == ["true", "false"]
     assert (workdir / "del.txt").read_text() == "del "
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_tool_sees_the_descriptors_a_fresh_interpreter_sees(hosts, tmp_path):
+    # Neither a child's request pipe nor the host's wakeup pipe reaches a
+    # tool, whether its child was forked at the host's start or after an
+    # earlier request. The listing's own descriptor is in both lists.
+    script = (
+        "import os\n"
+        "fds = sorted(map(int, os.listdir('/proc/self/fd')))\n"
+        "with open('fds.txt', 'a') as f:\n"
+        "    f.write(f'{fds}\\n')\n"
+    )
+    workdir = _workdir(tmp_path, script)
+    runs = _run_both(hosts, workdir)
+    assert runs["host"] == runs["subprocess"] == (0, "")
+    assert hosts.run([sys.executable, "tools/probe.py"], workdir, tmp_path / "stderr", 60) == 0
+    host, fresh, host_again = (workdir / "fds.txt").read_text().splitlines()
+    assert host == fresh == host_again == "[0, 1, 2, 3]"
+
+
+@_NEEDS_PROC_CHILDREN
+def test_ctrl_c_between_runs_leaves_host_and_spare_serving(hosts, tmp_path):
+    # SIGINT to an idle host and to its spare, as a Ctrl-C to the process
+    # group between runs would send, ends neither. The spare then runs the
+    # next request, and a tool interrupted there still dies of SIGINT.
+    script = (
+        "import os, signal, sys\n"
+        "with open('pids.txt', 'a') as f:\n"
+        "    f.write(f'{os.getpid()}\\n')\n"
+        "if sys.argv[1:] == ['interrupt']:\n"
+        "    os.kill(os.getpid(), signal.SIGINT)\n"
+    )
+    workdir = _workdir(tmp_path, script)
+    argv = [sys.executable, "tools/probe.py"]
+    assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
+    (host,) = hosts._idle
+    (spare,) = _children(host.proc.pid)
+    os.kill(host.proc.pid, signal.SIGINT)
+    os.kill(spare, signal.SIGINT)
+    runs = _run_both(hosts, workdir, "interrupt")
+    assert runs["host"] == runs["subprocess"]
+    assert runs["host"][0] == -signal.SIGINT
+    assert runs["host"][1].endswith("KeyboardInterrupt\n")
+    assert int((workdir / "pids.txt").read_text().splitlines()[1]) == spare
+    assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
+    assert hosts.started == 1
 
 
 def test_module_state_does_not_leak_between_runs(hosts, tmp_path):
@@ -379,8 +448,10 @@ def test_host_dying_mid_run_is_retried_on_a_new_host(hosts, tmp_path, school_db)
 
 
 def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, school_db):
+    # The second line lists the host's children at exit ("-" where /proc
+    # cannot say): its idle spare.
     code = (
-        "import sys, tempfile\n"
+        "import os, sys, tempfile\n"
         "from evosql import toolrun\n"
         "from evosql.registry import load_package\n"
         f"result = toolrun.run_agent_tool(load_package({str(naive_package_dir)!r}), "
@@ -388,6 +459,9 @@ def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, 
         "assert not result.fallback, result.reason\n"
         "assert toolrun._STAGED_COPIES._dir.parent.samefile(tempfile.gettempdir())\n"
         "print(*[host.proc.pid for host in toolrun._TOOL_HOSTS._idle])\n"
+        "(host,) = toolrun._TOOL_HOSTS._idle\n"
+        "children = f'/proc/{host.proc.pid}/task/{host.proc.pid}/children'\n"
+        "print(open(children).read() if os.path.exists(children) else '-')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1]),
            "TMPDIR": str(tmp_path)}
@@ -398,8 +472,30 @@ def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, 
     assert proc.returncode == 0, proc.stderr
     # A host that did not end by itself would hold the exit for HOST_GRACE_S.
     assert elapsed < toolrun.HOST_GRACE_S
-    (host_pid,) = map(int, proc.stdout.split())
+    host_line, children_line = proc.stdout.splitlines()
+    (host_pid,) = map(int, host_line.split())
     with pytest.raises(ProcessLookupError):
         os.kill(host_pid, 0)
+    # Nor is any process whose parent was the host: the host reaped its
+    # spare before it exited.
+    if children_line != "-":
+        (spare,) = map(int, children_line.split())
+        with pytest.raises(ProcessLookupError):
+            os.kill(spare, 0)
     # No work directory and no database copy is left either.
     assert list(tmp_path.iterdir()) == []
+
+
+@_NEEDS_PROC_CHILDREN
+def test_spare_exits_when_its_host_is_killed(hosts, naive_package_dir, school_db):
+    # A SIGKILLed host closes nothing itself; its idle spare sees EOF on its
+    # request pipe and exits.
+    run_agent_tool(load_package(naive_package_dir), school_db, timeout=60)
+    (host,) = hosts._idle
+    (spare,) = _children(host.proc.pid)
+    host.proc.kill()
+    host.proc.wait(10)
+    deadline = time.monotonic() + toolrun.HOST_GRACE_S
+    while not _exited(spare):
+        assert time.monotonic() < deadline, f"spare {spare} outlived its host"
+        time.sleep(0.01)
