@@ -55,6 +55,24 @@ def update_pair(rating_a: float, rating_b: float, score_a: float) -> tuple[float
     return rating_a + delta, rating_b - delta
 
 
+def accuracy_ratio(agent_id: str, accuracy) -> tuple[int, int]:
+    """accuracy as an exact (numerator, denominator) with 0 <= n <= d.
+
+    Comparing two such ratios by cross-multiplying gives the order Python's
+    own mixed int, Fraction, float and Decimal comparisons give, without
+    their per-comparison type dispatch. Raises ValueError, naming the
+    agent, for a NaN, an infinity or a value outside [0, 1].
+    """
+    try:
+        num, den = accuracy.as_integer_ratio()  # ValueError on NaN, OverflowError on inf
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if 0 <= num <= den:
+            return num, den
+    raise ValueError(f"accuracy for {agent_id!r} outside [0, 1]: {accuracy!r}")
+
+
 class EloEngine:
     """Rating store for registered agents.
 
@@ -78,25 +96,25 @@ class EloEngine:
         results is an ordered list of (agent_id, accuracy) in roster order;
         pairs are visited in canonical order (1,2), (1,3), (2,3), ... and
         each update uses the then-current ratings. Accuracies are compared
-        exactly (they are exact counts over identical question sets), so
-        pass Fractions or ints, not accumulated floats.
+        as exact integer ratios (they are exact counts over identical
+        question sets), a float by its exact binary value, so pass
+        Fractions or ints, not accumulated floats.
 
         Fewer than two results is a no-op.
         """
+        ratios = []
         for agent_id, accuracy in results:
             if agent_id not in self.ratings:
                 raise UnknownAgentError(f"agent {agent_id!r} is not registered")
-            if not 0 <= accuracy <= 1:
-                raise ValueError(f"accuracy for {agent_id!r} outside [0, 1]: {accuracy!r}")
-        for (id_a, acc_a), (id_b, acc_b) in combinations(results, 2):
-            if acc_a > acc_b:
+            ratios.append((self.ratings[agent_id], *accuracy_ratio(agent_id, accuracy)))
+        for (rating_a, num_a, den_a), (rating_b, num_b, den_b) in combinations(ratios, 2):
+            cross_a, cross_b = num_a * den_b, num_b * den_a
+            if cross_a > cross_b:
                 score_a = 1.0
-            elif acc_a == acc_b:
+            elif cross_a == cross_b:
                 score_a = 0.5
             else:
                 score_a = 0.0
-            rating_a = self.ratings[id_a]
-            rating_b = self.ratings[id_b]
             rating_a.value, rating_b.value = update_pair(rating_a.value, rating_b.value, score_a)
             rating_a.games += 1
             rating_b.games += 1

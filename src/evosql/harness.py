@@ -204,14 +204,31 @@ class GoldTable:
     preview: list[str]
     db_file: Path
     runs: dict[str, SqlRun] = field(default_factory=dict, repr=False, compare=False)
+    _running: dict[str, Future] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def run(self, sql: str) -> SqlRun:
         """sql's entry, from running it on the gold's database the first
-        time it is asked for. Tasks racing on one text may both run it; all
-        of them read the entry stored first."""
+        time it is asked for. Single-flight: a task that asks for a text
+        while another runs it waits for that entry (or its exception)."""
         entry = self.runs.get(sql)
-        if entry is None:
-            entry = self.runs.setdefault(sql, _run_prediction(self, sql))
+        if entry is not None:
+            return entry
+        mine = Future()
+        running = self._running.setdefault(sql, mine)
+        if running is not mine:
+            return running.result()
+        try:
+            # An owner that finished since the first look stored its entry
+            # before it left _running.
+            entry = self.runs.get(sql) or _run_prediction(self, sql)
+            self.runs[sql] = entry
+            mine.set_result(entry)
+        except BaseException as exc:
+            mine.set_exception(exc)
+            raise
+        finally:
+            del self._running[sql]
         return entry
 
 

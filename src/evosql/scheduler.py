@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .elo import accuracy_ratio
 from .errors import DataValidationError, InvalidStateError
 from .registry import AgentRegistry
 
@@ -144,8 +145,9 @@ def sample_iteration_tasks(
     databases = rng.sample(db_pool, min(databases_per_iteration, len(db_pool)))
     questions = {}
     for db in databases:
-        pool = question_pool.get(db, [])
-        questions[db] = rng.sample(pool, min(questions_per_database, len(pool)))
+        # Sampling nothing draws nothing, so an empty pool skips the call.
+        pool = question_pool.get(db)
+        questions[db] = rng.sample(pool, min(questions_per_database, len(pool))) if pool else []
     return databases, questions
 
 
@@ -237,11 +239,16 @@ def select_competitors(
 
 
 def determine_winners(accuracies: dict[str, object]) -> set[str]:
-    """All agents attaining the maximum accuracy (ties allowed)."""
+    """All agents attaining the maximum accuracy (ties allowed), compared as
+    exact ratios (elo.accuracy_ratio)."""
     if not accuracies:
         raise ValueError("accuracies must be non-empty")
-    best = max(accuracies.values())
-    return {agent for agent, acc in accuracies.items() if acc == best}
+    ratios = {agent: accuracy_ratio(agent, acc) for agent, acc in accuracies.items()}
+    best_num, best_den = 0, 1
+    for num, den in ratios.values():
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return {agent for agent, (num, den) in ratios.items() if num * best_den == best_num * den}
 
 
 def roster_for_iteration(

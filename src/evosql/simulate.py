@@ -168,16 +168,15 @@ def simulate(population: list[SyntheticAgent], config: SimulationConfig) -> Simu
         )
 
         accuracies: dict[str, Fraction] = {}
+        draw = rng.random
+        questions = range(scheduler.QUESTIONS_PER_DATABASE)
         for agent_id in roster:
-            agent = agents[agent_id]
             correct = 0
-            for db in databases:
-                latent = agent.latent_for(db)
-                for _ in range(scheduler.QUESTIONS_PER_DATABASE):
-                    if rng.random() < latent:
+            for latent in map(agents[agent_id].latent_for, databases):
+                for _ in questions:
+                    if draw() < latent:
                         correct += 1
-            accuracies[agent_id] = Fraction(correct,
-                                            len(databases) * scheduler.QUESTIONS_PER_DATABASE)
+            accuracies[agent_id] = Fraction(correct, len(databases) * len(questions))
         scheduler.settle_iteration(registry, roster, accuracies)
 
         settled_ratings.append({a: registry.records[a].rating.value for a in roster})

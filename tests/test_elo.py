@@ -1,10 +1,12 @@
 """Tests for the ELO engine and pairwise decomposition."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from evosql.elo import (
     EloEngine,
@@ -14,6 +16,7 @@ from evosql.elo import (
     update_pair,
 )
 from evosql.errors import DuplicateAgentError, UnknownAgentError
+from evosql.scheduler import determine_winners
 
 ratings = st.floats(min_value=0, max_value=4000, allow_nan=False)
 scores = st.sampled_from([0.0, 0.5, 1.0])
@@ -183,3 +186,70 @@ def test_zero_sum_over_long_random_sequence():
         results = [(a, Fraction(rng.randrange(31), 30)) for a in roster]
         engine.decompose_and_update(results)
     assert sum(r.value for r in engine.ratings.values()) == pytest.approx(total_before, abs=1e-9)
+
+
+def _reference_decompose(engine, results):
+    """The pairwise decomposition scored with Python's own comparisons of
+    the accuracies, whatever their types."""
+    for i, (id_a, acc_a) in enumerate(results):
+        for id_b, acc_b in results[i + 1:]:
+            score_a = 1.0 if acc_a > acc_b else 0.5 if acc_a == acc_b else 0.0
+            rating_a, rating_b = engine.ratings[id_a], engine.ratings[id_b]
+            rating_a.value, rating_b.value = update_pair(rating_a.value, rating_b.value,
+                                                         score_a)
+            rating_a.games += 1
+            rating_b.games += 1
+
+
+def _reference_winners(accuracies):
+    best = max(accuracies.values())
+    return {agent for agent, acc in accuracies.items() if acc == best}
+
+
+# Values that are equal across types, or differ by one binary ulp: 0.1 + 0.2
+# is not 3/10, Fraction(0.3) is exactly 0.3, and 1/3 is not Fraction(1, 3).
+_NEAR_TIES = [0, 1, True, 0.3, 0.1 + 0.2, Fraction(3, 10), Fraction(0.3), Fraction(0.1 + 0.2),
+              1 / 3, Fraction(1, 3), Fraction(1 / 3), 0.5, Fraction(1, 2), 0.0, 1.0, 5e-324]
+accuracies = st.one_of(
+    st.sampled_from(_NEAR_TIES),
+    st.integers(min_value=0, max_value=1),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+    st.floats(min_value=0, max_value=1),
+)
+
+
+@given(st.lists(accuracies, min_size=1, max_size=6), st.lists(accuracies, min_size=1, max_size=6))
+@example([1 / 3, Fraction(1, 3), 0.1 + 0.2, Fraction(3, 10)],
+         [Fraction(0.3), 0.3, Fraction(1, 3), 1 / 3])
+def test_exact_ratios_order_accuracies_as_python_comparisons_do(first, second):
+    # Two iterations, the second on ratings the first moved, so every
+    # pair's expected score differs between the engine's runs and a score
+    # read the other way round would show in the final ratings.
+    rounds = [[(f"a{i}", acc) for i, acc in enumerate(accs)] for accs in (first, second)]
+    agents = [f"a{i}" for i in range(max(len(first), len(second)))]
+    engine, reference = _engine(agents), _engine(agents)
+    for results in rounds:
+        engine.decompose_and_update(results)
+        _reference_decompose(reference, results)
+        assert determine_winners(dict(results)) == _reference_winners(dict(results))
+    assert {a: (r.value.hex(), r.games) for a, r in engine.ratings.items()} == \
+        {a: (r.value.hex(), r.games) for a, r in reference.ratings.items()}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.0001,
+                                 Fraction(4, 3), Fraction(-1, 30), 2, -1,
+                                 Decimal("NaN"), Decimal("Infinity"), Decimal("1.01")])
+def test_decompose_rejects_accuracy_that_is_not_in_unit_interval(bad):
+    engine = _engine(["A", "B"])
+    with pytest.raises(ValueError, match=r"'B'.*" + re.escape(repr(bad))):
+        engine.decompose_and_update([("A", Fraction(1, 2)), ("B", bad)])
+    assert all(r.value == INITIAL_RATING and r.games == 0 for r in engine.ratings.values())
+    with pytest.raises(ValueError, match=r"'B'"):
+        determine_winners({"A": Fraction(1, 2), "B": bad})
+
+
+def test_decompose_accepts_decimal_and_bool_accuracies():
+    engine, reference = _engine(["A", "B", "C"]), _engine(["A", "B", "C"])
+    engine.decompose_and_update([("A", Decimal("0.3")), ("B", True), ("C", Fraction(3, 10))])
+    reference.decompose_and_update([("A", Fraction(3, 10)), ("B", 1), ("C", Fraction(3, 10))])
+    assert engine.ratings == reference.ratings

@@ -675,6 +675,68 @@ def test_repeated_syntax_error_keeps_each_outcome_and_no_exception(
                 if isinstance(getattr(entry, f.name), BaseException)]
 
 
+def _slow_sql(monkeypatch, seconds):
+    """Count harness.execute_sql calls, each held back by seconds before it
+    runs, so that tasks asking for a text meet while it runs."""
+    import evosql.harness as harness_module
+
+    calls = _count_sql(monkeypatch)
+    counting_execute = harness_module.execute_sql
+
+    def slow_execute(db_path, sql, timeout=30.0):
+        time.sleep(seconds)
+        return counting_execute(db_path, sql, timeout)
+
+    monkeypatch.setattr(harness_module, "execute_sql", slow_execute)
+    return calls
+
+
+def _ask_together(gold, sql, tasks=2):
+    start = threading.Barrier(tasks, timeout=10)
+
+    def ask(_):
+        start.wait()
+        return gold.run(sql)
+
+    with ThreadPoolExecutor(tasks) as pool:
+        return [pool.submit(ask, i) for i in range(tasks)]
+
+
+@pytest.mark.parametrize("sql", ["SELECT 1", "SELEC 1"])
+def test_tasks_asking_for_one_text_at_once_share_one_run(data_root, monkeypatch, sql):
+    # The second task asks while the first runs the text: it waits for that
+    # run's entry, an SqlError's too, instead of running the text again.
+    calls = _slow_sql(monkeypatch, 0.2)
+    gold = GoldTable(set(), [], data_root / "school" / "school.sqlite")
+    first, second = (future.result() for future in _ask_together(gold, sql))
+    assert calls == [sql]
+    assert first is second
+    assert gold.runs == {sql: first}
+    assert (first.error_kind is None) == (sql == "SELECT 1")
+
+
+def test_a_run_that_raises_fails_its_waiters_and_stores_nothing(data_root, monkeypatch):
+    import evosql.harness as harness_module
+
+    calls = _slow_sql(monkeypatch, 0.2)
+    counting_execute = harness_module.execute_sql
+
+    def failing_execute(db_path, sql, timeout=30.0):
+        counting_execute(db_path, sql, timeout)
+        raise RuntimeError("gone")
+
+    monkeypatch.setattr(harness_module, "execute_sql", failing_execute)
+    gold = GoldTable(set(), [], data_root / "school" / "school.sqlite")
+    for future in _ask_together(gold, "SELECT 1"):
+        with pytest.raises(RuntimeError, match="gone"):
+            future.result()
+    assert calls == ["SELECT 1"]
+    assert gold.runs == {}
+    monkeypatch.setattr(harness_module, "execute_sql", counting_execute)
+    assert gold.run("SELECT 1").error_kind is None
+    assert calls == ["SELECT 1", "SELECT 1"]
+
+
 def test_memo_keeps_every_text_under_contention(data_root, naive_package_dir, monkeypatch):
     # Eight agents on eight threads, switching as often as possible, ask
     # for the same texts of each question at once. An insert lost to a race
@@ -873,6 +935,7 @@ def test_backend_waits_overlap_while_sql_stays_bounded(data_root, naive_package_
         sys.setswitchinterval(interval)
     assert [ev.matches for ev in evaluations.values()] == [len(plan["school"])] * 2
     assert peak["backend"] >= concurrency
+    assert peak["backend"] <= concurrency
     assert 1 <= peak["sql"] <= workers
 
 

@@ -97,6 +97,18 @@ def test_sampling_deterministic_given_seed():
     assert first != other
 
 
+@pytest.mark.parametrize("question_pool", [
+    {}, {f"db{i}": [] for i in range(8)}, {f"db{i}": [] for i in range(0, 8, 2)},
+], ids=["missing", "empty", "some missing"])
+def test_sampling_empty_question_pools_draws_only_the_databases(question_pool):
+    db_pool = [f"db{i}" for i in range(8)]
+    rng, reference = random.Random(11), random.Random(11)
+    databases, questions = sample_iteration_tasks(db_pool, question_pool, rng)
+    assert databases == reference.sample(db_pool, 5)
+    assert questions == dict.fromkeys(databases, [])
+    assert rng.getstate() == reference.getstate()
+
+
 def test_sampling_empty_pool():
     with pytest.raises(InvalidStateError):
         sample_iteration_tasks([], {}, random.Random(0))
