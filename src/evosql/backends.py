@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import BackendError
+from .errors import BackendError, ConfigError
 from .pipeline import CORRECT_SENTINEL, extract_question
 
 logger = logging.getLogger(__name__)
@@ -82,6 +82,14 @@ def parse_file_blocks(text: str) -> DraftPackage:
     return DraftPackage(files=files, reasoning=reasoning)
 
 
+def _load_fixture(path, kind: str):
+    """The JSON value of a scripted backend's fixture file."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ConfigError(f"scripted {kind} fixture {path} is not JSON: {exc}") from exc
+
+
 class ScriptedGenerationBackend:
     """Replays canned replies by conversation position: `by_question` (keyed
     by question text) and `default` lists are indexed by the number of
@@ -102,9 +110,9 @@ class ScriptedGenerationBackend:
 
     @classmethod
     def from_fixture(cls, path) -> "ScriptedGenerationBackend":
-        data = json.loads(Path(path).read_text())
+        data = _load_fixture(path, "generation")
         if not isinstance(data, dict):
-            raise ValueError(
+            raise ConfigError(
                 f"scripted generation fixture {path} must be an object "
                 '{"by_question": {<question>: [replies...]}, "default": [replies...]}; '
                 "a list of replies consumed call by call is not supported, since "
@@ -323,7 +331,14 @@ class ScriptedEvolutionBackend:
 
     @classmethod
     def from_fixture(cls, path) -> "ScriptedEvolutionBackend":
-        return cls(json.loads(Path(path).read_text()))
+        data = _load_fixture(path, "evolution")
+        if not isinstance(data, dict) or not all(
+                key.isdecimal() and isinstance(replies, list)
+                and all(isinstance(reply, str) for reply in replies)
+                for key, replies in data.items()):
+            raise ConfigError(f"scripted evolution fixture {path} must be an object "
+                              '{"<iteration>": [responses...]}')
+        return cls(data)
 
     def propose(self, context) -> DraftPackage:
         self._queue = list(self._fixtures.get(context.iteration, []))

@@ -116,8 +116,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "RunConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(path).read_bytes())
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} is not a JSON object")

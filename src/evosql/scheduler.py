@@ -87,7 +87,10 @@ def load_question_pool(data_root: str | Path) -> tuple[list[str], dict[str, list
             )
         db_pool.append(child.name)
 
-    records = json.loads(questions_file.read_text())
+    try:
+        records = json.loads(questions_file.read_bytes())
+    except ValueError as exc:
+        raise DataValidationError(f"{questions_file} is not JSON: {exc}") from exc
     if not isinstance(records, list):
         raise DataValidationError(
             f"{QUESTIONS_FILENAME} holds {type(records).__name__}, not an array of records"

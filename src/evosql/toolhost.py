@@ -1,32 +1,24 @@
-"""A warm interpreter that runs packaged analysis tools, one fork per run.
+"""A warm interpreter that runs every packaged analysis tool, one fork per run.
 
-toolrun.run_agent_tool starts this file as a script and keeps it for
-later runs. The protocol is one line each way. The parent writes a JSON
-request {"argv": [script, *args], "cwd": ..., "stderr": ...}. A child of
-the host runs the script the way `python <script> <args>` would, and the
-host answers with the child's exit code (negative for a signal) as a
-decimal line. A line written while a child runs kills it; the host still
-answers with its exit code. EOF on stdin ends the host, killing a running
-child first.
+toolrun starts one host per evosql process, shared by every caller. Each
+message is one line. A request is `<id> <json>` ({"argv", "cwd", "stderr"});
+`kill <id>` kills that request's child if it still runs. Each reply is
+`<id> <exit code>` (negative for a signal), written once the child is
+reaped. EOF on stdin ends the host, killing and reaping every child first.
 
-The child is forked before its request arrives: the host keeps one idle
-spare, forked at start and again right after each request is handed over,
-so a run does not wait for the fork. The spare does nothing a tool could
-observe before its request: it only drops the host's descriptors and waits
-on a pipe of its own, and it exits when the host closes that pipe, or dies.
-Its memory, like the host's, is outside evosql's own RSS.
-
-A child leaves by os._exit after the exit steps a tool can observe (see
-_exit), not by interpreter shutdown: tearing down the modules would only
-write to the pages the child shares with the host, copying them.
+Each request runs in a spare child forked ahead of it, at start and after
+each hand-over, which only drops the host's descriptors and waits on a pipe
+of its own. It runs `python|python3 <script>.py [args]` in its own
+interpreter, as `python <script> <args>` would, leaving by os._exit after
+the exit steps a tool can observe (see _exit): module teardown would only
+copy the pages it shares with the host. It execs any other command.
 
 The host imports only what it needs to serve requests, plus sqlite3, which
-every analysis tool imports, so a tool finds nearly the module state a
-fresh interpreter has. What still differs: the children of one host share
-its hash seed and the environment it started with, a relative PYTHONPATH
-entry was resolved against the host's working directory, not the tool's,
-and __del__ does not run for objects still alive at exit, other than files
-and named temporary files.
+every analysis tool imports. What still differs from a fresh interpreter:
+the children of one host share its hash seed and the environment it
+started with (an exec'd program too), a relative PYTHONPATH entry was
+resolved against the host's working directory, and __del__ does not run
+for objects still alive at exit, other than files and named temporary files.
 """
 
 import _io
@@ -40,27 +32,6 @@ import signal
 import sqlite3  # noqa: F401  preloaded: every analysis tool imports it
 import sys
 import types
-
-
-class _Lines:
-    """Newline-terminated lines read from a file descriptor."""
-
-    def __init__(self, fd: int):
-        self.fd = fd
-        self._buffer = b""
-
-    def pending(self) -> bool:
-        return b"\n" in self._buffer
-
-    def read(self) -> bytes | None:
-        """The next line, blocking until it is complete; None at EOF."""
-        while b"\n" not in self._buffer:
-            chunk = os.read(self.fd, 65536)
-            if not chunk:
-                return None
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line
 
 
 def _run_script(argv: list[str]) -> int | None:
@@ -179,37 +150,33 @@ def _exit(code: int | None) -> None:
 
 def _child(request: dict) -> None:
     """Body of the child, whose stdin and stdout are /dev/null already: run
-    the tool, then leave by _exit, with the exit code `python <script>`
-    gives."""
+    a Python script here, or exec any other command with the signal
+    dispositions subprocess gives its children; one that cannot be exec'd
+    ends with exit code 127 and the reason as its last line of stderr."""
     os.chdir(request["cwd"])
     err = os.open(request["stderr"], os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     os.dup2(err, 2)
     os.close(err)
-    _exit(_run_script(request["argv"]))
-
-
-def _wait(pid: int, requests: _Lines, wakeup: int) -> int | None:
-    """The exit code of child pid. A line on stdin kills the child first;
-    at EOF the child is killed and reaped and None returned."""
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        if not requests.pending():
-            readable = select.select([requests.fd, wakeup], [], [])[0]
-            if requests.fd not in readable:
-                os.read(wakeup, 512)  # a SIGCHLD
-                continue
-        command = requests.read()
-        os.kill(pid, signal.SIGKILL)
-        if command is None:
-            os.waitpid(pid, 0)
-            return None
+    argv = request["argv"]
+    if argv[:1] in (["python"], ["python3"]):
+        if len(argv) >= 2 and argv[1].endswith(".py"):
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            _exit(_run_script(argv[1:]))
+        argv[0] = sys.executable
+    for signum in (signal.SIGINT, signal.SIGPIPE, signal.SIGXFSZ):
+        signal.signal(signum, signal.SIG_DFL)
+    try:
+        os.execvp(argv[0], argv)
+    except Exception as exc:
+        if isinstance(exc, OSError):
+            exc.filename = argv[0]  # named as subprocess names it
+        os.write(2, f"cannot execute tool: {exc}\n".encode(errors="replace"))
+    os._exit(127)
 
 
 class _Spare:
     """A child forked ahead of its request, waiting on a pipe of its own.
-    A request line written there runs as _child; EOF ends it silently."""
+    A request written there runs as _child; EOF alone ends it silently."""
 
     def __init__(self):
         read, self._pipe = os.pipe()
@@ -222,10 +189,10 @@ class _Spare:
                 os._exit(1)
         os.close(read)
 
-    def start(self, line: bytes) -> int:
-        """Hand line, a request, to the spare; the pid that runs it. A
-        spare that is gone fails the write, and close() reaps it."""
-        pending = memoryview(line + b"\n")
+    def start(self, request: bytes) -> int:
+        """Hand request to the spare, and return its pid. A spare that is
+        gone fails the write, and close() reaps it."""
+        pending = memoryview(request)
         while pending:
             pending = pending[os.write(self._pipe, pending):]
         os.close(self._pipe)
@@ -238,8 +205,8 @@ class _Spare:
 
 
 def _await_request(fd: int) -> None:
-    """Body of a spare: hold no descriptor of the host's but stderr, wait
-    on fd for a request, and run it as _child; exit silently at EOF."""
+    """Body of a spare: hold no descriptor of the host's but stderr, and run
+    the request read from fd up to EOF as _child; exit silently if none."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
     # SIGINT stays ignored, as in the host, until a tool runs.
@@ -249,16 +216,15 @@ def _await_request(fd: int) -> None:
     # Every other descriptor goes, null's too.
     os.closerange(3, fd)
     os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
-    line = _Lines(fd).read()
-    os.close(fd)
-    if line is None:
+    with open(fd, "rb") as pipe:
+        request = pipe.read()
+    if not request:
         os._exit(0)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    _child(json.loads(line))
+    _child(json.loads(request))
 
 
 def main() -> None:
-    # Ctrl-C reaches the running tool, which dies of it as a fresh
+    # Ctrl-C reaches the running tools, which die of it as a fresh
     # interpreter would; the host and its spare stay to serve.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     wakeup, wakeup_w = os.pipe()
@@ -270,19 +236,43 @@ def main() -> None:
     # a child then leave the pages they sit on shared instead of copying
     # them, and the child can tell its own objects from the host's.
     gc.freeze()
-    requests = _Lines(sys.stdin.fileno())
+    stdin = sys.stdin.fileno()
+    buffer = b""
+    running: dict[int, int] = {}
     spare = _Spare()
     try:
-        while (line := requests.read()) is not None:
-            pid = spare.start(line)
-            # Should the next fork fail, there is no spare to close.
-            spare = None
-            spare = _Spare()
-            status = _wait(pid, requests, wakeup)
-            if status is None:
+        while True:
+            readable = select.select([stdin, wakeup], [], [])[0]
+            if wakeup in readable:
+                os.read(wakeup, 512)  # SIGCHLDs
+                # Only the requests' children: the spare is reaped by close().
+                for request_id, pid in list(running.items()):
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        del running[request_id]
+                        os.write(sys.stdout.fileno(), b"%d %d\n" % (
+                            request_id, os.waitstatus_to_exitcode(status)))
+            if stdin not in readable:
+                continue
+            chunk = os.read(stdin, 65536)
+            if not chunk:
                 return
-            os.write(sys.stdout.fileno(), b"%d\n" % status)
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
+                command, _, rest = line.partition(b" ")
+                if command == b"kill":
+                    # A request that has ended was answered already.
+                    if (pid := running.get(int(rest))) is not None:
+                        os.kill(pid, signal.SIGKILL)
+                    continue
+                running[int(command)] = spare.start(rest)
+                # Should the next fork fail, there is no spare to close.
+                spare = None
+                spare = _Spare()
     finally:
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         if spare is not None:
             spare.close()
 

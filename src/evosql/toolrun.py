@@ -1,19 +1,21 @@
 """The runner for agents' packaged analysis tools, and its raw-DDL fallback.
 
 run_agent_tool runs a package's tool in an isolated working directory and
-returns its analysis text, within a token budget. A Python tool is forked
-from a warm tool host (toolhost.py); any other command runs as a plain
-subprocess. The tool's database is a hard link to a process-private copy
-of the pool file, made once and reused while no tool has changed it. A
-tool that fails falls back to extract_naive_schema, the raw DDL of the
-database. The run loop, Deep Focus and `evosql evaluate` all run
-tools here; analyzer.py holds the reference analyzer, which none of them
-calls.
+returns its analysis text, within a token budget. Every tool command runs
+in a child forked from one warm tool host per process (toolhost.py),
+shared by every caller: a Python script in the child's interpreter, any
+other command by exec. The tool's database is a hard link to a
+process-private copy of the pool file, made once and reused while no tool
+has changed it. A tool that fails falls back to extract_naive_schema, the
+raw DDL of the database. The run loop, Deep Focus and `evosql evaluate`
+all run tools here; analyzer.py holds the reference analyzer, which none
+of them calls.
 """
 
 import atexit
 import contextlib
 import fcntl
+import itertools
 import json
 import logging
 import math
@@ -95,114 +97,125 @@ class ToolRunResult:
 
 
 class _HostDied(Exception):
-    """A tool host ended or stopped answering before a run finished."""
+    """The tool host ended or stopped answering before a run finished."""
 
 
 class _ToolHost:
-    """One warm interpreter running toolhost.py; serves one run at a time."""
+    """One warm interpreter running toolhost.py, shared by every caller.
+    Requests are written under a lock; replies are read by the callers
+    waiting for them, one at a time, each up to its own deadline."""
 
     def __init__(self):
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, str(TOOL_HOST_SCRIPT)],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            )
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         except OSError as exc:
             raise _HostDied(f"cannot start tool host: {exc}") from exc
+        self._ids = itertools.count(1)
+        self._sending = threading.Lock()
+        self._replies = threading.Condition()
+        self._codes: dict[int, int] = {}
         self._buffer = b""
+        self._reading = False
+        # Why the host serves no further run, once it does not.
+        self.error: str | None = None
         # poll, unlike select, takes descriptors past FD_SETSIZE.
         self._answers = select.poll()
         self._answers.register(self.proc.stdout, select.POLLIN)
-        # False from a request until its answer is read: a host that is not
-        # ready is out of step and serves no further run.
-        self.ready = True
 
-    def run(self, argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
-        """Exit code of `python <script> <args>` (argv) run by the host."""
-        self.ready = False
-        self._send(json.dumps({"argv": argv[1:], "cwd": str(cwd), "stderr": str(stderr_path)}))
-        status = self._receive(timeout)
+    def run(self, argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int | None:
+        """Exit code of argv, run by a child of the host in cwd; None if
+        the run timed out and was killed."""
+        request_id = next(self._ids)
+        self._send(f"{request_id} " + json.dumps(
+            {"argv": argv, "cwd": str(cwd), "stderr": str(stderr_path)}))
+        status = self._receive(request_id, timeout)
         if status is None:
-            # The host kills the tool, reaps it and reports its exit code.
+            # The host kills the tool, reaps it and reports its exit code; a
+            # host that does not is ended.
             try:
-                self._send("kill")
-                self.ready = self._receive(HOST_GRACE_S) is not None
+                self._send(f"kill {request_id}")
+                if self._receive(request_id, HOST_GRACE_S) is None:
+                    self.close()
             except _HostDied:
                 pass
-            raise subprocess.TimeoutExpired(argv, timeout)
-        self.ready = True
         return status
 
     def _send(self, line: str) -> None:
-        try:
-            self.proc.stdin.write(line.encode() + b"\n")
-            self.proc.stdin.flush()
-        except OSError as exc:
-            raise _HostDied(f"tool host {self.proc.pid} is gone: {exc}") from exc
+        with self._sending:
+            try:
+                self.proc.stdin.write(line.encode() + b"\n")
+                self.proc.stdin.flush()
+            except (OSError, ValueError) as exc:
+                self.error = self.error or f"tool host {self.proc.pid} is gone: {exc}"
+                raise _HostDied(self.error) from exc
 
-    def _receive(self, timeout: float) -> int | None:
-        """The host's next answer; None if none came within timeout."""
+    def _receive(self, request_id: int, timeout: float) -> int | None:
+        """The exit code the host reports for request_id; None if none came
+        within timeout."""
         deadline = time.monotonic() + timeout
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._answers.poll(remaining * 1000):
-                return None
-            chunk = os.read(self.proc.stdout.fileno(), 64)
-            if not chunk:
-                raise _HostDied(f"tool host {self.proc.pid} exited")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return int(line)
+        with self._replies:
+            while request_id not in self._codes:
+                remaining = deadline - time.monotonic()
+                if self.error is not None:
+                    raise _HostDied(self.error)
+                if remaining <= 0:
+                    return None
+                if self._reading:
+                    self._replies.wait(remaining)
+                    continue
+                self._reading = True
+                self._replies.release()
+                try:
+                    ready = self._answers.poll(remaining * 1000)
+                    chunk = os.read(self.proc.stdout.fileno(), 4096) if ready else None
+                except (OSError, ValueError):
+                    chunk = b""
+                finally:
+                    self._replies.acquire()
+                    self._reading = False
+                    self._replies.notify_all()
+                if chunk == b"":
+                    self.error = self.error or f"tool host {self.proc.pid} exited"
+                elif chunk:
+                    *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+                    # Each line is `<request id> <exit code>`.
+                    self._codes.update(map(int, line.split()) for line in lines)
+            return self._codes.pop(request_id)
 
     def close(self) -> None:
-        """End the host: at EOF it kills a running tool and exits."""
-        try:
+        """End the host: at EOF it kills every running tool and exits. A
+        run still waiting on it loses its host."""
+        self.error = self.error or f"tool host {self.proc.pid} was closed"
+        with self._sending, contextlib.suppress(OSError):
             self.proc.stdin.close()
-        except OSError:
-            pass
         try:
             self.proc.wait(HOST_GRACE_S)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
-        self.proc.stdout.close()
+        with self._replies:
+            while self._reading:
+                self._replies.wait()
+            self.proc.stdout.close()
 
 
-class _ToolHosts:
-    """Warm tool hosts, started on demand and reused, so there are never
-    more hosts than concurrent callers."""
-
-    def __init__(self):
-        self._idle: list[_ToolHost] = []
-        self._lock = threading.Lock()
-        self.started = 0
-        atexit.register(self.close)
-
-    def run(self, argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
-        with self._lock:
-            host = self._idle.pop() if self._idle else None
-        if host is None:
-            host = _ToolHost()
-            with self._lock:
-                self.started += 1
-        try:
-            return host.run(argv, cwd, stderr_path, timeout)
-        finally:
-            if host.ready:
-                with self._lock:
-                    self._idle.append(host)
-            else:
-                host.close()
-
-    def close(self) -> None:
-        """End every idle host."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for host in idle:
-            host.close()
+_host: _ToolHost | None = None
+_host_lock = threading.Lock()
+atexit.register(lambda: _host is not None and _host.close())
 
 
-_TOOL_HOSTS = _ToolHosts()
+def _tool_host() -> _ToolHost:
+    """The process's tool host: started on first use, and anew once it ends."""
+    global _host
+    with _host_lock:
+        ended = host = _host
+        if host is None or host.error is not None:
+            host = _host = _ToolHost()
+    if ended not in (None, host):
+        ended.close()
+    return host
 
 
 def _remove(path: Path) -> None:
@@ -357,24 +370,6 @@ def keep_copies(db_paths) -> None:
     _STAGED_COPIES.keep(db_paths)
 
 
-def _hosted(argv: list[str]) -> bool:
-    """Whether a tool host can run argv: `python|python3 <script>.py [args]`."""
-    return (
-        hasattr(os, "fork")
-        and len(argv) >= 2
-        and argv[0] in ("python", "python3")
-        and argv[1].endswith(".py")
-    )
-
-
-def _run_subprocess(argv: list[str], cwd: Path, stderr_path: Path, timeout: float) -> int:
-    with open(stderr_path, "wb") as stderr:
-        return subprocess.run(
-            argv, cwd=cwd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-            stderr=stderr, timeout=timeout,
-        ).returncode
-
-
 def _stderr_tail(path: Path) -> str:
     """The last line in the final STDERR_TAIL_BYTES of a tool's stderr."""
     try:
@@ -387,7 +382,7 @@ def _stderr_tail(path: Path) -> str:
     return tail.splitlines()[-1] if tail else ""
 
 
-def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: float,
+def _run_staged(pkg: AgentPackage, db_path, argv: list[str], timeout: float,
                 max_bytes: int) -> tuple[str | None, str | None]:
     """Run the tool once in a fresh working directory: (output, None), or
     (None, why the run failed)."""
@@ -414,12 +409,9 @@ def _run_staged(pkg: AgentPackage, db_path, argv: list[str], runner, timeout: fl
             (workdir / "output").mkdir(exist_ok=True)
         except OSError as exc:
             return None, f"cannot stage tools: {exc}"
-        try:
-            code = runner(argv, workdir, stderr_path, timeout)
-        except subprocess.TimeoutExpired:
+        code = _tool_host().run(argv, workdir, stderr_path, timeout)
+        if code is None:
             return None, f"timeout after {timeout:g}s"
-        except OSError as exc:
-            return None, f"cannot execute tool: {exc}"
         output_file = workdir / pkg.tool_output_file
         if code != 0:
             tail = _stderr_tail(stderr_path)
@@ -447,38 +439,36 @@ def run_agent_tool(
 
     The tool sees a private copy of the database as ./database.sqlite (a
     hard link to a copy reused while no tool changes it) plus the
-    package's tools/ directory, and must write its declared output file with
-    exit code 0. Its stdin is /dev/null, its stdout is discarded, and only
-    the end of its stderr is read, for the fallback reason. Nonzero exit,
-    timeout, or a missing or blank output file falls back to the raw-DDL
-    extractor with the result tagged as a fallback, and so does a work
-    directory, database or tools/ directory that cannot be staged (reason
-    `cannot make work directory: <error>`, `cannot stage database: <error>`
-    or `cannot stage tools: <error>`). At
-    most token_budget * BYTES_PER_TOKEN + 1 bytes of the output file are
-    read, as UTF-8, so a longer file is over budget. An analysis over
-    budget, or a tool whose naive fallback fails or is blank too, blocks the
-    (agent, database) pair: the text is None and the reason says why.
+    package's tools/ directory, and must write its declared output file
+    with exit code 0. Its stdin is /dev/null, its stdout is discarded, and
+    only the end of its stderr is read, for the fallback reason. Nonzero
+    exit, timeout, a missing or blank output file, a work directory,
+    database or tools/ directory that cannot be staged (reason `cannot make
+    work directory|stage database|stage tools: <error>`), or a tool host
+    lost twice (`tool host died: <error>`) falls back to the raw-DDL
+    extractor, with the result tagged as a fallback. At most token_budget *
+    BYTES_PER_TOKEN + 1 bytes of the output file are read, as UTF-8, so a
+    longer file is over budget. An analysis over budget, or a tool whose
+    naive fallback fails or is blank too, blocks the (agent, database)
+    pair: the text is None and the reason says why.
 
-    `python|python3 <script>.py [args]` runs in a child forked from a warm
-    tool host (toolhost.py); any other command runs as a plain subprocess.
+    Every command runs in a child of the process's one tool host
+    (toolhost.py): a Python script in the child's interpreter, any other
+    command by exec. A run whose host dies is retried once on a new host.
     """
     text = reason = None
     if pkg.execution_mode != "fallback_naive":
         argv = shlex.split(pkg.tool_command)
-        # A host that dies is replaced and the run retried once; should the
-        # replacement die too, the tool runs as a plain subprocess. A host's
-        # death never counts as the tool's failure.
-        runners = [_TOOL_HOSTS.run] * 2 if _hosted(argv) else []
-        if argv and argv[0] in ("python", "python3"):
-            argv[0] = sys.executable
-        for runner in runners + [_run_subprocess]:
+        # A host that dies is replaced and the run retried once; the tool
+        # beside the one that killed it may lose it too.
+        for _ in range(2):
             try:
-                text, reason = _run_staged(pkg, db_path, argv, runner, timeout,
+                text, reason = _run_staged(pkg, db_path, argv, timeout,
                                            token_budget * BYTES_PER_TOKEN + 1)
                 break
             except _HostDied as exc:
-                logger.warning("tool run of agent %s on %s lost its host (%s); retrying",
+                reason = f"tool host died: {exc}"
+                logger.warning("tool run of agent %s on %s lost its host (%s)",
                                pkg.id, db_path, exc)
         if reason is not None:
             logger.warning("tool for agent %s failed on %s (%s); using naive fallback",

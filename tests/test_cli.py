@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 
 import pytest
 
@@ -318,3 +319,29 @@ def test_evaluate_refuses_a_manifest_that_is_not_text(data_root, tmp_path):
     manifest.write_bytes(manifest.read_bytes() + b"description: caf\xe9\n")
     with pytest.raises(SystemExit, match=f"^{re.escape(str(manifest))}: not text "):
         main(["evaluate", "--agent-dir", str(root), "--data-root", str(data_root)])
+
+
+@pytest.mark.parametrize("target, content, message", [
+    ("questions", b'[{"question_id": 1, "db_id": "school"',
+     "^.+questions.json is not JSON: Expecting "),
+    ("questions", b'[{"question": "caf\xe9"}]', "^.+questions.json is not JSON: 'utf-8' codec "),
+    ("config", b'{"workers": 2, "note": "caf\xe9"}',
+     "^config file .+malformed.json is not JSON: 'utf-8' codec "),
+    ("gen", b'{"default": [', "^scripted generation fixture .+malformed.json is not JSON: "),
+    ("gen", b'["SELECT 1"]', "^scripted generation fixture .+malformed.json must be an object "),
+    ("evo", b'{"2": ["a"', "^scripted evolution fixture .+malformed.json is not JSON: "),
+    ("evo", b'["a"]', "^scripted evolution fixture .+malformed.json must be an object "),
+], ids=["questions-truncated", "questions-not-utf8", "config-not-utf8", "gen-fixture-truncated",
+        "gen-fixture-list", "evo-fixture-truncated", "evo-fixture-list"])
+def test_malformed_json_input_exits_with_a_message(data_root, tmp_path, target, content,
+                                                   message):
+    root = tmp_path / "data"
+    shutil.copytree(data_root, root)
+    malformed = root / "questions.json" if target == "questions" else tmp_path / "malformed.json"
+    malformed.write_bytes(content)
+    argv = ["run", "--data-root", str(root), "--output-dir", str(tmp_path / "out")]
+    argv += {"questions": [], "config": ["--config", str(malformed)],
+             "gen": ["--gen-backend", f"scripted:{malformed}"],
+             "evo": ["--evo-backend", f"scripted:{malformed}"]}[target]
+    with pytest.raises(SystemExit, match=message):
+        main(argv)

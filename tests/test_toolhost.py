@@ -1,8 +1,10 @@
-"""Tests for running packaged tools from warm tool hosts.
+"""Tests for running packaged tools from the process's warm tool host.
 
-A `python <script>.py` tool command runs in a child forked from a warm
-host interpreter (evosql/toolhost.py); every other command runs as a plain
-subprocess. The parity tests run the same script both ways and compare.
+Every tool command runs in a child forked from one host interpreter
+(evosql/toolhost.py), shared by every caller: a `python <script>.py`
+command in the child's interpreter, any other command by exec. The parity
+tests run the same tool on the host and through a `subprocess.run`
+reference, and compare.
 """
 
 import json
@@ -24,11 +26,20 @@ from evosql.toolrun import extract_naive_schema, run_agent_tool
 
 @pytest.fixture
 def hosts(monkeypatch):
-    """A fresh host pool for one test, closed afterwards."""
-    pool = toolrun._ToolHosts()
-    monkeypatch.setattr(toolrun, "_TOOL_HOSTS", pool)
-    yield pool
-    pool.close()
+    """The tool hosts started during one test, which starts with none and
+    closes the last one afterwards."""
+    started = []
+    start = toolrun._ToolHost.__init__
+
+    def recorded_start(host):
+        start(host)
+        started.append(host)
+
+    monkeypatch.setattr(toolrun._ToolHost, "__init__", recorded_start)
+    monkeypatch.setattr(toolrun, "_host", None)
+    yield started
+    if toolrun._host is not None:
+        toolrun._host.close()
 
 
 def _workdir(tmp_path: Path, script: str, **siblings: str) -> Path:
@@ -40,16 +51,33 @@ def _workdir(tmp_path: Path, script: str, **siblings: str) -> Path:
     return workdir
 
 
-def _run_both(hosts, workdir: Path, *args: str, timeout: float = 60) -> dict:
-    """Run tools/probe.py with args on the host and as a plain subprocess:
-    {path: (exit code, stderr text)}."""
-    argv = [sys.executable, "tools/probe.py", *args]
+def _host_run(argv: list[str], workdir: Path, stderr_path: Path, timeout: float = 60) -> int:
+    """The exit code of argv run on the process's tool host."""
+    return toolrun._tool_host().run(argv, workdir, stderr_path, timeout)
+
+
+def _subprocess_run(argv: list[str], workdir: Path, stderr_path: Path,
+                    timeout: float = 60) -> int:
+    """The exit code of argv run as a plain subprocess, the reference the
+    host is held to."""
+    if argv[0] in ("python", "python3"):
+        argv = [sys.executable, *argv[1:]]
+    with open(stderr_path, "wb") as stderr:
+        return subprocess.run(argv, cwd=workdir, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL, stderr=stderr,
+                              timeout=timeout).returncode
+
+
+def _run_both(hosts, workdir: Path, *args: str, timeout: float = 60,
+              argv: tuple = ("python", "tools/probe.py")) -> dict:
+    """Run argv (tools/probe.py by default) with args on the host and as a
+    plain subprocess: {path: (exit code, stderr text)}."""
     runs = {}
-    for path, runner in (("host", hosts.run), ("subprocess", toolrun._run_subprocess)):
+    for path, runner in (("host", _host_run), ("subprocess", _subprocess_run)):
         stderr_path = workdir.parent / f"{path}.stderr"
-        code = runner(argv, workdir, stderr_path, timeout)
+        code = runner([*argv, *args], workdir, stderr_path, timeout)
         runs[path] = (code, stderr_path.read_text())
-    assert hosts.started == 1
+    assert len(hosts) == 1
     return runs
 
 
@@ -238,7 +266,7 @@ def test_tool_sees_the_descriptors_a_fresh_interpreter_sees(hosts, tmp_path):
     workdir = _workdir(tmp_path, script)
     runs = _run_both(hosts, workdir)
     assert runs["host"] == runs["subprocess"] == (0, "")
-    assert hosts.run([sys.executable, "tools/probe.py"], workdir, tmp_path / "stderr", 60) == 0
+    assert _host_run(["python", "tools/probe.py"], workdir, tmp_path / "stderr") == 0
     host, fresh, host_again = (workdir / "fds.txt").read_text().splitlines()
     assert host == fresh == host_again == "[0, 1, 2, 3]"
 
@@ -256,9 +284,9 @@ def test_ctrl_c_between_runs_leaves_host_and_spare_serving(hosts, tmp_path):
         "    os.kill(os.getpid(), signal.SIGINT)\n"
     )
     workdir = _workdir(tmp_path, script)
-    argv = [sys.executable, "tools/probe.py"]
-    assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
-    (host,) = hosts._idle
+    argv = ["python", "tools/probe.py"]
+    assert _host_run(argv, workdir, tmp_path / "stderr") == 0
+    (host,) = hosts
     (spare,) = _children(host.proc.pid)
     os.kill(host.proc.pid, signal.SIGINT)
     os.kill(spare, signal.SIGINT)
@@ -267,8 +295,8 @@ def test_ctrl_c_between_runs_leaves_host_and_spare_serving(hosts, tmp_path):
     assert runs["host"][0] == -signal.SIGINT
     assert runs["host"][1].endswith("KeyboardInterrupt\n")
     assert int((workdir / "pids.txt").read_text().splitlines()[1]) == spare
-    assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
-    assert hosts.started == 1
+    assert _host_run(argv, workdir, tmp_path / "stderr") == 0
+    assert len(hosts) == 1
 
 
 def test_module_state_does_not_leak_between_runs(hosts, tmp_path):
@@ -288,10 +316,9 @@ def test_module_state_does_not_leak_between_runs(hosts, tmp_path):
         "    f.write(seen + ' ')\n"
     )
     workdir = _workdir(tmp_path, script)
-    argv = [sys.executable, "tools/probe.py"]
     for _ in range(2):
-        assert hosts.run(argv, workdir, tmp_path / "stderr", 60) == 0
-    assert hosts.started == 1
+        assert _host_run(["python", "tools/probe.py"], workdir, tmp_path / "stderr") == 0
+    assert len(hosts) == 1
     assert (workdir / "seen.txt").read_text() == "unsupported unsupported "
 
 
@@ -338,13 +365,12 @@ def _package(root: Path, script: str, command: str = "python tools/probe.py"):
 
 
 @pytest.fixture(params=["host", "subprocess"])
-def tool_path(request, hosts, monkeypatch):
-    """Run run_agent_tool's python commands on the host or, with the host
-    path switched off, as plain subprocesses."""
-    if request.param == "subprocess":
-        monkeypatch.setattr(toolrun, "_hosted", lambda argv: False)
-    yield request.param
-    assert hosts.started == (request.param == "host")
+def tool_path(request, hosts):
+    """How a tool command starts Python: `python`, which the host's child
+    runs in its own interpreter, or `python -u`, which the child execs as
+    a fresh one. Either way one host serves every run."""
+    yield {"host": "python", "subprocess": "python -u"}[request.param]
+    assert len(hosts) == 1
 
 
 def test_timed_out_tool_is_killed_and_reaped(tool_path, tmp_path, school_db):
@@ -355,7 +381,7 @@ def test_timed_out_tool_is_killed_and_reaped(tool_path, tmp_path, school_db):
         "    f.write(str(os.getpid()))\n"
         "time.sleep(60)\n"
     )
-    pkg = _package(tmp_path / "slow", script, f"python tools/probe.py {pid_file}")
+    pkg = _package(tmp_path / "slow", script, f"{tool_path} tools/probe.py {pid_file}")
     result = run_agent_tool(pkg, school_db, timeout=2.0)
     assert result.fallback is True
     assert result.reason == "timeout after 2s"
@@ -375,7 +401,8 @@ def test_tool_stdio_is_bounded(tool_path, tmp_path, school_db):
         "sys.stderr.write('\\nMARKER the real reason\\n')\n"
         "sys.exit(3)\n"
     )
-    result = run_agent_tool(_package(tmp_path / "loud", script), school_db, timeout=60)
+    result = run_agent_tool(_package(tmp_path / "loud", script, f"{tool_path} tools/probe.py"),
+                            school_db, timeout=60)
     assert result.fallback is True
     assert result.reason == "exit code 3: MARKER the real reason"
     assert result.text == extract_naive_schema(school_db)
@@ -394,7 +421,7 @@ def test_tool_writing_its_database_leaves_the_pool_copy_unchanged(tool_path, tmp
         "conn.commit()\n"
         "conn.execute(\"INSERT INTO students VALUES (7, 'Gus', 3, '2021-09-01')\")\n"
     )
-    pkg = _package(tmp_path / "writer", script)
+    pkg = _package(tmp_path / "writer", script, f"{tool_path} tools/probe.py")
     before = school_db.read_bytes()
     first = run_agent_tool(pkg, school_db, timeout=60)
     second = run_agent_tool(pkg, school_db, timeout=60)
@@ -414,19 +441,19 @@ def test_concurrent_runs_start_at_most_one_host_per_caller(hosts, naive_package_
     finally:
         sys.setswitchinterval(interval)
     assert {(r.text, r.fallback) for r in results} == {(extract_naive_schema(school_db), False)}
-    assert 1 <= hosts.started <= 4
+    assert len(hosts) == 1
 
 
 def test_dead_host_is_replaced_and_not_charged(hosts, naive_package_dir, school_db):
     pkg = load_package(naive_package_dir)
     first = run_agent_tool(pkg, school_db, timeout=60)
-    (host,) = hosts._idle
+    (host,) = hosts
     host.proc.kill()
     host.proc.wait(10)
     second = run_agent_tool(pkg, school_db, timeout=60)
     assert second == first
     assert second.fallback is False
-    assert hosts.started == 2
+    assert len(hosts) == 2
 
 
 def test_host_dying_mid_run_is_retried_on_a_new_host(hosts, tmp_path, school_db):
@@ -444,7 +471,7 @@ def test_host_dying_mid_run_is_retried_on_a_new_host(hosts, tmp_path, school_db)
     pkg = _package(tmp_path / "killer", script, f"python tools/probe.py {marker}")
     result = run_agent_tool(pkg, school_db, timeout=60)
     assert (result.text, result.fallback) == ("second try", False)
-    assert hosts.started == 2
+    assert len(hosts) == 2
 
 
 def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, school_db):
@@ -458,8 +485,8 @@ def test_process_exits_promptly_and_leaves_no_host(tmp_path, naive_package_dir, 
         f"{str(school_db)!r}, timeout=60)\n"
         "assert not result.fallback, result.reason\n"
         "assert toolrun._STAGED_COPIES._dir.parent.samefile(tempfile.gettempdir())\n"
-        "print(*[host.proc.pid for host in toolrun._TOOL_HOSTS._idle])\n"
-        "(host,) = toolrun._TOOL_HOSTS._idle\n"
+        "host = toolrun._host\n"
+        "print(host.proc.pid)\n"
         "children = f'/proc/{host.proc.pid}/task/{host.proc.pid}/children'\n"
         "print(open(children).read() if os.path.exists(children) else '-')\n"
     )
@@ -491,7 +518,7 @@ def test_spare_exits_when_its_host_is_killed(hosts, naive_package_dir, school_db
     # A SIGKILLed host closes nothing itself; its idle spare sees EOF on its
     # request pipe and exits.
     run_agent_tool(load_package(naive_package_dir), school_db, timeout=60)
-    (host,) = hosts._idle
+    (host,) = hosts
     (spare,) = _children(host.proc.pid)
     host.proc.kill()
     host.proc.wait(10)
@@ -499,3 +526,87 @@ def test_spare_exits_when_its_host_is_killed(hosts, naive_package_dir, school_db
     while not _exited(spare):
         assert time.monotonic() < deadline, f"spare {spare} outlived its host"
         time.sleep(0.01)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_execd_tool_sees_what_a_subprocess_sees(hosts, tmp_path):
+    # The shell lists its own descriptors, signal mask and ignored signals,
+    # and working directory, with builtins only: it forks nothing, which
+    # would open pipes and block signals for the while. An exec'd command
+    # starts as subprocess.run starts it.
+    workdir = _workdir(tmp_path, "")
+    (workdir / "tools" / "probe.sh").write_text(
+        "{ for fd in /proc/$$/fd/*; do printf '%s ' \"${fd##*/}\"; done; echo\n"
+        "  while read -r line; do\n"
+        "    case $line in SigBlk:*|SigIgn:*) echo \"$line\";; esac\n"
+        "  done < /proc/$$/status\n"
+        "  pwd -P; } >> seen.txt\n"
+        "exit 3\n")
+    runs = _run_both(hosts, workdir, argv=("sh", "tools/probe.sh"))
+    assert runs["host"] == runs["subprocess"] == (3, "")
+    seen = (workdir / "seen.txt").read_text().splitlines()
+    assert seen[:4] == seen[4:]
+    fds, blocked, ignored, cwd = seen[:4]
+    assert {"0", "1", "2"} <= set(fds.split())
+    assert blocked.startswith("SigBlk:") and ignored.startswith("SigIgn:")
+    assert cwd == os.path.realpath(workdir)
+
+
+def test_program_that_cannot_be_executed_falls_back(hosts, tmp_path, school_db):
+    pkg = _package(tmp_path / "missing", "", "no-such-evosql-tool --flag")
+    result = run_agent_tool(pkg, school_db, timeout=60)
+    assert (result.text, result.fallback) == (extract_naive_schema(school_db), True)
+    assert result.reason == ("exit code 127: cannot execute tool: [Errno 2] "
+                             "No such file or directory: 'no-such-evosql-tool'")
+    assert len(hosts) == 1
+
+
+@_NEEDS_PROC_CHILDREN
+def test_concurrent_callers_share_one_host_and_its_spare(naive_package_dir, school_db):
+    # In a process of its own, so that no other test's host is there. Its
+    # children are listed by the thread that started each.
+    code = (
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from pathlib import Path\n"
+        "from evosql import toolrun\n"
+        "from evosql.registry import load_package\n"
+        f"pkg = load_package({str(naive_package_dir)!r})\n"
+        "with ThreadPoolExecutor(max_workers=4) as pool:\n"
+        "    results = list(pool.map(\n"
+        f"        lambda _: toolrun.run_agent_tool(pkg, {str(school_db)!r}, timeout=60),\n"
+        "        range(8)))\n"
+        "assert not any(result.fallback for result in results)\n"
+        "children = [pid for task in Path('/proc/self/task').iterdir()\n"
+        "            for pid in (task / 'children').read_text().split()]\n"
+        "host = toolrun._host.proc.pid\n"
+        "print(host, *children)\n"
+        "print(open(f'/proc/{host}/task/{host}/children').read())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    hosts_line, spares_line = proc.stdout.splitlines()
+    host, *children = hosts_line.split()
+    assert children == [host]
+    # Every tool is reaped before its reply; the spare is forked before it.
+    assert len(spares_line.split()) == 1
+
+
+def test_tool_killing_every_host_falls_back_and_spares_the_caller(tmp_path, school_db):
+    # Both hosts die; the run falls back, and the process that called it
+    # lives on.
+    script = "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
+    pkg = _package(tmp_path / "killer", script)
+    code = (
+        "from evosql.registry import load_package\n"
+        "from evosql.toolrun import run_agent_tool\n"
+        f"result = run_agent_tool(load_package({str(pkg.root_dir)!r}), {str(school_db)!r}, "
+        "timeout=60)\n"
+        "print(result.fallback, result.reason)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True tool host died: tool host ")
