@@ -444,6 +444,36 @@ def test_concurrent_runs_start_at_most_one_host_per_caller(hosts, naive_package_
     assert len(hosts) == 1
 
 
+def test_each_concurrent_run_gets_its_own_exit_code(hosts, tmp_path, school_db):
+    # More threads than cores share the host's one connection; a reply read
+    # by one caller for another, or lost, would show as a wrong result or a
+    # timeout.
+    script = (
+        "import sys, time\n"
+        "time.sleep(float(sys.argv[2]))\n"
+        "if sys.argv[1] != '0':\n"
+        "    sys.exit(int(sys.argv[1]))\n"
+        "open('tool_output/out.txt', 'w').write('ran ' + sys.argv[2])\n"
+    )
+    pkgs = [_package(tmp_path / f"p{code}-{i}", script,
+                     f"{'python -u' if i else 'python'} tools/probe.py {code} 0.0{code}")
+            for code in (0, 3, 5) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run_agent_tool, pkg, school_db, timeout=60)
+                       for pkg in pkgs * 4]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    expected = {0: ("ran 0.00", None), 3: (extract_naive_schema(school_db), "exit code 3"),
+                5: (extract_naive_schema(school_db), "exit code 5")}
+    assert [(r.text, r.reason) for r in results] == \
+        [expected[code] for code in (0, 0, 3, 3, 5, 5)] * 4
+    assert len(hosts) == 1
+
+
 def test_dead_host_is_replaced_and_not_charged(hosts, naive_package_dir, school_db):
     pkg = load_package(naive_package_dir)
     first = run_agent_tool(pkg, school_db, timeout=60)
@@ -561,6 +591,13 @@ def test_program_that_cannot_be_executed_falls_back(hosts, tmp_path, school_db):
     assert len(hosts) == 1
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh Python process that imports this evosql."""
+    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 @_NEEDS_PROC_CHILDREN
 def test_concurrent_callers_share_one_host_and_its_spare(naive_package_dir, school_db):
     # In a process of its own, so that no other test's host is there. Its
@@ -582,9 +619,7 @@ def test_concurrent_callers_share_one_host_and_its_spare(naive_package_dir, scho
         "print(host, *children)\n"
         "print(open(f'/proc/{host}/task/{host}/children').read())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     hosts_line, spares_line = proc.stdout.splitlines()
     host, *children = hosts_line.split()
@@ -605,8 +640,6 @@ def test_tool_killing_every_host_falls_back_and_spares_the_caller(tmp_path, scho
         "timeout=60)\n"
         "print(result.fallback, result.reason)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(evosql.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("True tool host died: tool host ")
