@@ -90,6 +90,10 @@ def _load_fixture(path, kind: str):
         raise ConfigError(f"scripted {kind} fixture {path} is not JSON: {exc}") from exc
 
 
+def _is_replies(value) -> bool:
+    return isinstance(value, list) and all(isinstance(reply, str) for reply in value)
+
+
 class ScriptedGenerationBackend:
     """Replays canned replies by conversation position: `by_question` (keyed
     by question text) and `default` lists are indexed by the number of
@@ -118,7 +122,16 @@ class ScriptedGenerationBackend:
                 "a list of replies consumed call by call is not supported, since "
                 "its order would follow thread scheduling"
             )
-        return cls(by_question=data.get("by_question"), default=data.get("default"))
+        unknown = sorted(set(data) - {"by_question", "default"})
+        if unknown:
+            raise ConfigError(f"scripted generation fixture {path} has unknown keys: "
+                              f"{', '.join(unknown)}")
+        by_question, default = data.get("by_question", {}), data.get("default", [])
+        if not (isinstance(by_question, dict) and all(map(_is_replies, by_question.values()))
+                and _is_replies(default)):
+            raise ConfigError(f"scripted generation fixture {path} must map each question "
+                              "in by_question, and default, to a list of reply strings")
+        return cls(by_question, default)
 
     def complete(self, system_text: str, conversation: list[dict], temperature: float) -> str:
         question = extract_question(system_text)
@@ -333,9 +346,7 @@ class ScriptedEvolutionBackend:
     def from_fixture(cls, path) -> "ScriptedEvolutionBackend":
         data = _load_fixture(path, "evolution")
         if not isinstance(data, dict) or not all(
-                key.isdecimal() and isinstance(replies, list)
-                and all(isinstance(reply, str) for reply in replies)
-                for key, replies in data.items()):
+                key.isdecimal() and _is_replies(replies) for key, replies in data.items()):
             raise ConfigError(f"scripted evolution fixture {path} must be an object "
                               '{"<iteration>": [responses...]}')
         return cls(data)

@@ -124,6 +124,8 @@ def cmd_leaderboard(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, not {args.seeds}")
     try:
         latents = [float(x) for x in args.latents.split(",")]
     except ValueError:
@@ -137,7 +139,7 @@ def cmd_simulate(args) -> int:
         config = SimulationConfig(iterations=args.iterations, seed=seed, evolve=args.evolve)
         return simulate(population, config)
 
-    if args.seeds <= 1:
+    if args.seeds == 1:
         result = run(args.seed)
         print(f"kendall tau (latent vs final ELO): {result.kendall_tau:.3f}")
         for agent_id in sorted(result.final_ratings, key=result.final_ratings.get, reverse=True):

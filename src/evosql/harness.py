@@ -1,10 +1,10 @@
 """SQL execution, set-based result comparison, and per-iteration scoring.
 
 Predicted and gold SQL run against read-only SQLite connections with a
-wall-clock timeout; results are compared as sets of canonicalized row tuples
-(row order ignored, duplicates collapse, arity must match). Accuracy is kept
-as exact counts, never accumulated floats. Each gold query is executed and
-canonicalized once per question within the Deep Focus window and shared
+wall-clock timeout; results are compared as sets of row tuples (row order
+ignored, duplicates collapse, arity must match). Accuracy is kept as exact
+counts, never accumulated floats. Each gold query is executed and reduced to
+its row set once per question within the Deep Focus window and shared
 across agents and iterations; questions whose gold SQL is itself broken are
 excluded from the denominator as dataset defects. Predicted SQL shares the
 same lifetime: each distinct SQL text runs once per question for every
@@ -37,7 +37,6 @@ chunk, not for its whole timeout.
 import contextvars
 import heapq
 import logging
-import math
 import sqlite3
 import threading
 import time
@@ -46,8 +45,7 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count
-from operator import ne
+from itertools import count
 from pathlib import Path
 
 from .errors import BackendCallError, ConfigError, InvalidStateError, PipelineError, SqlError
@@ -150,33 +148,6 @@ def execute_sql(db_path: str | Path, sql: str, timeout: float = DEFAULT_SQL_TIME
         conn.close()
 
 
-class _Nan:
-    """Canonical stand-in for float NaN so row sets stay well-defined."""
-
-    def __repr__(self):
-        return "NaN"
-
-
-_NAN = _Nan()
-
-
-def _canonical_cell(value):
-    # Integral floats already compare and hash equal to ints in Python, so
-    # only NaN needs replacing to keep set semantics total.
-    if isinstance(value, float) and math.isnan(value):
-        return _NAN
-    return value
-
-
-def _canonical_rows(rows) -> set:
-    row_set = set(map(tuple, rows))
-    # NaN is the only value unequal to itself. SQLite returns NULL for NaN,
-    # so executed results never take the per-cell pass.
-    if any(map(ne, chain.from_iterable(row_set), chain.from_iterable(row_set))):
-        return {tuple(_canonical_cell(cell) for cell in row) for row in row_set}
-    return row_set
-
-
 @dataclass(frozen=True, slots=True)
 class SqlRun:
     """What one run of a SQL text yields for one question: the verification
@@ -194,11 +165,11 @@ class SqlRun:
 
 @dataclass
 class GoldTable:
-    """What scoring reads of one gold result: its canonical row set (empty
-    exactly when the result is), its report preview and the database it
-    ran on; and, by SQL text, what each predicted query run against the
-    question yielded, shared by every agent and round that asks the
-    question while its gold is held."""
+    """What scoring reads of one gold result: its row set (empty exactly
+    when the result is), its report preview and the database it ran on;
+    and, by SQL text, what each predicted query run against the question
+    yielded, shared by every agent and round that asks the question while
+    its gold is held."""
 
     row_set: set
     preview: list[str]
@@ -232,17 +203,13 @@ class GoldTable:
         return entry
 
 
-def compare_results(pred: ResultTable, gold: ResultTable | GoldTable) -> bool:
+def compare_results(pred: ResultTable, gold: GoldTable) -> bool:
     """Set-based equivalence: row order ignored, duplicates collapse, cells
-    and arity must match exactly (integral reals equal integers). A result
-    cut at ROW_CAP never matches: its rows beyond the cap are unknown."""
-    if pred.truncated or (isinstance(gold, ResultTable) and gold.truncated):
-        return False
-    gold_rows = gold.row_set if isinstance(gold, GoldTable) else _canonical_rows(gold.rows)
-    # Canonical gold holds no float NaN, so a raw row set that equals it has
-    # none either; only an unequal one needs the NaN probe.
-    pred_rows = set(map(tuple, pred.rows))
-    return pred_rows == gold_rows or _canonical_rows(pred_rows) == gold_rows
+    and arity must match exactly (integral reals equal integers). A
+    prediction cut at ROW_CAP never matches: its rows beyond the cap are
+    unknown. SQLite returns NULL where a value would be NaN, so every cell
+    equals itself and the row sets need no canonical form."""
+    return not pred.truncated and set(map(tuple, pred.rows)) == gold.row_set
 
 
 def _run_prediction(gold: GoldTable, sql: str) -> SqlRun:
@@ -286,7 +253,7 @@ def _run_gold(db_file: Path, sql: str, key: tuple[str, int]) -> GoldTable | str:
     if table.truncated:
         logger.warning("gold SQL for %s q%s returns more than ROW_CAP rows", *key)
         return f"gold result exceeds ROW_CAP ({ROW_CAP} rows)"
-    return GoldTable(_canonical_rows(table.rows), _preview_rows(table), db_file)
+    return GoldTable(set(table.rows), _preview_rows(table), db_file)
 
 
 def execute_gold(
@@ -541,9 +508,9 @@ def evaluate_agent(
     Each agent's outcomes are ordered by (db_id, question_id), so nothing
     depends on completion order.
     """
-    tasks = [(pkg, db_id, item, gold[(db_id, item.question_id)])
+    tasks = [(pkg, db_id, item, table)
              for pkg in packages for db_id, items in questions.items() for item in items
-             if isinstance(gold[(db_id, item.question_id)], GoldTable)]
+             if isinstance(table := gold[(db_id, item.question_id)], GoldTable)]
     if not tasks:
         raise InvalidStateError(
             "no scorable question: none sampled, or every gold query is defective"

@@ -315,6 +315,16 @@ class Orchestrator:
             if existing.run_seed != config.run_seed:
                 raise InvalidStateError(f"the run state has seed {existing.run_seed}, not "
                                         f"{config.run_seed}; resume with the run's seed")
+            # The next iteration may show evolution the last report; an
+            # uninterrupted run never sends it an empty one.
+            if existing.iterations:
+                report = self.output_dir / f"iter_{len(existing.iterations)}" / REPORT_FILENAME
+                try:
+                    empty = report.stat().st_size == 0
+                except FileNotFoundError:
+                    empty = True
+                if empty:
+                    raise InvalidStateError(f"cannot resume: {report} is missing or empty")
             self.state = existing
             self.registry = restore_registry(existing, self.output_dir)
             logger.info("resuming run at iteration %d", len(self.state.iterations) + 1)

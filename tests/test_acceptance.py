@@ -23,7 +23,7 @@ from evosql.scheduler import MODE_CHALLENGER, MODE_EVOLVE, MODE_NONE, choose_mod
 from evosql.simulate import SimulationConfig, SyntheticAgent, simulate
 from evosql.toolrun import extract_naive_schema
 from tests.conftest import TOY_QUESTIONS, make_database, make_evolution_response
-from tests.test_harness import _oracle_compare
+from tests.test_harness import _gold, _oracle_compare
 from tests.test_pipeline import SYSTEM, FakeExecutor
 
 
@@ -142,9 +142,7 @@ def test_set_comparison_oracle():
             else:
                 pred = random_rows()
             expected = _oracle_compare(pred, gold)
-            actual = compare_results(
-                ResultTable(pred), ResultTable(gold)
-            )
+            actual = compare_results(ResultTable(pred), _gold(gold))
             assert actual == expected, (case, pred, gold)
             agreements += 1
         assert agreements == 1000

@@ -224,6 +224,8 @@ def test_resume_without_a_state_exits_with_a_message(data_root, tmp_path):
     (["--latents", "1.5,0.2"], r"^global accuracy outside \[0, 1\]: 1.5$"),
     (["--latents", "x,0.2"], "^--latents must be comma-separated numbers, not 'x,0.2'$"),
     (["--iterations", "0"], "^iterations must be >= 1$"),
+    (["--seeds", "0"], "^--seeds must be >= 1, not 0$"),
+    (["--seeds", "-2"], "^--seeds must be >= 1, not -2$"),
 ])
 def test_simulate_bad_input_exits_with_a_message(flags, message):
     with pytest.raises(SystemExit, match=message):
@@ -321,6 +323,10 @@ def test_evaluate_refuses_a_manifest_that_is_not_text(data_root, tmp_path):
         main(["evaluate", "--agent-dir", str(root), "--data-root", str(data_root)])
 
 
+_GEN_FIELDS = ("^scripted generation fixture .+malformed.json must map each question in "
+               "by_question, and default, to a list of reply strings$")
+
+
 @pytest.mark.parametrize("target, content, message", [
     ("questions", b'[{"question_id": 1, "db_id": "school"',
      "^.+questions.json is not JSON: Expecting "),
@@ -331,8 +337,17 @@ def test_evaluate_refuses_a_manifest_that_is_not_text(data_root, tmp_path):
     ("gen", b'["SELECT 1"]', "^scripted generation fixture .+malformed.json must be an object "),
     ("evo", b'{"2": ["a"', "^scripted evolution fixture .+malformed.json is not JSON: "),
     ("evo", b'["a"]', "^scripted evolution fixture .+malformed.json must be an object "),
+    ("gen", b'{"default": 5}', _GEN_FIELDS),
+    ("gen", b'{"default": [5]}', _GEN_FIELDS),
+    ("gen", b'{"by_question": ["a"]}', _GEN_FIELDS),
+    ("gen", b'{"by_question": {"q": "abc"}}', _GEN_FIELDS),
+    ("gen", b'{"defaults": ["a"]}',
+     "^scripted generation fixture .+malformed.json has unknown keys: defaults$"),
 ], ids=["questions-truncated", "questions-not-utf8", "config-not-utf8", "gen-fixture-truncated",
-        "gen-fixture-list", "evo-fixture-truncated", "evo-fixture-list"])
+        "gen-fixture-list", "evo-fixture-truncated", "evo-fixture-list",
+        "gen-fixture-default-not-a-list", "gen-fixture-reply-not-a-string",
+        "gen-fixture-by-question-a-list", "gen-fixture-replies-a-string",
+        "gen-fixture-unknown-key"])
 def test_malformed_json_input_exits_with_a_message(data_root, tmp_path, target, content,
                                                    message):
     root = tmp_path / "data"

@@ -225,6 +225,24 @@ def test_resume_with_another_seed_is_refused(data_root, tmp_path):
     assert state_file.read_bytes() == halted
 
 
+@pytest.mark.parametrize("damage", ["empty", "missing"])
+def test_resume_over_a_missing_or_empty_last_report_is_refused(data_root, tmp_path, damage):
+    # Evolution may be shown the last report; an empty one is a request no
+    # uninterrupted run sends, and a missing one would end the iteration.
+    run(base_config(data_root, tmp_path / "halted", iterations=2))
+    report = tmp_path / "halted" / "iter_2" / "error_analysis_report.md"
+    if damage == "empty":
+        report.write_text("")
+    else:
+        report.unlink()
+    state_file = tmp_path / "halted" / "run_state.json"
+    halted = state_file.read_bytes()
+    with pytest.raises(InvalidStateError, match=f"^cannot resume: {re.escape(str(report))} is "
+                                                "missing or empty$"):
+        resume(base_config(data_root, tmp_path / "halted", iterations=3))
+    assert state_file.read_bytes() == halted
+
+
 def test_evolution_failure_degrades_to_none_mode(data_root, tmp_path):
     # No fixtures at all: every evolve draw degrades, the run still finishes.
     config = base_config(data_root, tmp_path / "out", iterations=3)
